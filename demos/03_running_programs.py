@@ -1,4 +1,5 @@
-"""Running programs: single runs, the dovetailed schedule, and the cache.
+"""Running programs: single runs, the dovetailed schedule, and the candidate
+table with its cache.
 
 All valid programs here halt, so dovetailing is demonstrably equivalent to
 running them one after another -- the point is that the staged schedule is
@@ -50,7 +51,7 @@ def main():
     print(f"with a 5-step budget: {len(done)} finished, {len(tight.unprocessed)} reported unprocessed")
 
     print()
-    print("== persistent cache ==")
+    print("== candidate table and its persistent cache ==")
     with tempfile.TemporaryDirectory() as cache_dir:
         before = simulation_count()
         table = cached_outputs(2, 10, cache_dir)
@@ -58,7 +59,8 @@ def main():
         before = simulation_count()
         cached_outputs(2, 10, cache_dir)
         warm = simulation_count() - before
-        print(f"{len(table)} halting programs cached; cold run simulated {cold}, warm run {warm}")
+        print(f"{len(table.rows)} halting programs cached; cold run simulated {cold}, warm run {warm}")
+        print(f"{len(table.firsts)} distinct outputs: only the first program of each can win a scan")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .census import (
     consistency_report,
     consistency_sweep,
     incompressibility_census,
+    joint_bound_from,
     joint_bound_report,
     product_witness,
     rotated_basis,
@@ -48,18 +49,18 @@ from .estimator import (
 from .executor import (
     DECODE_FAILED,
     HALTED,
+    CandidateTable,
     Dovetailer,
     RunResult,
     cached_outputs,
+    candidate_table,
     dovetail,
     run,
     simulation_count,
 )
 from .proglang import (
     CALLC,
-    ENCODING,
     ENCODING_VERSION,
-    EncodingSpec,
     DecodedProgram,
     Program,
     decode,

@@ -21,7 +21,7 @@ from .estimator import (
     exact_estimate,
     shortest_exact_program,
 )
-from .executor import cached_outputs, run
+from .executor import CandidateTable, candidate_table, run
 from .proglang import (
     DecodedProgram,
     Program,
@@ -61,12 +61,6 @@ def record_obj(record: Optional[EstimateRecord]) -> Optional[dict]:
         "penalty": record.penalty,
         "total": record.total,
     }
-
-
-def _outputs(n: int, max_len: int, cache_dir) -> Optional[dict]:
-    if cache_dir is None:
-        return None
-    return cached_outputs(n, max_len, cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +139,8 @@ def incompressibility_census(
         basis = standard_basis(n)
     if basis.n_qubits != n:
         raise ValueError("basis dimension does not match n")
-    outputs = _outputs(n, max_len, cache_dir)
-    estimates = [exact_estimate(v, n, max_len, outputs=outputs) for v in basis.vectors]
+    table = candidate_table(n, max_len, cache_dir=cache_dir)
+    estimates = [exact_estimate(v, n, max_len, outputs=table) for v in basis.vectors]
     threshold = n - c
     count_below = sum(
         1 for est in estimates if est.best is not None and est.best.total < threshold
@@ -174,13 +168,13 @@ def uniform_sweep(
     """Monte Carlo stand-in for the continuum claim: the empirical fraction of
     pseudo-random rational unit vectors whose estimate is at least n - c."""
     rng = Random(f"sweep:{seed}")
-    outputs = _outputs(n, max_len, cache_dir)
+    table = candidate_table(n, max_len, cache_dir=cache_dir)
     threshold = n - c
     incompressible = 0
     no_estimate = 0
     for _ in range(samples):
         target = random_state(n, rng)
-        est = exact_estimate(target, n, max_len, outputs=outputs)
+        est = exact_estimate(target, n, max_len, outputs=table)
         if est.best is None:
             no_estimate += 1  # counts as >= threshold: no short description exists
             incompressible += 1
@@ -226,11 +220,15 @@ class ConsistencyRecord:
 
 
 def consistency_report(bits: str, max_len: int, cache_dir=None) -> ConsistencyRecord:
-    n = len(bits)
+    table = candidate_table(len(bits), max_len, cache_dir=cache_dir)
+    return _consistency_record(bits, table)
+
+
+def _consistency_record(bits: str, table: CandidateTable) -> ConsistencyRecord:
+    n, max_len = len(bits), table.max_len
     target = classical_state(bits)
-    outputs = _outputs(n, max_len, cache_dir)
-    est = exact_estimate(target, n, max_len, outputs=outputs)
-    exact = shortest_exact_program(target, n, max_len, outputs=outputs)
+    est = exact_estimate(target, n, max_len, outputs=table)
+    exact = shortest_exact_program(target, n, max_len, outputs=table)
     gap = None
     if exact is not None and est.best is not None:
         gap = exact.length - est.best.total
@@ -268,10 +266,8 @@ class ConsistencySweep:
 def consistency_sweep(n: int, max_len: int, cache_dir=None) -> ConsistencySweep:
     """All 2^n classical strings; the largest gap is the measured analogue of
     the additive constant."""
-    records = [
-        consistency_report(format(i, f"0{n}b"), max_len, cache_dir=cache_dir)
-        for i in range(1 << n)
-    ]
+    table = candidate_table(n, max_len, cache_dir=cache_dir)
+    records = [_consistency_record(format(i, f"0{n}b"), table) for i in range(1 << n)]
     gaps = [r.gap for r in records if r.gap is not None]
     return ConsistencySweep(n, max_len, records, max(gaps) if gaps else None)
 
@@ -369,11 +365,12 @@ def subadditivity_report(
     y = run(p_y, n_y).output
     n = n_x + n_y
     joint_target = tensor(x, y)
-    joint = exact_estimate(joint_target, n, max_len, outputs=_outputs(n, max_len, cache_dir))
-    cond = exact_estimate(
-        x, n_x, max_len, conditional=dy, outputs=_outputs(n_x, max_len, cache_dir)
-    )
-    uncond_y = exact_estimate(y, n_y, max_len, outputs=_outputs(n_y, max_len, cache_dir))
+    def table(m, conditional=None):
+        return candidate_table(m, max_len, conditional, cache_dir)
+
+    joint = exact_estimate(joint_target, n, max_len, outputs=table(n))
+    cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=table(n_x, dy))
+    uncond_y = exact_estimate(y, n_y, max_len, outputs=table(n_y))
     witness = product_witness(dx, dy)
 
     reason = "ok"
@@ -430,10 +427,15 @@ def joint_bound_report(
     n_y: int = 1,
     cache_dir=None,
 ) -> JointBoundReport:
-    _decode_generator(p_x, n_x, "p_x")
-    _decode_generator(p_y, n_y, "p_y")
-    x = run(p_x, n_x).output
-    y = run(p_y, n_y).output
+    return joint_bound_from(subadditivity_report(p_x, p_y, max_len, n_x, n_y, cache_dir))
+
+
+def joint_bound_from(report: SubadditivityReport) -> JointBoundReport:
+    """The joint bound from a sub-additivity report, whose joint and y
+    estimates are exactly the two this bound compares."""
+    p_x, p_y, max_len = report.p_x, report.p_y, report.max_len
+    x = run(p_x, report.n_x).output
+    y = run(p_y, report.n_y).output
     if x.n_qubits != y.n_qubits:
         raise ValueError("joint bound needs outputs of equal dimension")
     q = fidelity(x, y)
@@ -441,15 +443,8 @@ def joint_bound_report(
         return JointBoundReport(
             p_x, p_y, max_len, q, False, None, None, None, None
         )
-    n = x.n_qubits + y.n_qubits
-    joint = exact_estimate(
-        tensor(x, y), n, max_len, outputs=_outputs(n, max_len, cache_dir)
-    )
-    uncond_y = exact_estimate(
-        y, y.n_qubits, max_len, outputs=_outputs(y.n_qubits, max_len, cache_dir)
-    )
-    lhs = joint.best.total if joint.best else None
-    y_total = uncond_y.best.total if uncond_y.best else None
+    lhs = report.joint.best.total if report.joint.best else None
+    y_total = report.unconditional_y.best.total if report.unconditional_y.best else None
     rhs = None
     slack = None
     if y_total is not None:
@@ -511,9 +506,9 @@ def superposed_bit_example(
         raise ValueError("bit string length must equal n")
     base = classical_state(bits)
     target = apply_gate(base, ROT(position))
-    outputs = _outputs(n, max_len, cache_dir)
-    rotated = exact_estimate(target, n, max_len, outputs=outputs)
-    classical = exact_estimate(base, n, max_len, outputs=outputs)
+    table = candidate_table(n, max_len, cache_dir=cache_dir)
+    rotated = exact_estimate(target, n, max_len, outputs=table)
+    classical = exact_estimate(base, n, max_len, outputs=table)
     x_gates = [X(j) for j in range(n) if bits[j] == "1"]
     constructive = encode(x_gates + [ROT(position)], n)
     lengths = shannon_fano_lengths(standard_basis(n), target)

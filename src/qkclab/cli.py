@@ -23,7 +23,7 @@ from .census import (
     record_obj,
     consistency_sweep,
     incompressibility_census,
-    joint_bound_report,
+    joint_bound_from,
     rotated_basis,
     subadditivity_report,
 )
@@ -34,7 +34,7 @@ from .estimator import (
     projection_oracle,
     sampled_estimate,
 )
-from .executor import cached_outputs, run
+from .executor import candidate_table, run
 from .proglang import (
     CALLC,
     ENCODING_VERSION,
@@ -249,12 +249,6 @@ def _load_target(args, config: Config):
     return target, desc
 
 
-def _outputs_table(config: Config, n: int, max_len: int):
-    if config.cache_dir is None:
-        return None
-    return cached_outputs(n, max_len, config.cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -270,7 +264,9 @@ def cmd_estimate(args) -> int:
             raise UsageError(
                 f"conditional is not a decodable CALLC-free program: {prog.bits}"
             )
-    outputs = _outputs_table(config, config.n, config.max_len)
+    if args.sampled and conditional is not None:
+        raise UsageError("--sampled does not take a conditional program")
+    table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
     record = {
         "kind": "estimate",
         "schema": SCHEMA_VERSION,
@@ -284,12 +280,10 @@ def cmd_estimate(args) -> int:
         else None,
     }
     if args.sampled:
-        if conditional is not None:
-            raise UsageError("--sampled does not take a conditional program")
         plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
         result = sampled_estimate(
             projection_oracle(target), config.n, plan, config.max_len,
-            config.seed, outputs=outputs,
+            config.seed, outputs=table,
         )
         record.update(
             {
@@ -310,7 +304,7 @@ def cmd_estimate(args) -> int:
         empty = result.best is None
     else:
         result = exact_estimate(
-            target, config.n, config.max_len, conditional=conditional, outputs=outputs
+            target, config.n, config.max_len, conditional=conditional, outputs=table
         )
         record.update(
             {
@@ -372,10 +366,7 @@ def cmd_subadd(args) -> int:
             p_x, p_y, config.max_len,
             n_x=args.nx, n_y=args.ny, cache_dir=config.cache_dir,
         )
-        bound = joint_bound_report(
-            p_x, p_y, config.max_len,
-            n_x=args.nx, n_y=args.ny, cache_dir=config.cache_dir,
-        )
+        bound = joint_bound_from(report)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     obj = report.to_json_obj()

@@ -16,8 +16,8 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from .executor import HALTED, run
-from .proglang import DecodedProgram, Program, encode, enumerate_programs
+from .executor import CandidateTable, candidate_table
+from .proglang import DecodedProgram, Program, encode
 from .statevec import StateVector, X, fidelity, penalty_bits
 
 LOG2_E = math.log2(math.e)
@@ -52,26 +52,11 @@ def _check_target(target: StateVector, n: int) -> None:
         raise ValueError(f"target has {target.n_qubits} qubits, expected {n}")
 
 
-def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
-    if conditional is None:
-        return
-    if conditional.has_call:
-        raise ValueError("a conditional program may not contain CALLC")
-    if conditional.n != n:
-        raise ValueError("conditional decoded for a different register width")
-
-
-def _halted_outputs(n, max_len, conditional=None, outputs=None):
-    """(index, program, output) for every halting candidate, in enumeration
-    order.  `outputs` is an optional precomputed table; programs that use the
-    conditional are never in it and are simulated fresh."""
-    for idx, prog in enumerate(enumerate_programs(max_len, n)):
-        if outputs is not None and prog in outputs:
-            yield idx, prog, outputs[prog]
-            continue
-        result = run(prog, n, conditional)
-        if result.status == HALTED:
-            yield idx, prog, result.output
+def _table(outputs, n: int, max_len: int, conditional=None) -> CandidateTable:
+    """The given candidate table, checked against the scan's arguments, or a new one."""
+    if outputs is None:
+        return candidate_table(n, max_len, conditional)
+    return outputs.check(n, max_len, conditional)
 
 
 def exact_estimate(
@@ -79,7 +64,7 @@ def exact_estimate(
     n: int,
     max_len: int,
     conditional: Optional[DecodedProgram] = None,
-    outputs: Optional[dict] = None,
+    outputs: Optional[CandidateTable] = None,
 ) -> ExactEstimate:
     """Minimize length + penalty over all decodable programs up to max_len.
 
@@ -87,16 +72,15 @@ def exact_estimate(
     infinite).  Ties go to the shorter program, then to the numerically
     smaller one; since enumeration is ordered that way, the first program to
     reach the minimum is the winner.  If nothing has positive fidelity the
-    result carries best=None: no finite estimate at this bound.
+    result carries best=None: no finite estimate at this bound.  `outputs` is
+    the candidate table to score (built here if None).
     """
     _check_target(target, n)
-    _check_conditional(conditional, n)
+    table = _table(outputs, n, max_len, conditional)
     best = None
     best_key = None
     trace: list[tuple[int, int]] = []
-    scanned = 0
-    for idx, prog, out in _halted_outputs(n, max_len, conditional, outputs):
-        scanned = idx + 1
+    for idx, prog, out in table.firsts:
         q = fidelity(target, out)
         if q == 0:
             continue
@@ -107,20 +91,20 @@ def exact_estimate(
             best_key = key
             best = EstimateRecord(prog, prog.length, q, pen, total)
             trace.append((idx, total))
-    return ExactEstimate(best, trace, scanned, n, max_len)
+    return ExactEstimate(best, trace, table.scanned, n, max_len)
 
 
 def ideal_value(
     target: StateVector,
     n: int,
     max_len: int,
-    outputs: Optional[dict] = None,
+    outputs: Optional[CandidateTable] = None,
 ) -> Optional[float]:
     """min over halting programs of length - log2(true fidelity): the
     real-valued floor that the sampled mode approximates from above."""
     _check_target(target, n)
     best = None
-    for _idx, prog, out in _halted_outputs(n, max_len, outputs=outputs):
+    for _idx, prog, out in _table(outputs, n, max_len).firsts:
         q = fidelity(target, out)
         if q == 0:
             continue
@@ -134,7 +118,7 @@ def directly_computable(
     target: StateVector,
     n: int,
     max_len: int,
-    outputs: Optional[dict] = None,
+    outputs: Optional[CandidateTable] = None,
 ) -> bool:
     """Whether some halting program up to max_len outputs the target with
     fidelity exactly 1.
@@ -147,7 +131,7 @@ def directly_computable(
     _check_target(target, n)
     return any(
         fidelity(target, out) == 1
-        for _idx, _prog, out in _halted_outputs(n, max_len, outputs=outputs)
+        for _idx, _prog, out in _table(outputs, n, max_len).firsts
     )
 
 
@@ -155,12 +139,12 @@ def shortest_exact_program(
     target: StateVector,
     n: int,
     max_len: int,
-    outputs: Optional[dict] = None,
+    outputs: Optional[CandidateTable] = None,
 ) -> Optional[Program]:
     """Shortest program whose output equals the target amplitude-for-amplitude
     (not merely up to phase); None if no such program exists within the bound."""
     _check_target(target, n)
-    for _idx, prog, out in _halted_outputs(n, max_len, outputs=outputs):
+    for _idx, prog, out in _table(outputs, n, max_len).firsts:
         if out.amps == target.amps:
             return prog
     return None
@@ -315,20 +299,20 @@ def sampled_estimate(
     plan: SamplingPlan,
     max_len: int,
     seed: int,
-    outputs: Optional[dict] = None,
+    outputs: Optional[CandidateTable] = None,
 ) -> SampledEstimate:
     """Approximation from above driven only by a Bernoulli oracle per program.
 
-    Enumerates the halting programs, runs plan.k measurement trials against
-    each, and keeps the candidate with the smallest estimate (shorter program
-    on ties).  The plan must supply at least as many trials as k_from_bound
-    requires for this n.
+    Runs plan.k measurement trials against every row of the candidate table,
+    equal outputs included (each row has its own trial stream), and keeps the
+    candidate with the smallest estimate (shorter program on ties).  The plan
+    must supply at least as many trials as k_from_bound requires for this n.
     """
     if not plan.covers(n):
         raise ValueError(
             f"plan.k={plan.k} is below k_from_bound(n={n}, alpha={plan.alpha}, "
             f"epsilon={plan.epsilon})={k_from_bound(n, plan.alpha, plan.epsilon)}"
         )
-    candidates = list(_halted_outputs(n, max_len, outputs=outputs))
+    candidates = _table(outputs, n, max_len).rows
     best, trace = run_trials(candidates, measure, plan.k, plan.epsilon, seed)
     return SampledEstimate(best, trace, plan, seed, n, max_len)

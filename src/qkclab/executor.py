@@ -1,5 +1,5 @@
 """Runs decoded programs from |0...0>, dovetailed across the enumeration,
-with a persistent result cache.
+and the candidate table every estimator scans, with its persistent cache.
 
 Every syntactically valid program here halts, so dovetailing is degenerate --
 but the staged schedule is implemented faithfully, and decode failures play
@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -201,8 +204,71 @@ def dovetail(
 
 
 # ---------------------------------------------------------------------------
-# Persistent output cache
+# The candidate table and its persistent cache
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CandidateTable:
+    """Every halting program up to max_len on n qubits, run once: `rows`
+    holds (enumeration index, program, output) in enumeration order.  A table
+    answers only for the (n, max_len, conditional) it was built for."""
+
+    n: int
+    max_len: int
+    conditional: Optional[DecodedProgram]
+    rows: tuple[tuple[int, Program, StateVector], ...]
+
+    @property
+    def scanned(self) -> int:
+        """Index of the last halting program plus 1; 0 if none halts."""
+        return self.rows[-1][0] + 1 if self.rows else 0
+
+    @cached_property
+    def firsts(self) -> tuple[tuple[int, Program, StateVector], ...]:
+        """The first row of each distinct output.  A later program with an
+        equal output has the same fidelity to every target and a larger
+        (length, value), so no minimizing scan can prefer it."""
+        first: dict = {}
+        for row in self.rows:
+            first.setdefault(row[2], row)
+        return tuple(first.values())
+
+    def check(self, n: int, max_len: int, conditional=None) -> "CandidateTable":
+        """This table, if it was built for (n, max_len, conditional)."""
+        have, want = (self.n, self.max_len, self.conditional), (n, max_len, conditional)
+        if have != want:
+            raise ValueError(
+                f"candidate table for (n, max_len, conditional) = {have} used for {want}"
+            )
+        return self
+
+
+def _build_table(n: int, max_len: int, conditional=None, known=None) -> CandidateTable:
+    """Run every enumerated program once.  Programs in `known` (outputs read
+    from a cache, which holds every program that halts with no conditional)
+    are not run again; with no conditional, nothing outside it halts."""
+    _check_conditional(conditional, n)
+    rows = []
+    for idx, prog in enumerate(enumerate_programs(max_len, n)):
+        out = None if known is None else known.get(prog)
+        if out is None and (known is None or conditional is not None):
+            out = run(prog, n, conditional).output
+        if out is not None:
+            rows.append((idx, prog, out))
+    return CandidateTable(n, max_len, conditional, tuple(rows))
+
+
+def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:
+    """The table a command builds once and scores every target against.  With
+    a cache_dir, the table with no conditional is read from or written to the
+    cache; a conditional table reuses it and runs only the CALLC programs."""
+    if cache_dir is None:
+        return _build_table(n, max_len, conditional)
+    table = cached_outputs(n, max_len, cache_dir)
+    if conditional is None:
+        return table
+    return _build_table(n, max_len, conditional, {p: out for _i, p, out in table.rows})
+
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -212,6 +278,10 @@ def _record_sha(record: dict) -> str:
     return hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
 
 
+def _header(n: int, max_len: int, records: int) -> dict:
+    return {"version": ENCODING_VERSION, "n": n, "max_len": max_len, "records": records}
+
+
 def cache_path(cache_dir, n: int, max_len: int) -> Path:
     return Path(cache_dir) / f"outputs-{ENCODING_VERSION}-n{n}-len{max_len}.jsonl"
 
@@ -219,52 +289,51 @@ def cache_path(cache_dir, n: int, max_len: int) -> Path:
 def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
     try:
         lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        if header != {"version": ENCODING_VERSION, "n": n, "max_len": max_len}:
+        # the record count catches a file that lost whole lines
+        if json.loads(lines[0]) != _header(n, max_len, len(lines) - 1):
             return None
-        table = {}
+        known = {}
         for line in lines[1:]:
             record = json.loads(line)
             sha = record.pop("sha")
             if sha != _record_sha(record):
                 return None
             prog = program_from_json(record["program"])
-            table[prog] = state_from_json(record["output"])
-        return table
+            known[prog] = state_from_json(record["output"])
+        return known
     except Exception:
         return None
 
 
-def cached_outputs(n: int, max_len: int, cache_dir) -> dict[Program, StateVector]:
-    """Outputs of every halting program up to max_len, persisted as one
-    JSON-lines file per (encoding version, n, max_len).
-
-    A stale or corrupt file (bad hash, wrong version, unparsable) is
-    recomputed and overwritten with a warning.  Enumeration dominates the cost
-    of every census experiment, so the warm path must do zero simulations.
-    """
+def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
+    """The candidate table with no conditional, persisted as one JSON-lines
+    file per (encoding version, n, max_len).  A valid file lists every halting
+    program, so a warm read runs nothing.  A stale or corrupt file (bad hash,
+    wrong version or record count, unparsable) is recomputed with a warning."""
     path = cache_path(cache_dir, n, max_len)
     if path.exists():
-        table = _read_cache(path, n, max_len)
-        if table is not None:
-            return table
+        known = _read_cache(path, n, max_len)
+        if known is not None:
+            return _build_table(n, max_len, known=known)
         warnings.warn(f"cache file {path} is stale or corrupt; recomputing")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    table = {}
-    lines = [_canonical({"version": ENCODING_VERSION, "n": n, "max_len": max_len})]
-    for prog in enumerate_programs(max_len, n):
-        result = run(prog, n)
-        if result.status != HALTED:
-            continue
-        table[prog] = result.output
+    table = _build_table(n, max_len)
+    lines = [_canonical(_header(n, max_len, len(table.rows)))]
+    for _idx, prog, out in table.rows:
         record = {
             "program": program_to_json(prog),
-            "output": state_to_json(result.output),
-            "steps": result.steps,
+            "output": state_to_json(out),
+            "steps": len(decode(prog.bits, n).gates),
         }
         record["sha"] = _record_sha(record)
         lines.append(_canonical(record))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)  # single writer; readers only ever see complete files
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # each writer has a temp file of its own, so concurrent builders of one
+    # cache never truncate each other's; readers only see complete files
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return table

@@ -28,36 +28,6 @@ OPCODE_CALLC = "100"
 
 
 @dataclass(frozen=True)
-class EncodingSpec:
-    """One concrete value describing the wire format, for manifests and tests.
-
-    The header is the Elias-gamma code of (gate count + 1); each gate is a
-    3-bit opcode followed by ceil(log2 n)-bit qubit operands (1 bit at n=1).
-    Because every field width is determined by what was already read, the
-    decodable set is prefix-free.
-    """
-
-    version: str
-    opcodes: tuple[tuple[str, str], ...]
-    header: str = "elias-gamma(gate_count + 1)"
-
-    def operand_bits(self, n: int) -> int:
-        return index_width(n)
-
-
-ENCODING = EncodingSpec(
-    version=ENCODING_VERSION,
-    opcodes=(
-        (OPCODE_X, "X"),
-        (OPCODE_CNOT, "CNOT"),
-        (OPCODE_ROT, "ROT"),
-        (OPCODE_PHASE, "PHASE"),
-        (OPCODE_CALLC, "CALLC"),
-    ),
-)
-
-
-@dataclass(frozen=True)
 class CALLC:
     """Conditional call: splices the conditional program's gates in place.
 
@@ -290,18 +260,6 @@ def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:
         k += 1
     programs.sort(key=lambda p: (p.length, p.value))
     yield from programs
-
-
-def decodable_strings(max_len: int, n: int) -> Iterator[str]:
-    """Brute-force scan of every bit string up to max_len; yields the decodable
-    ones in (length, value) order.  Exponential in max_len: the oracle against
-    which the constructive enumerator is checked.
-    """
-    for length in range(1, max_len + 1):
-        for v in range(1 << length):
-            bits = format(v, f"0{length}b")
-            if decode(bits, n) is not None:
-                yield bits
 
 
 def verify_prefix_free(max_len: int, n: int, decodes=None) -> bool:

@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's enumerator and estimator logic: they
 scan raw bit strings and minimize by hand, so agreement is evidence rather
-than tautology.
+than tautology.  The reference_* scans are the exception: they keep the
+enumerate-then-simulate path every estimator ran on its own before the
+candidate table, as the reference the table path must reproduce exactly.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -15,11 +18,14 @@ from qkclab import (
     PHASE,
     ROT,
     X,
+    EstimateRecord,
     Program,
     decode,
+    enumerate_programs,
     fidelity,
     penalty_bits,
     run,
+    run_trials,
 )
 
 
@@ -58,6 +64,74 @@ def brute_force_best(target, n, max_len, conditional=None):
         return None
     total, length, v = best
     return total, format(v, f"0{length}b")
+
+
+def reference_candidates(n, max_len, conditional=None, outputs=None):
+    """(index, program, output) for every halting program, in enumeration
+    order.  `outputs` is an optional {program: output} dict of outputs with no
+    conditional; programs missing from it are simulated fresh."""
+    for idx, prog in enumerate(enumerate_programs(max_len, n)):
+        if outputs is not None and prog in outputs:
+            yield idx, prog, outputs[prog]
+            continue
+        result = run(prog, n, conditional)
+        if result.status == HALTED:
+            yield idx, prog, result.output
+
+
+def reference_outputs(n, max_len):
+    """{program: output} of every program that halts with no conditional."""
+    return {prog: out for _idx, prog, out in reference_candidates(n, max_len)}
+
+
+def reference_exact_estimate(target, n, max_len, conditional=None, outputs=None):
+    """(best, trace, scanned) of the minimization over every halting program."""
+    best = best_key = None
+    trace = []
+    scanned = 0
+    for idx, prog, out in reference_candidates(n, max_len, conditional, outputs):
+        scanned = idx + 1
+        q = fidelity(target, out)
+        if q == 0:
+            continue
+        pen = penalty_bits(q)
+        total = prog.length + pen
+        key = (total, prog.length, prog.value)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = EstimateRecord(prog, prog.length, q, pen, total)
+            trace.append((idx, total))
+    return best, trace, scanned
+
+
+def reference_ideal_value(target, n, max_len, outputs=None):
+    best = None
+    for _idx, prog, out in reference_candidates(n, max_len, outputs=outputs):
+        q = fidelity(target, out)
+        if q == 0:
+            continue
+        value = prog.length - math.log2(q)
+        if best is None or value < best:
+            best = value
+    return best
+
+
+def reference_directly_computable(target, n, max_len, outputs=None):
+    candidates = reference_candidates(n, max_len, outputs=outputs)
+    return any(fidelity(target, out) == 1 for _idx, _prog, out in candidates)
+
+
+def reference_shortest_exact_program(target, n, max_len, outputs=None):
+    for _idx, prog, out in reference_candidates(n, max_len, outputs=outputs):
+        if out.amps == target.amps:
+            return prog
+    return None
+
+
+def reference_sampled_estimate(measure, n, plan, max_len, seed, outputs=None):
+    """(best, trace) of plan.k trials against every halting program."""
+    candidates = list(reference_candidates(n, max_len, outputs=outputs))
+    return run_trials(candidates, measure, plan.k, plan.epsilon, seed)
 
 
 def mat2_mul(a, b):

@@ -18,6 +18,7 @@ from qkclab import (
     SamplingPlan,
     StateVector,
     cached_outputs,
+    candidate_table,
     classical_state,
     consistency_sweep,
     decode,
@@ -248,13 +249,17 @@ def test_criterion_09_conditional_reuse(cache_dir):
         target = run(generator, n).output
         return generator, conditional, target
 
+    def conditional_table(n, conditional):
+        return candidate_table(n, 12, conditional, cache_dir)
+
     # arbitrary random targets obey the exact cap formula
     for i in range(20):
         n = 1 if i % 2 else 2
         generator, conditional, target = sample(n)
         without = exact_estimate(target, n, 12, outputs=outputs[n])
         with_cond = exact_estimate(
-            target, n, 12, conditional=conditional, outputs=outputs[n]
+            target, n, 12, conditional=conditional,
+            outputs=conditional_table(n, conditional),
         )
         assert with_cond.best.total == min(without.best.total, callc_len)
         assert with_cond.best.total <= callc_len
@@ -269,7 +274,8 @@ def test_criterion_09_conditional_reuse(cache_dir):
         if without.best.total < callc_len:
             continue
         with_cond = exact_estimate(
-            target, n, 12, conditional=conditional, outputs=outputs[n]
+            target, n, 12, conditional=conditional,
+            outputs=conditional_table(n, conditional),
         )
         assert with_cond.best.total == callc_len
         hits.append(generator.length)

@@ -141,7 +141,7 @@ class TestExactEstimate:
         targets += [classical_state("0"), classical_state("1")]
         for target in targets:
             flag = directly_computable(target, 1, 10, outputs=outputs)
-            oracle = any(fidelity(target, out) == 1 for out in outputs.values())
+            oracle = any(fidelity(target, out) == 1 for _i, _p, out in outputs.rows)
             assert flag == oracle
             est = exact_estimate(target, 1, 10, outputs=outputs)
             if est.best is not None and est.best.penalty == 0:

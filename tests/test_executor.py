@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from qkclab import (
     Program,
     basis_state,
     cached_outputs,
+    candidate_table,
     decode,
     dovetail,
     encode,
@@ -19,6 +25,7 @@ from qkclab import (
     simulation_count,
     zero_state,
 )
+from qkclab.cli import CACHE_ENV_VAR, main
 from qkclab.executor import Dovetailer, cache_path
 
 
@@ -136,12 +143,12 @@ class TestCache:
 
     def test_cache_agrees_with_fresh_runs(self, tmp_path):
         table = cached_outputs(2, 10, tmp_path)
-        for prog in enumerate_programs(10, 2):
-            result = run(prog, 2)
-            if result.status == HALTED:
-                assert table[prog] == result.output
-            else:
-                assert prog not in table
+        fresh = [
+            (idx, prog, result.output)
+            for idx, prog in enumerate(enumerate_programs(10, 2))
+            if (result := run(prog, 2)).status == HALTED
+        ]
+        assert list(table.rows) == fresh
 
     def test_version_mismatch_forces_recompute(self, tmp_path):
         cached_outputs(1, 7, tmp_path)
@@ -169,3 +176,87 @@ class TestCache:
         assert cache_path(tmp_path, 1, 7).exists()
         assert cache_path(tmp_path, 2, 7).exists()
         assert cache_path(tmp_path, 1, 7) != cache_path(tmp_path, 2, 7)
+
+    def test_truncated_file_forces_recompute(self, tmp_path):
+        # a valid cache lists every halting program, so a lost line must not
+        # pass as a program that does not halt
+        table = cached_outputs(1, 7, tmp_path)
+        path = cache_path(tmp_path, 1, 7)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.warns(UserWarning):
+            assert cached_outputs(1, 7, tmp_path) == table
+
+    def test_cold_commands_run_each_program_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        programs = len(list(enumerate_programs(12, 2)))
+        for argv in (
+            ["census", "--n", "2", "--c", "1", "--max-len", "12"],
+            ["census", "--n", "2", "--c", "1", "--max-len", "12", "--rotated"],
+            ["consistency", "--n", "2", "--max-len", "12"],
+            ["estimate", "--classical", "01", "--n", "2", "--max-len", "12"],
+        ):
+            before = simulation_count()
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+            assert simulation_count() - before == programs, argv
+        capsys.readouterr()
+
+    def test_warm_cache_commands_run_zero_simulations(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        cached_outputs(2, 12, cache)
+        before = simulation_count()
+        for argv in (
+            ["census", "--n", "2", "--c", "1", "--max-len", "12"],
+            ["census", "--n", "2", "--c", "1", "--max-len", "12", "--rotated"],
+            ["consistency", "--n", "2", "--max-len", "12"],
+            ["estimate", "--classical", "01", "--n", "2", "--max-len", "12"],
+            ["estimate", "--classical", "01", "--n", "2", "--max-len", "12",
+             "--sampled", "--alpha", "0.5", "--epsilon", "0.45"],
+        ):
+            assert main(argv + ["--out-dir", str(tmp_path), "--cache-dir", cache]) == 0
+        assert simulation_count() == before
+        capsys.readouterr()
+
+    def test_writer_interleaved_inside_another_keeps_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        # a second writer of the same cache runs entirely between the first
+        # writer's temp-file write and its rename; a shared temp name would
+        # make the first rename fail
+        real_replace = os.replace
+        inner = []
+
+        def replace(src, dst):
+            if not inner:
+                inner.append(None)  # the inner writer's own rename goes straight through
+                inner[0] = cached_outputs(1, 9, tmp_path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        outer = cached_outputs(1, 9, tmp_path)
+        monkeypatch.undo()
+        assert inner == [outer]
+        before = simulation_count()
+        assert cached_outputs(1, 9, tmp_path) == outer
+        assert simulation_count() == before
+
+    def test_concurrent_writers_both_succeed(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        script = "import sys; from qkclab import cached_outputs; cached_outputs(3, 20, sys.argv[1])"
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path)], env=env, stderr=subprocess.PIPE
+            )
+            for _ in range(2)
+        ]
+        for writer in writers:
+            _, err = writer.communicate(timeout=120)
+            assert writer.returncode == 0, err.decode()
+        assert list(tmp_path.iterdir()) == [cache_path(tmp_path, 3, 20)]  # no temp file left
+        before = simulation_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stale or corrupt file would warn
+            table = cached_outputs(3, 20, tmp_path)
+        assert simulation_count() == before
+        assert table == candidate_table(3, 20)
