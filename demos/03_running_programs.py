@@ -1,25 +1,26 @@
-"""Running programs: single runs, the dovetailed schedule, and the candidate
-table with its cache.
+"""Running programs: single runs, the enumeration as an approximation from
+above, and the candidate table with its cache.
 
-All valid programs here halt, so dovetailing is demonstrably equivalent to
-running them one after another -- the point is that the staged schedule is
-the shape a search over possibly-nonterminating machines would take.
+Every decodable program halts, so running the enumeration in order is the
+whole search: each new halting program can only lower the running minimum,
+and an estimate's trace records each time it does.
 """
 
+import random
 import tempfile
 
 from qkclab import (
     CALLC,
     X,
+    cached_outputs,
     decode,
-    dovetail,
     encode,
     enumerate_programs,
-    cached_outputs,
+    exact_estimate,
+    random_state,
     run,
     simulation_count,
 )
-from qkclab.executor import Dovetailer
 
 
 def main():
@@ -33,22 +34,15 @@ def main():
     print("CALLC without a conditional:", run(encode([CALLC()], 1), 1).status)
 
     print()
-    print("== the staged schedule ==")
-    programs = list(enumerate_programs(8, 2))
-    dv = Dovetailer(programs, 2)
-    for _ in range(5):
-        dv.advance_stage()
-    print("slots offered after 5 stages:", dv.offered[:8], "...")
-    print("(program j gets its first step in stage j, one more per stage after)")
-
-    emitted = list(dovetail(programs, 2))
-    sequential = [run(p, 2) for p in programs]
-    print("dovetail outputs == sequential outputs:",
-          {r.program for r in emitted} == {r.program for r in sequential})
-
-    tight = dovetail(programs, 2, step_budget=5)
-    done = list(tight)
-    print(f"with a 5-step budget: {len(done)} finished, {len(tight.unprocessed)} reported unprocessed")
+    print("== the enumeration, approximated from above ==")
+    programs = list(enumerate_programs(14, 2))
+    halted = [p for p in programs if run(p, 2).output is not None]
+    print(f"{len(programs)} programs up to 14 bits for n=2; {len(halted)} halt, "
+          f"{len(programs) - len(halted)} need a conditional for CALLC")
+    target = random_state(2, random.Random(6))
+    est = exact_estimate(target, 2, 14)
+    print("anytime trace for a random target, (enumeration index, running minimum):", est.trace)
+    print("(the minimum never rises; every bound at a prefix is a valid upper bound)")
 
     print()
     print("== candidate table and its persistent cache ==")

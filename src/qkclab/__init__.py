@@ -50,11 +50,9 @@ from .executor import (
     DECODE_FAILED,
     HALTED,
     CandidateTable,
-    Dovetailer,
     RunResult,
     cached_outputs,
     candidate_table,
-    dovetail,
     run,
     simulation_count,
 )

@@ -1,10 +1,11 @@
 """Command-line surface: estimation, census experiments, program-language
 utilities, and the trial planner, with reproducible file outputs.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 mathematically empty
-result (no finite estimate at the requested bound).  Everything a command
-writes is a pure function of (config, seed): no timestamps, sorted JSON keys,
-so reruns are byte-identical.
+Exit codes: 0 success, 2 usage/configuration error or a file that cannot be
+read or written, 3 mathematically empty result (no finite estimate at the
+requested bound).  Any other exception is a fault in qkclab and propagates.
+Everything a command writes is a pure function of (config, seed): no
+timestamps, sorted JSON keys, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class Config:
     alpha: float = 0.05
     epsilon: float = 0.25
     seed: int = 0
-    format: str = "json"
     verbosity: int = 0
     out_dir: str = "reports"
 
@@ -98,12 +98,13 @@ def load_config_file(path: str) -> dict:
 
 def _coerce(config: Config, key: str, value) -> Config:
     current = getattr(config, key)
-    if isinstance(current, bool):
-        value = str(value).lower() in ("1", "true", "yes")
-    elif isinstance(current, int):
-        value = int(value)
-    elif isinstance(current, float):
-        value = float(value)
+    try:
+        if isinstance(current, int):
+            value = int(value)
+        elif isinstance(current, float):
+            value = float(value)
+    except ValueError as exc:
+        raise UsageError(f"bad value for {key}: {value!r}") from exc
     return replace(config, **{key: value})
 
 
@@ -120,6 +121,8 @@ def effective_config(args: argparse.Namespace) -> Config:
         flag = getattr(args, key, None)
         if flag is not None:
             config = _coerce(config, key, flag)
+    if config.n < 1:
+        raise UsageError(f"n must be positive, got {config.n}")
     return config
 
 
@@ -224,7 +227,10 @@ def _load_target(args, config: Config):
             "exactly one of --classical, --statefile, --target-program is required"
         )
     if args.classical:
-        target = classical_state(args.classical)
+        try:
+            target = classical_state(args.classical)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         desc = {"classical": args.classical}
     elif args.statefile:
         try:
@@ -264,8 +270,13 @@ def cmd_estimate(args) -> int:
             raise UsageError(
                 f"conditional is not a decodable CALLC-free program: {prog.bits}"
             )
-    if args.sampled and conditional is not None:
-        raise UsageError("--sampled does not take a conditional program")
+    if args.sampled:
+        if conditional is not None:
+            raise UsageError("--sampled does not take a conditional program")
+        try:
+            plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
     record = {
         "kind": "estimate",
@@ -280,7 +291,6 @@ def cmd_estimate(args) -> int:
         else None,
     }
     if args.sampled:
-        plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
         result = sampled_estimate(
             projection_oracle(target), config.n, plan, config.max_len,
             config.seed, outputs=table,
@@ -322,6 +332,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_census(args) -> int:
     config = effective_config(args)
+    if args.c < 0:
+        raise UsageError(f"--c must be nonnegative, got {args.c}")
     basis = rotated_basis(config.n) if args.rotated else None
     label = "rotated" if args.rotated else "standard"
     report = incompressibility_census(
@@ -361,14 +373,21 @@ def cmd_subadd(args) -> int:
     config = effective_config(args)
     p_x = parse_program_arg(args.px)
     p_y = parse_program_arg(args.py)
-    try:
-        report = subadditivity_report(
-            p_x, p_y, config.max_len,
-            n_x=args.nx, n_y=args.ny, cache_dir=config.cache_dir,
+    # the joint bound compares the two outputs, so they share one width
+    if args.nx != args.ny or args.nx < 1:
+        raise UsageError(
+            f"--nx and --ny must be equal and positive, got {args.nx} and {args.ny}"
         )
-        bound = joint_bound_from(report)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    for flag, p in (("--px", p_x), ("--py", p_y)):
+        if decode(p.bits, args.nx, allow_callc=False) is None:
+            raise UsageError(
+                f"{flag} is not a decodable CALLC-free program for n={args.nx}: {p.bits!r}"
+            )
+    report = subadditivity_report(
+        p_x, p_y, config.max_len,
+        n_x=args.nx, n_y=args.ny, cache_dir=config.cache_dir,
+    )
+    bound = joint_bound_from(report)
     obj = report.to_json_obj()
     obj["joint_bound"] = bound.to_json_obj()
     stem = (
@@ -427,10 +446,15 @@ def _gate_str(op) -> str:
 
 def cmd_decode(args) -> int:
     config = effective_config(args)
-    if args.bits:
-        bits = args.bits
-    else:
+    if args.bits is not None:
+        try:
+            bits = Program(args.bits).bits
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    elif args.program is not None:
         bits = parse_program_arg(args.program).bits
+    else:
+        raise UsageError("one of --bits, --program is required")
     decoded = decode(bits, config.n)
     record = {
         "kind": "decoded",
@@ -492,7 +516,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--cache-dir", dest="cache_dir", help="program-output cache directory")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--format", choices=("json", "csv"), help="preferred output format")
     sub.add_argument("--verbosity", type=int, help="verbosity level")
     sub.add_argument("--out-dir", dest="out_dir", help="directory for report files")
 
@@ -584,10 +607,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -1,9 +1,10 @@
-"""Runs decoded programs from |0...0>, dovetailed across the enumeration,
-and the candidate table every estimator scans, with its persistent cache.
+"""Runs decoded programs from |0...0>, and builds the candidate table every
+estimator scans, with its persistent cache.
 
-Every syntactically valid program here halts, so dovetailing is degenerate --
-but the staged schedule is implemented faithfully, and decode failures play
-the role of non-halting computations.
+Every decodable program here is straight-line and halts; decode failures play
+the role of non-halting computations.  Scanning the table in enumeration
+order is already an approximation from above: each estimate's trace is a
+running minimum that never increases.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .proglang import (
     CALLC,
@@ -61,28 +62,11 @@ def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
         )
 
 
-def _expanded_gates(
-    program: Program, n: int, conditional: Optional[DecodedProgram]
-) -> Optional[list]:
-    """Gate list with CALLC spliced out, or None for a non-halting program."""
-    decoded = decode(program.bits, n)
-    if decoded is None:
-        return None
-    if decoded.has_call and conditional is None:
-        return None
-    gates = []
-    for op in decoded.gates:
-        if isinstance(op, CALLC):
-            gates.extend(conditional.gates)
-        else:
-            gates.append(op)
-    return gates
-
-
 def run(
     program: Program, n: int, conditional: Optional[DecodedProgram] = None
 ) -> RunResult:
-    """Execute one program on the |0^n> register.
+    """Execute one program on the |0^n> register, with each CALLC replaced by
+    the conditional's gates.
 
     Decode failures -- including a CALLC with no conditional supplied -- yield
     status "decode_failed" with no output; they contribute nothing to any
@@ -91,116 +75,16 @@ def run(
     global _sim_count
     _sim_count += 1
     _check_conditional(conditional, n)
-    gates = _expanded_gates(program, n, conditional)
-    if gates is None:
+    decoded = decode(program.bits, n)
+    if decoded is None or (decoded.has_call and conditional is None):
         return RunResult(program, DECODE_FAILED, None, 0)
     state = zero_state(n)
-    for g in gates:
-        state = apply_gate(state, g)
-    return RunResult(program, HALTED, state, len(gates))
-
-
-class Dovetailer:
-    """Staged interleaving of many program runs.
-
-    In stage k, program k-i+1 (1-based) receives its i-th computation step for
-    i = 1..k, so every program eventually progresses.  One step is one gate
-    application; decoding is free and happens at a program's first slot, where
-    empty and undecodable programs immediately complete.
-
-    Iterating yields each RunResult exactly once, in completion order.  With a
-    finite step budget, programs still unfinished when it runs out are listed
-    in `unprocessed` rather than silently dropped.
-    """
-
-    def __init__(
-        self,
-        programs: Iterable[Program],
-        n: int,
-        conditional: Optional[DecodedProgram] = None,
-        step_budget: Optional[int] = None,
-    ):
-        _check_conditional(conditional, n)
-        self.programs = list(programs)
-        self.n = n
-        self.conditional = conditional
-        self.budget_left = step_budget
-        self.offered = [0] * len(self.programs)
-        self.stages_run = 0
-        self.exhausted = False
-        self.unprocessed: list[Program] = []
-        self._gates: list = [None] * len(self.programs)
-        self._states: list = [None] * len(self.programs)
-        self._cursor = [0] * len(self.programs)
-        self._started = [False] * len(self.programs)
-        self._done = [False] * len(self.programs)
-
-    def _slot(self, j: int) -> Optional[RunResult]:
-        """Offer one step to program j (0-based); return its result if this
-        slot completes it."""
-        self.offered[j] += 1
-        if self._done[j]:
-            return None
-        prog = self.programs[j]
-        if not self._started[j]:
-            self._started[j] = True
-            self._gates[j] = _expanded_gates(prog, self.n, self.conditional)
-            if self._gates[j] is None:
-                self._done[j] = True
-                return RunResult(prog, DECODE_FAILED, None, 0)
-            self._states[j] = zero_state(self.n)
-            if not self._gates[j]:
-                self._done[j] = True
-                return RunResult(prog, HALTED, self._states[j], 0)
-        if self.budget_left is not None:
-            if self.budget_left == 0:
-                self.exhausted = True
-                return None
-            self.budget_left -= 1
-        cur = self._cursor[j]
-        self._states[j] = apply_gate(self._states[j], self._gates[j][cur])
-        self._cursor[j] = cur + 1
-        if self._cursor[j] == len(self._gates[j]):
-            self._done[j] = True
-            return RunResult(prog, HALTED, self._states[j], self._cursor[j])
-        return None
-
-    def advance_stage(self) -> list[RunResult]:
-        """Run one stage of the schedule; used directly by step-accounting
-        tests, and by iteration."""
-        self.stages_run += 1
-        k = self.stages_run
-        completed = []
-        for i in range(1, k + 1):
-            j = k - i  # program k-i+1, 0-based
-            if j >= len(self.programs):
-                continue
-            result = self._slot(j)
-            if self.exhausted:
-                break
-            if result is not None:
-                completed.append(result)
-        return completed
-
-    def results(self) -> Iterator[RunResult]:
-        while not self.exhausted and not all(self._done):
-            yield from self.advance_stage()
-        if self.exhausted:
-            self.unprocessed = [
-                p for p, done in zip(self.programs, self._done) if not done
-            ]
-
-    def __iter__(self) -> Iterator[RunResult]:
-        return self.results()
-
-
-def dovetail(
-    programs: Iterable[Program],
-    n: int,
-    conditional: Optional[DecodedProgram] = None,
-    step_budget: Optional[int] = None,
-) -> Dovetailer:
-    return Dovetailer(programs, n, conditional=conditional, step_budget=step_budget)
+    steps = 0
+    for op in decoded.gates:
+        for g in conditional.gates if isinstance(op, CALLC) else (op,):
+            state = apply_gate(state, g)
+            steps += 1
+    return RunResult(program, HALTED, state, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +206,6 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
         record = {
             "program": program_to_json(prog),
             "output": state_to_json(out),
-            "steps": len(decode(prog.bits, n).gates),
         }
         record["sha"] = _record_sha(record)
         lines.append(_canonical(record))

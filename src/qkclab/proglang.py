@@ -195,20 +195,17 @@ def decode_prefix(
     return DecodedProgram(n, tuple(gates)), pos
 
 
-def decode(
-    bits: str, n: int, consume_exactly: bool = True, allow_callc: bool = True
-) -> Optional[DecodedProgram]:
+def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
     """Parse a whole program; None means "non-halting" for the executor.
 
-    With consume_exactly (the default), trailing bits beyond the parsed
-    program also make the string undecodable -- that is what keeps the
-    decodable set prefix-free.
+    Trailing bits beyond the parsed program also make the string
+    undecodable -- that is what keeps the decodable set prefix-free.
     """
     parsed = decode_prefix(bits, n, allow_callc=allow_callc)
     if parsed is None:
         return None
     program, consumed = parsed
-    if consume_exactly and consumed != len(bits):
+    if consumed != len(bits):
         return None
     return program
 

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft202012Validator
 
 from qkclab import encode, state_to_json, zero_state
+from qkclab import cli
 from qkclab.cli import main
 from qkclab.statevec import ROT, X, apply_gate
 
@@ -255,7 +257,14 @@ class TestConfig:
 
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("wibble = 3\n")
+        for line in ("wibble = 3", "format = json"):
+            cfg.write_text(line + "\n")
+            rc, _ = run_cli(capsys, "estimate", "--classical", "00", "--config", str(cfg))
+            assert rc == 2, line
+
+    def test_unparsable_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("n = abc\n")
         rc, _ = run_cli(capsys, "estimate", "--classical", "00", "--config", str(cfg))
         assert rc == 2
 
@@ -273,3 +282,53 @@ class TestConfig:
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestExitCodes:
+    """Exit 2 means the input was wrong; a fault inside a command surfaces."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--classical", "0a", "--n", "2"],
+            ["estimate", "--classical", "01", "--n", "2", "--sampled", "--alpha", "1.5"],
+            ["census", "--c", "-1", "--n", "1", "--max-len", "6"],
+            ["decode", "--bits", "2", "--n", "1"],
+            ["decode", "--n", "1"],
+            ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "0", "--ny", "0"],
+            ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "2", "--ny", "1"],
+        ],
+        ids=[
+            "classical-not-bits", "sampled-alpha", "census-negative-c",
+            "decode-not-bits", "decode-no-input", "subadd-zero-qubits",
+            "subadd-unequal-widths",
+        ],
+    )
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+        rc, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--classical", "0"],
+            ["census", "--c", "1"],
+            ["consistency"],
+            ["encode", "--gates", "X:0"],
+            ["decode", "--bits", "1"],
+            ["enumerate", "--max-len", "3"],
+            ["kplan"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_qubits_is_usage_error(self, capsys, tmp_path, argv):
+        rc, _ = run_cli(capsys, *argv, "--n", "0", "--out-dir", str(tmp_path))
+        assert rc == 2
+
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise ValueError("internal invariant violated")
+
+        monkeypatch.setattr(cli, "exact_estimate", broken)
+        with pytest.raises(ValueError, match="internal invariant violated"):
+            main(["estimate", "--classical", "00", "--n", "2", "--max-len", "6"])

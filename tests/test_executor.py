@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +20,6 @@ from qkclab import (
     cached_outputs,
     candidate_table,
     decode,
-    dovetail,
     encode,
     enumerate_programs,
     run,
@@ -26,7 +27,7 @@ from qkclab import (
     zero_state,
 )
 from qkclab.cli import CACHE_ENV_VAR, main
-from qkclab.executor import Dovetailer, cache_path
+from qkclab.executor import cache_path
 
 
 def conditional_of(gates, n):
@@ -75,64 +76,6 @@ class TestRun:
         assert result.steps == 4
 
 
-class TestDovetail:
-    def test_matches_sequential_execution(self):
-        for n, max_len in ((1, 16), (2, 10), (2, 16), (3, 13)):
-            programs = list(enumerate_programs(max_len, n))
-            sequential = {p: run(p, n) for p in programs}
-            emitted = list(dovetail(programs, n))
-            assert len(emitted) == len(programs)
-            assert {r.program for r in emitted} == set(programs)
-            for r in emitted:
-                assert r.status == sequential[r.program].status
-                assert r.output == sequential[r.program].output
-
-    def test_each_result_emitted_exactly_once(self):
-        programs = list(enumerate_programs(10, 2))
-        emitted = [r.program for r in dovetail(programs, 2)]
-        assert len(emitted) == len(set(emitted))
-
-    def test_stage_arithmetic(self):
-        # after k stages, program j (1-based) has been offered max(0, k-j+1) steps
-        programs = list(enumerate_programs(12, 2))[:6]
-        dv = Dovetailer(programs, 2)
-        for _ in range(4):
-            dv.advance_stage()
-        k = dv.stages_run
-        for j in range(1, len(programs) + 1):
-            assert dv.offered[j - 1] == max(0, k - j + 1)
-
-    def test_empty_stream(self):
-        assert list(dovetail([], 2)) == []
-
-    def test_budget_exhaustion_reports_unprocessed(self):
-        programs = list(enumerate_programs(10, 2))
-        total_steps = sum(run(p, 2).steps for p in programs)
-        dv = dovetail(programs, 2, step_budget=total_steps // 3)
-        emitted = {r.program for r in dv}
-        assert dv.exhausted
-        assert dv.unprocessed
-        assert emitted | set(dv.unprocessed) == set(programs)
-        assert not emitted & set(dv.unprocessed)
-
-    def test_ample_budget_completes_everything(self):
-        programs = list(enumerate_programs(9, 2))
-        total_steps = sum(run(p, 2).steps for p in programs)
-        dv = dovetail(programs, 2, step_budget=total_steps)
-        assert len(list(dv)) == len(programs)
-        assert not dv.exhausted and not dv.unprocessed
-
-    def test_conditional_flows_through(self):
-        cond = conditional_of([X(0)], 1)
-        programs = list(enumerate_programs(7, 1))
-        by_callc = {
-            r.program: r for r in dovetail(programs, 1, conditional=cond)
-        }
-        callc_prog = encode([CALLC()], 1)
-        assert by_callc[callc_prog].status == HALTED
-        assert by_callc[callc_prog].output == basis_state(1, 1)
-
-
 class TestCache:
     def test_warm_cache_runs_zero_simulations(self, tmp_path):
         first = cached_outputs(2, 8, tmp_path)
@@ -164,11 +107,34 @@ class TestCache:
     def test_corrupt_record_forces_recompute(self, tmp_path):
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
-        text = path.read_text().replace('"steps":1', '"steps":2', 1)
+        # flip one output amplitude's numerator, a field the reader uses
+        text = path.read_text().replace('"output":{"amps":[["1",', '"output":{"amps":[["2",', 1)
+        assert text != path.read_text()
         path.write_text(text)
         with pytest.warns(UserWarning):
             recomputed = cached_outputs(1, 7, tmp_path)
         assert recomputed == table
+
+    def test_record_written_with_a_steps_field_still_reads(self, tmp_path):
+        # older cache files carry a "steps" field per record; the reader
+        # ignores it and the record's sha covers it
+        table = cached_outputs(1, 7, tmp_path)
+        path = cache_path(tmp_path, 1, 7)
+        header, *records = path.read_text().splitlines()
+        lines = [header]
+        for line in records:
+            record = json.loads(line)
+            del record["sha"]
+            record["steps"] = 0
+            canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            record["sha"] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        path.write_text("\n".join(lines) + "\n")
+        before = simulation_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cached_outputs(1, 7, tmp_path) == table
+        assert simulation_count() == before
 
     def test_distinct_keys_get_distinct_files(self, tmp_path):
         cached_outputs(1, 7, tmp_path)
