@@ -59,6 +59,7 @@ from .executor import (
 from .proglang import (
     CALLC,
     ENCODING_VERSION,
+    OPS,
     DecodedProgram,
     Program,
     decode,

@@ -31,14 +31,15 @@ from .proglang import (
 )
 from .statevec import (
     CNOT,
-    PHASE,
     ROT,
     Basis,
     Gate,
+    StateVector,
     X,
     apply_gate,
     classical_state,
     fidelity,
+    operands,
     random_state,
     shannon_fano_lengths,
     standard_basis,
@@ -287,19 +288,7 @@ def _decode_generator(p: Program, n: int, who: str) -> DecodedProgram:
 
 def shift_gates(gates, offset: int):
     """Re-index a gate list onto a higher block of qubits."""
-    out = []
-    for g in gates:
-        if isinstance(g, X):
-            out.append(X(g.target + offset))
-        elif isinstance(g, CNOT):
-            out.append(CNOT(g.control + offset, g.target + offset))
-        elif isinstance(g, ROT):
-            out.append(ROT(g.target + offset))
-        elif isinstance(g, PHASE):
-            out.append(PHASE(g.target + offset))
-        else:
-            raise TypeError(f"cannot shift {g!r}")
-    return out
+    return [type(g)(*(q + offset for q in operands(g))) for g in gates]
 
 
 def product_witness(px: DecodedProgram, py: DecodedProgram) -> Program:
@@ -319,6 +308,8 @@ class SubadditivityReport:
     n_x: int
     n_y: int
     max_len: int
+    x: StateVector  # the outputs of p_x and p_y
+    y: StateVector
     joint: ExactEstimate
     conditional: ExactEstimate
     unconditional_y: ExactEstimate
@@ -368,9 +359,13 @@ def subadditivity_report(
     def table(m, conditional=None):
         return candidate_table(m, max_len, conditional, cache_dir)
 
+    y_table = table(n_y)
+    # at equal widths x's conditional table reuses y's outputs and runs only
+    # the CALLC programs
+    x_table = y_table.with_conditional(dy) if n_x == n_y else table(n_x, dy)
     joint = exact_estimate(joint_target, n, max_len, outputs=table(n))
-    cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=table(n_x, dy))
-    uncond_y = exact_estimate(y, n_y, max_len, outputs=table(n_y))
+    cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=x_table)
+    uncond_y = exact_estimate(y, n_y, max_len, outputs=y_table)
     witness = product_witness(dx, dy)
 
     reason = "ok"
@@ -385,7 +380,7 @@ def subadditivity_report(
     if joint.best is not None and cond.best is not None and uncond_y.best is not None:
         slack = cond.best.total + uncond_y.best.total - joint.best.total
     return SubadditivityReport(
-        p_x, p_y, n_x, n_y, max_len, joint, cond, uncond_y,
+        p_x, p_y, n_x, n_y, max_len, x, y, joint, cond, uncond_y,
         witness.length, conclusive, reason, slack,
     )
 
@@ -434,11 +429,9 @@ def joint_bound_from(report: SubadditivityReport) -> JointBoundReport:
     """The joint bound from a sub-additivity report, whose joint and y
     estimates are exactly the two this bound compares."""
     p_x, p_y, max_len = report.p_x, report.p_y, report.max_len
-    x = run(p_x, report.n_x).output
-    y = run(p_y, report.n_y).output
-    if x.n_qubits != y.n_qubits:
+    if report.n_x != report.n_y:
         raise ValueError("joint bound needs outputs of equal dimension")
-    q = fidelity(x, y)
+    q = fidelity(report.x, report.y)
     if q == 0:
         return JointBoundReport(
             p_x, p_y, max_len, q, False, None, None, None, None

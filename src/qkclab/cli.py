@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -37,8 +37,8 @@ from .estimator import (
 )
 from .executor import candidate_table, run
 from .proglang import (
-    CALLC,
     ENCODING_VERSION,
+    OPS,
     Program,
     decode,
     encode,
@@ -46,14 +46,7 @@ from .proglang import (
     program_from_json,
     program_to_json,
 )
-from .statevec import (
-    CNOT,
-    PHASE,
-    ROT,
-    X,
-    classical_state,
-    state_from_json,
-)
+from .statevec import classical_state, operands, state_from_json
 
 SCHEMA_VERSION = "qkclab/1"
 CACHE_ENV_VAR = "QKCLAB_CACHE_DIR"
@@ -121,8 +114,13 @@ def effective_config(args: argparse.Namespace) -> Config:
         flag = getattr(args, key, None)
         if flag is not None:
             config = _coerce(config, key, flag)
-    if config.n < 1:
-        raise UsageError(f"n must be positive, got {config.n}")
+    # every value is checked once here, so no record echoes an invalid config
+    if config.n < 1 or config.max_len < 1:
+        raise UsageError(f"n and max_len must be positive, got {config.n}, {config.max_len}")
+    if not 0 < config.alpha < 1:
+        raise UsageError(f"alpha must be in (0, 1), got {config.alpha}")
+    if not 0 < config.epsilon < 0.5:
+        raise UsageError(f"epsilon must be in (0, 1/2), got {config.epsilon}")
     return config
 
 
@@ -194,27 +192,20 @@ def parse_program_arg(text: str) -> Program:
 
 
 def parse_gate_list(text: str):
-    """Comma-separated ops: X:t, CNOT:c:t, ROT:t, PHASE:t, CALLC; qubit
-    indices are validated against n during encoding."""
+    """Comma-separated ops, each an `OPS` name and its operands joined by
+    colons: X:t, CNOT:c:t, ROT:t, PHASE:t, CALLC; qubit indices are validated
+    against n during encoding."""
     gates = []
     if not text.strip():
         return gates
+    by_name = {op.__name__: op for op in OPS}
     for token in text.split(","):
-        parts = token.strip().upper().split(":")
-        name, idxs = parts[0], parts[1:]
+        name, *idxs = token.strip().upper().split(":")
+        op = by_name.get(name)
+        if op is None or len(idxs) != len(fields(op)):
+            raise UsageError(f"unrecognized gate token {token.strip()!r}")
         try:
-            if name == "X" and len(idxs) == 1:
-                gates.append(X(int(idxs[0])))
-            elif name == "CNOT" and len(idxs) == 2:
-                gates.append(CNOT(int(idxs[0]), int(idxs[1])))
-            elif name == "ROT" and len(idxs) == 1:
-                gates.append(ROT(int(idxs[0])))
-            elif name == "PHASE" and len(idxs) == 1:
-                gates.append(PHASE(int(idxs[0])))
-            elif name == "CALLC" and not idxs:
-                gates.append(CALLC())
-            else:
-                raise UsageError(f"unrecognized gate token {token.strip()!r}")
+            gates.append(op(*map(int, idxs)))
         except ValueError as exc:
             raise UsageError(f"bad gate token {token.strip()!r}: {exc}") from exc
     return gates
@@ -273,10 +264,7 @@ def cmd_estimate(args) -> int:
     if args.sampled:
         if conditional is not None:
             raise UsageError("--sampled does not take a conditional program")
-        try:
-            plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
     table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
     record = {
         "kind": "estimate",
@@ -433,15 +421,7 @@ def cmd_encode(args) -> int:
 
 
 def _gate_str(op) -> str:
-    if isinstance(op, X):
-        return f"X:{op.target}"
-    if isinstance(op, CNOT):
-        return f"CNOT:{op.control}:{op.target}"
-    if isinstance(op, ROT):
-        return f"ROT:{op.target}"
-    if isinstance(op, PHASE):
-        return f"PHASE:{op.target}"
-    return "CALLC"
+    return ":".join([type(op).__name__, *map(str, operands(op))])
 
 
 def cmd_decode(args) -> int:

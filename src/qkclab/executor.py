@@ -126,11 +126,19 @@ class CandidateTable:
             )
         return self
 
+    def with_conditional(self, conditional: DecodedProgram) -> "CandidateTable":
+        """The table for the same (n, max_len) with `conditional`, built from
+        this table with no conditional: only the CALLC programs are run."""
+        self.check(self.n, self.max_len)
+        known = {p: out for _i, p, out in self.rows}
+        return _build_table(self.n, self.max_len, conditional, known)
+
 
 def _build_table(n: int, max_len: int, conditional=None, known=None) -> CandidateTable:
-    """Run every enumerated program once.  Programs in `known` (outputs read
-    from a cache, which holds every program that halts with no conditional)
-    are not run again; with no conditional, nothing outside it halts."""
+    """Run every enumerated program once.  Programs in `known` (the outputs
+    of a table with no conditional, which holds every program that halts
+    without one) are not run again; with no conditional, nothing outside it
+    halts."""
     _check_conditional(conditional, n)
     rows = []
     for idx, prog in enumerate(enumerate_programs(max_len, n)):
@@ -149,9 +157,7 @@ def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> C
     if cache_dir is None:
         return _build_table(n, max_len, conditional)
     table = cached_outputs(n, max_len, cache_dir)
-    if conditional is None:
-        return table
-    return _build_table(n, max_len, conditional, {p: out for _i, p, out in table.rows})
+    return table if conditional is None else table.with_conditional(conditional)
 
 
 def _canonical(obj) -> str:

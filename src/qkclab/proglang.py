@@ -3,28 +3,24 @@ binary encoding of straight-line gate programs, with a deterministic
 length-ordered enumerator.
 
 Layout of a program: Elias-gamma code of (gate count + 1), then one field per
-gate: a 3-bit opcode followed by fixed-width qubit operands.  The number of
-bits consumed is fully determined by what has been read, so no decodable
-program can be a proper prefix of another decodable program.
+gate: a 3-bit opcode followed by fixed-width qubit operands.  `OPS` declares
+the opcodes and their operands once; encoding, decoding and enumeration all
+read it.  The number of bits consumed is fully determined by what has been
+read, so no decodable program can be a proper prefix of another decodable
+program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .statevec import CNOT, PHASE, ROT, X, Gate
+from .statevec import CNOT, PHASE, ROT, X, Gate, operands
 
 # Bumping this invalidates every cache file and dated report.
 ENCODING_VERSION = "pf1"
-
-OPCODE_X = "000"
-OPCODE_CNOT = "001"
-OPCODE_ROT = "010"
-OPCODE_PHASE = "011"
-OPCODE_CALLC = "100"
-# 101, 110, 111 are invalid and make the whole program undecodable.
 
 
 @dataclass(frozen=True)
@@ -37,6 +33,13 @@ class CALLC:
 
 
 Op = Union[Gate, CALLC]
+
+# The gate set, declared once: 3-bit opcode i names OPS[i], and an op's
+# operands are its dataclass fields in declaration order, each a qubit index.
+# Opcodes 101, 110, 111 are invalid and make the whole program undecodable.
+OPS = (X, CNOT, ROT, PHASE, CALLC)
+OPCODE_WIDTH = 3
+_ARITY = tuple(len(fields(op)) for op in OPS)
 
 
 @dataclass(frozen=True)
@@ -106,24 +109,15 @@ def _gamma_decode(bits: str, pos: int) -> Optional[tuple[int, int]]:
 
 
 def _op_bits(op: Op, n: int) -> str:
+    if type(op) not in OPS:
+        raise TypeError(f"not an encodable op: {op!r}")
     w = index_width(n)
-
-    def idx(i: int) -> str:
+    bits = format(OPS.index(type(op)), f"0{OPCODE_WIDTH}b")
+    for i in operands(op):
         if not 0 <= i < n:
             raise ValueError(f"qubit index {i} out of range for n={n}")
-        return format(i, f"0{w}b")
-
-    if isinstance(op, X):
-        return OPCODE_X + idx(op.target)
-    if isinstance(op, CNOT):
-        return OPCODE_CNOT + idx(op.control) + idx(op.target)
-    if isinstance(op, ROT):
-        return OPCODE_ROT + idx(op.target)
-    if isinstance(op, PHASE):
-        return OPCODE_PHASE + idx(op.target)
-    if isinstance(op, CALLC):
-        return OPCODE_CALLC
-    raise TypeError(f"not an encodable op: {op!r}")
+        bits += format(i, f"0{w}b")
+    return bits
 
 
 def op_width(op: Op, n: int) -> int:
@@ -162,37 +156,18 @@ def decode_prefix(
 
     gates: list[Op] = []
     for _ in range(count):
-        opcode = read(3)
-        if opcode is None:
+        opcode = read(OPCODE_WIDTH)
+        if opcode is None or opcode >= len(OPS):
             return None
-        if opcode == int(OPCODE_X, 2):
-            t = read(w)
-            if t is None or t >= n:
-                return None
-            gates.append(X(t))
-        elif opcode == int(OPCODE_CNOT, 2):
-            c = read(w)
-            t = read(w)
-            if c is None or t is None or c >= n or t >= n or c == t:
-                return None
-            gates.append(CNOT(c, t))
-        elif opcode == int(OPCODE_ROT, 2):
-            t = read(w)
-            if t is None or t >= n:
-                return None
-            gates.append(ROT(t))
-        elif opcode == int(OPCODE_PHASE, 2):
-            t = read(w)
-            if t is None or t >= n:
-                return None
-            gates.append(PHASE(t))
-        elif opcode == int(OPCODE_CALLC, 2):
-            if not allow_callc:
-                return None
-            gates.append(CALLC())
-        else:
-            return None  # opcodes 101-111 are invalid
-    return DecodedProgram(n, tuple(gates)), pos
+        args = [read(w) for _ in range(_ARITY[opcode])]
+        # one rule for every op; it also keeps CNOT's control and target apart
+        if None in args or max(args, default=0) >= n or len(set(args)) < len(args):
+            return None
+        gates.append(OPS[opcode](*args))
+    program = DecodedProgram(n, tuple(gates))
+    if program.has_call and not allow_callc:
+        return None
+    return program, pos
 
 
 def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
@@ -211,29 +186,20 @@ def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgr
 
 
 def _op_alphabet(n: int) -> list[tuple[str, Op]]:
-    ops: list[tuple[str, Op]] = []
-    for t in range(n):
-        ops.append((_op_bits(X(t), n), X(t)))
-    for c in range(n):
-        for t in range(n):
-            if c != t:
-                ops.append((_op_bits(CNOT(c, t), n), CNOT(c, t)))
-    for t in range(n):
-        ops.append((_op_bits(ROT(t), n), ROT(t)))
-    for t in range(n):
-        ops.append((_op_bits(PHASE(t), n), PHASE(t)))
-    ops.append((_op_bits(CALLC(), n), CALLC()))
-    return ops
+    """Every op valid at width n with its bit field, in opcode order, then
+    operand order."""
+    ops = [op(*args) for op, k in zip(OPS, _ARITY) for args in permutations(range(n), k)]
+    return [(_op_bits(op, n), op) for op in ops]
 
 
 def _sequences(alphabet, k: int, budget: int) -> Iterator[str]:
-    # Narrowest field is 3 bits (CALLC), which prunes the recursion early.
+    # Narrowest field is a bare opcode, which prunes the recursion early.
     if k == 0:
         yield ""
         return
     for bits, _op in alphabet:
         rest = budget - len(bits)
-        if rest < 3 * (k - 1):
+        if rest < OPCODE_WIDTH * (k - 1):
             continue
         for tail in _sequences(alphabet, k - 1, rest):
             yield bits + tail
@@ -250,7 +216,7 @@ def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:
     k = 0
     while True:
         header = gamma_encode(k + 1)
-        if len(header) + 3 * k > max_len:
+        if len(header) + OPCODE_WIDTH * k > max_len:
             break  # header length and minimum body both grow with k
         for body in _sequences(alphabet, k, max_len - len(header)):
             programs.append(Program(header + body))

@@ -10,7 +10,7 @@ floating-point arithmetic on amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 from typing import Union
@@ -119,45 +119,9 @@ ROT_COS = Fraction(3, 5)
 ROT_SIN = Fraction(4, 5)
 
 
-def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, CNOT):
-        return (gate.control, gate.target)
-    return (gate.target,)
-
-
-def gate_matrix(gate: Gate) -> tuple[tuple[GaussianRational, ...], ...]:
-    """The gate's unitary as an exact matrix (2x2, or 4x4 for CNOT ordered
-    control then target)."""
-    z, o = GR_ZERO, GR_ONE
-    if isinstance(gate, X):
-        return ((z, o), (o, z))
-    if isinstance(gate, ROT):
-        c = gr(ROT_COS)
-        s = gr(ROT_SIN)
-        return ((c, -s), (s, c))
-    if isinstance(gate, PHASE):
-        return ((o, z), (z, gr(0, 1)))
-    if isinstance(gate, CNOT):
-        return (
-            (o, z, z, z),
-            (z, o, z, z),
-            (z, z, z, o),
-            (z, z, o, z),
-        )
-    raise TypeError(f"not a gate: {gate!r}")
-
-
-def matrix_is_unitary(m) -> bool:
-    """Exact check that the conjugate transpose inverts the matrix."""
-    size = len(m)
-    for i in range(size):
-        for j in range(size):
-            acc = GR_ZERO
-            for k in range(size):
-                acc = acc + m[k][i].conj() * m[k][j]
-            if acc != (GR_ONE if i == j else GR_ZERO):
-                return False
-    return True
+def operands(op) -> tuple[int, ...]:
+    """An op's qubit operands: its dataclass fields in declaration order."""
+    return tuple(getattr(op, f.name) for f in fields(op))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +184,7 @@ def _mask(n: int, qubit: int) -> int:
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Exact matrix action of one gate; the result is unit norm by unitarity."""
     n = state.n_qubits
-    for q in gate_qubits(gate):
+    for q in operands(gate):
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for n={n}")
     amps = list(state.amps)

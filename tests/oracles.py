@@ -4,7 +4,9 @@ These deliberately avoid the library's enumerator and estimator logic: they
 scan raw bit strings and minimize by hand, so agreement is evidence rather
 than tautology.  The reference_* scans are the exception: they keep the
 enumerate-then-simulate path every estimator ran on its own before the
-candidate table, as the reference the table path must reproduce exactly.
+candidate table, as the reference the table path must reproduce exactly;
+reference_decode_prefix keeps the per-opcode decoder that the table-driven
+one replaced.
 """
 
 import math
@@ -15,6 +17,7 @@ from qkclab import (
     CALLC,
     CNOT,
     HALTED,
+    DecodedProgram,
     PHASE,
     ROT,
     X,
@@ -27,6 +30,7 @@ from qkclab import (
     run,
     run_trials,
 )
+from qkclab.proglang import index_width
 
 
 def brute_force_decodables(max_len, n):
@@ -132,6 +136,76 @@ def reference_sampled_estimate(measure, n, plan, max_len, seed, outputs=None):
     """(best, trace) of plan.k trials against every halting program."""
     candidates = list(reference_candidates(n, max_len, outputs=outputs))
     return run_trials(candidates, measure, plan.k, plan.epsilon, seed)
+
+
+def reference_decode_prefix(bits, n, allow_callc=True):
+    """One program from the front of `bits`, one branch per opcode: X 000,
+    CNOT 001, ROT 010, PHASE 011, CALLC 100.  (program, bits consumed) or
+    None."""
+    z = 0
+    while z < len(bits) and bits[z] == "0":
+        z += 1
+    if 2 * z + 1 > len(bits):
+        return None
+    count = int(bits[z : 2 * z + 1], 2) - 1
+    pos = 2 * z + 1
+    w = index_width(n)
+
+    def read(width):
+        nonlocal pos
+        if pos + width > len(bits):
+            return None
+        val = int(bits[pos : pos + width], 2)
+        pos += width
+        return val
+
+    gates = []
+    for _ in range(count):
+        opcode = read(3)
+        if opcode is None:
+            return None
+        if opcode == 0b000:
+            t = read(w)
+            if t is None or t >= n:
+                return None
+            gates.append(X(t))
+        elif opcode == 0b001:
+            c = read(w)
+            t = read(w)
+            if c is None or t is None or c >= n or t >= n or c == t:
+                return None
+            gates.append(CNOT(c, t))
+        elif opcode == 0b010:
+            t = read(w)
+            if t is None or t >= n:
+                return None
+            gates.append(ROT(t))
+        elif opcode == 0b011:
+            t = read(w)
+            if t is None or t >= n:
+                return None
+            gates.append(PHASE(t))
+        elif opcode == 0b100:
+            if not allow_callc:
+                return None
+            gates.append(CALLC())
+        else:
+            return None
+    return DecodedProgram(n, tuple(gates)), pos
+
+
+def reference_op_fields(n):
+    """(bits, op) for every op at width n, written out per opcode."""
+    w = index_width(n)
+    idx = lambda i: format(i, f"0{w}b")
+    fields = [("000" + idx(t), X(t)) for t in range(n)]
+    fields += [
+        ("001" + idx(c) + idx(t), CNOT(c, t))
+        for c in range(n) for t in range(n) if c != t
+    ]
+    fields += [("010" + idx(t), ROT(t)) for t in range(n)]
+    fields += [("011" + idx(t), PHASE(t)) for t in range(n)]
+    return fields + [("100", CALLC())]
 
 
 def mat2_mul(a, b):

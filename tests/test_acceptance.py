@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criteria 3-6 deposit their anytime traces in TRACES so criterion 7
-can audit monotonicity over exactly the runs that were scored.
+lines.  Criteria 3-6 score runs that module-scoped fixtures compute once, so
+criterion 7 can audit monotonicity over exactly those runs, with or without
+the others selected.
 """
 
 from fractions import Fraction
@@ -48,8 +49,6 @@ from oracles import random_gate_list
 
 F = Fraction
 
-TRACES: dict[str, list] = {}
-
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
@@ -93,112 +92,137 @@ def test_criterion_02_exact_unit_norm_simulation():
     print(f"criterion 2 PASS: {checked} random programs, all outputs exactly unit norm")
 
 
-def test_criterion_03_upper_bound_witness(cache_dir):
+@pytest.fixture(scope="module")
+def criterion3_runs(cache_dir):
+    """(witness program, witness record, estimate) for 200 random targets."""
+    n = 2
+    outputs = cached_outputs(n, 11, cache_dir)
+    rng = Random(303)
+    runs = []
+    for _ in range(200):
+        target = random_state(n, rng)
+        witness_prog, witness_rec = upper_bound_witness(target, n)
+        max_len = max(11, witness_prog.length)
+        est = exact_estimate(target, n, max_len, outputs=outputs)
+        runs.append((witness_prog, witness_rec, est))
+    return runs
+
+
+def test_criterion_03_upper_bound_witness(criterion3_runs):
     """200 pseudo-random rational unit targets at n=2: the estimate never
     exceeds witness-program-length + n, witness penalty <= n, and the
     all-fidelities-equal target achieves penalty exactly n."""
     n = 2
-    outputs = cached_outputs(n, 11, cache_dir)
-    rng = Random(303)
-    traces = []
-    for _ in range(200):
-        target = random_state(n, rng)
-        witness_prog, witness_rec = upper_bound_witness(target, n)
+    for witness_prog, witness_rec, est in criterion3_runs:
         assert witness_rec.fidelity >= F(1, 1 << n)
         assert witness_rec.penalty <= n
-        max_len = max(11, witness_prog.length)
-        est = exact_estimate(target, n, max_len, outputs=outputs)
         assert est.best is not None
         assert est.best.total <= witness_prog.length + n
         assert est.best.total <= witness_rec.total
-        traces.append(est.trace)
     uniform = StateVector(2, (gr(F(1, 2)),) * 4)
     _, uniform_rec = upper_bound_witness(uniform, n)
     assert uniform_rec.penalty == n  # the pigeonhole bound is tight here
-    TRACES["criterion3"] = traces
     print("criterion 3 PASS: 200 targets within witness-length + n; equality case penalty = n")
 
 
-def test_criterion_04_incompressibility_counting(cache_dir):
-    """#{basis vectors with estimate < n-c} < 2^(n-c) for every n <= 3,
-    1 <= c <= n, max_len in {10, 12, 14}, on the standard basis and on one
-    ROT/CNOT-rotated basis per n."""
-    traces = []
-    runs = 0
+@pytest.fixture(scope="module")
+def criterion4_reports(cache_dir):
+    """((basis, n, c, max_len), census report) for every census run."""
+    reports = []
     for n in (1, 2, 3):
         for max_len in (10, 12, 14):
-            outputs = cached_outputs(n, max_len, cache_dir)
             for c in range(1, n + 1):
                 report = incompressibility_census(n, c, max_len, cache_dir=cache_dir)
-                assert report.verdict, f"standard census failed at {(n, c, max_len)}"
-                traces.extend(e.trace for e in report.estimates)
-                runs += 1
+                reports.append((("standard", n, c, max_len), report))
         basis = rotated_basis(n)
         for c in range(1, n + 1):
             report = incompressibility_census(
                 n, c, 12, basis=basis, cache_dir=cache_dir, label="rotated"
             )
-            assert report.verdict, f"rotated census failed at {(n, c)}"
-            traces.extend(e.trace for e in report.estimates)
-            runs += 1
-    TRACES["criterion4"] = traces
-    print(f"criterion 4 PASS: {runs} census runs, every counting verdict holds")
+            reports.append((("rotated", n, c, 12), report))
+    return reports
 
 
-def test_criterion_05_classical_consistency(cache_dir):
+def test_criterion_04_incompressibility_counting(criterion4_reports):
+    """#{basis vectors with estimate < n-c} < 2^(n-c) for every n <= 3,
+    1 <= c <= n, max_len in {10, 12, 14}, on the standard basis and on one
+    ROT/CNOT-rotated basis per n."""
+    for key, report in criterion4_reports:
+        assert report.verdict, f"census failed at {key}"
+    print(f"criterion 4 PASS: {len(criterion4_reports)} census runs, every counting verdict holds")
+
+
+@pytest.fixture(scope="module")
+def criterion5_sweeps(cache_dir):
+    return [consistency_sweep(n, 12, cache_dir=cache_dir) for n in (1, 2)]
+
+
+def test_criterion_05_classical_consistency(criterion5_sweeps):
     """For all classical strings at n <= 2: gap = B - A >= 0, and the maximum
     gap equals the measured constant for this encoding: 0."""
     measured_constant = 0  # frozen from the exhaustive sweep; recorded in README
-    traces = []
     worst = 0
-    for n in (1, 2):
-        sweep = consistency_sweep(n, 12, cache_dir=cache_dir)
+    for sweep in criterion5_sweeps:
         for record in sweep.records:
             assert record.exact_program is not None
             assert record.gap is not None and record.gap >= 0
-            traces.append(record.estimate.trace)
         worst = max(worst, sweep.max_gap)
     assert worst <= measured_constant
-    TRACES["criterion5"] = traces
     print(f"criterion 5 PASS: all gaps >= 0, max gap {worst} <= recorded constant {measured_constant}")
 
 
-def test_criterion_06_sampled_estimator_one_bit_claim(cache_dir):
-    """Plan from k_from_bound(n=2, alpha=0.05, epsilon=0.25); over 40 seeds the
-    sampled estimate for |00> exceeds the exact ideal value by at most 1 bit
-    in at least 36 runs."""
-    n, alpha, epsilon = 2, 0.05, 0.25
-    plan = SamplingPlan.for_dimension(n, alpha, epsilon)
-    assert plan.k == k_from_bound(n, alpha, epsilon)
+@pytest.fixture(scope="module")
+def criterion6_runs(cache_dir):
+    """(plan, exact ideal value, sampled estimates for seeds 0..39) for |00>."""
+    n = 2
+    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
     target = classical_state("00")
     outputs = cached_outputs(n, 12, cache_dir)
     ideal = ideal_value(target, n, 12, outputs=outputs)
+    results = [
+        sampled_estimate(projection_oracle(target), n, plan, 12, seed, outputs=outputs)
+        for seed in range(40)
+    ]
+    return plan, ideal, results
+
+
+def test_criterion_06_sampled_estimator_one_bit_claim(criterion6_runs):
+    """Plan from k_from_bound(n=2, alpha=0.05, epsilon=0.25); over 40 seeds the
+    sampled estimate for |00> exceeds the exact ideal value by at most 1 bit
+    in at least 36 runs."""
+    plan, ideal, results = criterion6_runs
+    assert plan.k == k_from_bound(2, 0.05, 0.25)
     assert ideal == pytest.approx(1.0)
     within_one_bit = 0
-    traces = []
-    for seed in range(40):
-        result = sampled_estimate(
-            projection_oracle(target), n, plan, 12, seed, outputs=outputs
-        )
+    for result in results:
         assert result.best is not None
         assert result.best.estimate >= ideal  # approximation from above
         if result.best.estimate <= ideal + 1.0:
             within_one_bit += 1
-        traces.append(result.trace)
     assert within_one_bit >= 36
-    TRACES["criterion6"] = traces
     print(
         f"criterion 6 PASS: k={plan.k}, {within_one_bit}/40 seeds within 1 bit of ideal {ideal}"
     )
 
 
-def test_criterion_07_anytime_monotonicity():
+def test_criterion_07_anytime_monotonicity(
+    criterion3_runs, criterion4_reports, criterion5_sweeps, criterion6_runs
+):
     """Every trace recorded by criteria 3-6 is non-increasing."""
-    assert set(TRACES) == {"criterion3", "criterion4", "criterion5", "criterion6"}
+    traces = {
+        "criterion3": [est.trace for _prog, _rec, est in criterion3_runs],
+        "criterion4": [
+            e.trace for _key, report in criterion4_reports for e in report.estimates
+        ],
+        "criterion5": [
+            r.estimate.trace for sweep in criterion5_sweeps for r in sweep.records
+        ],
+        "criterion6": [result.trace for result in criterion6_runs[2]],
+    }
     audited = 0
-    for name, traces in TRACES.items():
-        assert traces, f"{name} recorded no traces"
-        for trace in traces:
+    for name, runs in traces.items():
+        assert runs, f"{name} recorded no traces"
+        for trace in runs:
             values = [v for _, v in trace]
             assert all(a >= b for a, b in zip(values, values[1:])), name
             audited += 1

@@ -7,6 +7,7 @@ from jsonschema import Draft202012Validator
 from qkclab import encode, state_to_json, zero_state
 from qkclab import cli
 from qkclab.cli import main
+from qkclab.proglang import OPS, _op_alphabet
 from qkclab.statevec import ROT, X, apply_gate
 
 SCHEMA = json.loads(
@@ -155,6 +156,15 @@ class TestProgramTools:
         record = json.loads(out)
         assert record["gates"] == ["X:0", "CNOT:0:1", "ROT:1"]
 
+    def test_every_op_token_round_trips(self, capsys):
+        tokens = [cli._gate_str(op) for _bits, op in _op_alphabet(3)]
+        assert {t.split(":")[0] for t in tokens} == {op.__name__ for op in OPS}
+        rc, out = run_cli(capsys, "encode", "--gates", ",".join(tokens), "--n", "3")
+        assert rc == 0
+        rc, out = run_cli(capsys, "decode", "--bits", json.loads(out)["bits"], "--n", "3")
+        assert rc == 0
+        assert json.loads(out)["gates"] == tokens
+
     def test_encode_rejects_bad_index(self, capsys):
         rc, _ = run_cli(capsys, "encode", "--gates", "X:5", "--n", "2")
         assert rc == 2
@@ -297,11 +307,16 @@ class TestExitCodes:
             ["decode", "--n", "1"],
             ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "0", "--ny", "0"],
             ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "2", "--ny", "1"],
+            ["estimate", "--classical", "0", "--n", "1", "--max-len", "4", "--alpha", "1.5"],
+            ["estimate", "--classical", "0", "--n", "1", "--max-len", "4", "--epsilon", "0.5"],
+            ["estimate", "--classical", "0", "--n", "1", "--max-len", "0"],
+            ["census", "--n", "1", "--c", "1", "--max-len", "-3"],
         ],
         ids=[
             "classical-not-bits", "sampled-alpha", "census-negative-c",
             "decode-not-bits", "decode-no-input", "subadd-zero-qubits",
-            "subadd-unequal-widths",
+            "subadd-unequal-widths", "exact-alpha", "exact-epsilon",
+            "estimate-zero-max-len", "census-negative-max-len",
         ],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):

@@ -182,6 +182,29 @@ class TestCache:
         assert simulation_count() == before
         capsys.readouterr()
 
+    def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch):
+        # p_x = ROT(0), p_y = the empty program, both on one qubit: the joint
+        # table runs every 2-qubit program, the y table every 1-qubit one, the
+        # conditional table only the 1-qubit CALLC programs, and each
+        # generator runs once
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        max_len = 14
+        one = list(enumerate_programs(max_len, 1))
+        callc = sum(1 for p in one if decode(p.bits, 1).has_call)
+        joint = len(list(enumerate_programs(max_len, 2)))
+        cache = str(tmp_path / "cache")
+
+        def simulations(*extra):
+            before = simulation_count()
+            argv = ["subadd", "--px", "7:24", "--py", "1:1", "--max-len", str(max_len)]
+            assert main(argv + ["--out-dir", str(tmp_path), *extra]) == 0
+            return simulation_count() - before
+
+        assert simulations() == joint + len(one) + callc + 2
+        simulations("--cache-dir", cache)  # builds the cache
+        assert simulations("--cache-dir", cache) == callc + 2
+        capsys.readouterr()
+
     def test_writer_interleaved_inside_another_keeps_its_temp_file(
         self, tmp_path, monkeypatch
     ):

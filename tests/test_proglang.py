@@ -18,9 +18,14 @@ from qkclab import (
     program_to_json,
     verify_prefix_free,
 )
-from qkclab.proglang import gamma_encode, index_width, op_width
+from qkclab.proglang import _op_alphabet, gamma_encode, index_width, op_width
 
-from oracles import brute_force_decodables, random_gate_list
+from oracles import (
+    brute_force_decodables,
+    random_gate_list,
+    reference_decode_prefix,
+    reference_op_fields,
+)
 
 
 class TestGammaAndWidths:
@@ -107,6 +112,25 @@ class TestDecode:
             gates = tuple(random_gate_list(rng, n, 6, allow_callc=True))
             p = encode(gates, n)
             assert decode(p.bits, n).gates == gates
+
+
+class TestAgainstLadderDecoder:
+    """The OPS-driven decoder and alphabet against the per-opcode ladder
+    they replaced (oracles.py), exhaustively."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decode_prefix_matches_on_every_short_string(self, n):
+        for length in range(13):
+            for v in range(1 << length):
+                bits = format(v, f"0{length}b") if length else ""
+                for allow_callc in (True, False):
+                    assert decode_prefix(bits, n, allow_callc) == reference_decode_prefix(
+                        bits, n, allow_callc
+                    ), (bits, allow_callc)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_alphabet_matches(self, n):
+        assert _op_alphabet(n) == reference_op_fields(n)
 
 
 class TestEnumerate:
