@@ -348,22 +348,22 @@ def subadditivity_report(
 
     The run is conclusive only when the product-style joint description fits
     inside max_len; a too-small bound is reported as inconclusive, never as a
-    failed inequality.
+    failed inequality.  The conditional table for x is built from y's, so
+    the two widths must be equal.
     """
+    if n_x != n_y:
+        raise ValueError(f"n_x and n_y must be equal, got {n_x} and {n_y}")
     dx = _decode_generator(p_x, n_x, "p_x")
     dy = _decode_generator(p_y, n_y, "p_y")
     x = run(p_x, n_x).output
     y = run(p_y, n_y).output
     n = n_x + n_y
     joint_target = tensor(x, y)
-    def table(m, conditional=None):
-        return candidate_table(m, max_len, conditional, cache_dir)
-
-    y_table = table(n_y)
-    # at equal widths x's conditional table reuses y's outputs and runs only
-    # the CALLC programs
-    x_table = y_table.with_conditional(dy) if n_x == n_y else table(n_x, dy)
-    joint = exact_estimate(joint_target, n, max_len, outputs=table(n))
+    y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
+    # x's conditional table reuses y's outputs and runs only the CALLC programs
+    x_table = y_table.with_conditional(dy)
+    joint_table = candidate_table(n, max_len, cache_dir=cache_dir)
+    joint = exact_estimate(joint_target, n, max_len, outputs=joint_table)
     cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=x_table)
     uncond_y = exact_estimate(y, n_y, max_len, outputs=y_table)
     witness = product_witness(dx, dy)
@@ -429,8 +429,6 @@ def joint_bound_from(report: SubadditivityReport) -> JointBoundReport:
     """The joint bound from a sub-additivity report, whose joint and y
     estimates are exactly the two this bound compares."""
     p_x, p_y, max_len = report.p_x, report.p_y, report.max_len
-    if report.n_x != report.n_y:
-        raise ValueError("joint bound needs outputs of equal dimension")
     q = fidelity(report.x, report.y)
     if q == 0:
         return JointBoundReport(

@@ -145,23 +145,20 @@ def decode_prefix(
     count, pos = header
     count -= 1
     w = index_width(n)
-
-    def read(width: int) -> Optional[int]:
-        nonlocal pos
-        if pos + width > len(bits):
-            return None
-        val = int(bits[pos : pos + width], 2)
-        pos += width
-        return val
-
     gates: list[Op] = []
     for _ in range(count):
-        opcode = read(OPCODE_WIDTH)
-        if opcode is None or opcode >= len(OPS):
+        start = pos + OPCODE_WIDTH
+        if start > len(bits):
             return None
-        args = [read(w) for _ in range(_ARITY[opcode])]
+        opcode = int(bits[pos:start], 2)
+        if opcode >= len(OPS):
+            return None
+        pos = start + _ARITY[opcode] * w
+        if pos > len(bits):
+            return None
+        args = [int(bits[i : i + w], 2) for i in range(start, pos, w)]
         # one rule for every op; it also keeps CNOT's control and target apart
-        if None in args or max(args, default=0) >= n or len(set(args)) < len(args):
+        if args and (max(args) >= n or len(set(args)) < len(args)):
             return None
         gates.append(OPS[opcode](*args))
     program = DecodedProgram(n, tuple(gates))

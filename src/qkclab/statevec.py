@@ -10,7 +10,7 @@ floating-point arithmetic on amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Union
@@ -120,8 +120,9 @@ ROT_SIN = Fraction(4, 5)
 
 
 def operands(op) -> tuple[int, ...]:
-    """An op's qubit operands: its dataclass fields in declaration order."""
-    return tuple(getattr(op, f.name) for f in fields(op))
+    """An op's qubit operands: its dataclass fields in declaration order
+    (which a dataclass lists as `__match_args__`)."""
+    return tuple(map(op.__getattribute__, op.__match_args__))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +179,14 @@ def classical_state(bits: str) -> StateVector:
 
 def _mask(n: int, qubit: int) -> int:
     # qubit 0 is the most significant index bit
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index {qubit} out of range for n={n}")
     return 1 << (n - 1 - qubit)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Exact matrix action of one gate; the result is unit norm by unitarity."""
     n = state.n_qubits
-    for q in operands(gate):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for n={n}")
     amps = list(state.amps)
     if isinstance(gate, X):
         m = _mask(n, gate.target)

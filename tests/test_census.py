@@ -168,6 +168,10 @@ class TestSubadditivity:
         with pytest.raises(ValueError):
             subadditivity_report(encode([CALLC()], 1), Program("1"), 16)
 
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(ValueError, match="n_x and n_y must be equal"):
+            subadditivity_report(Program("1"), Program("1"), 12, n_x=2, n_y=1)
+
     def test_witness_program_prepares_the_joint_state(self):
         p_x, p_y = encode([ROT(0)], 1), encode([X(0)], 1)
         witness = product_witness(decode(p_x.bits, 1), decode(p_y.bits, 1))
