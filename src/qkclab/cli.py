@@ -253,13 +253,14 @@ def _load_target(args, config: Config):
 def cmd_estimate(args) -> int:
     config = effective_config(args)
     target, desc = _load_target(args, config)
-    conditional = None
+    conditional = conditional_prog = None
     if args.conditional:
-        prog = parse_program_arg(args.conditional)
-        conditional = decode(prog.bits, config.n, allow_callc=False)
+        conditional_prog = parse_program_arg(args.conditional)
+        conditional = decode(conditional_prog.bits, config.n, allow_callc=False)
         if conditional is None:
             raise UsageError(
-                f"conditional is not a decodable CALLC-free program: {prog.bits}"
+                "conditional is not a decodable CALLC-free program: "
+                f"{conditional_prog.bits}"
             )
     if args.sampled:
         if conditional is not None:
@@ -274,9 +275,9 @@ def cmd_estimate(args) -> int:
         "n": config.n,
         "max_len": config.max_len,
         "target": desc,
-        "conditional": program_to_json(parse_program_arg(args.conditional))
-        if args.conditional
-        else None,
+        "conditional": None
+        if conditional_prog is None
+        else program_to_json(conditional_prog),
     }
     if args.sampled:
         result = sampled_estimate(

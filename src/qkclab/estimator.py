@@ -5,7 +5,10 @@ upper-bound witness.
 
 Both estimation modes are anytime procedures: the running minimum only ever
 decreases as more programs are processed, so stopping early gives a sound
-upper bound.
+upper bound.  Every minimizing scan also stops by itself once the bound is
+settled: rows come in (length, value) order and no row scores below its
+length, so the first row whose length reaches the running minimum, and every
+row after it, can no longer win.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ def exact_estimate(
     reach the minimum is the winner.  If nothing has positive fidelity the
     result carries best=None: no finite estimate at this bound.  `outputs` is
     the candidate table to score (built here if None).
+
+    The scan stops at the first row with length >= the best total.  That is
+    exact: the row's total is its length plus a penalty of at least 0, and a
+    tie on the total goes to the best record, whose (length, value) is
+    smaller than that of this and every later row.  `scanned` still counts
+    the whole table.
     """
     _check_target(target, n)
     table = _table(outputs, n, max_len, conditional)
@@ -81,6 +90,8 @@ def exact_estimate(
     best_key = None
     trace: list[tuple[int, int]] = []
     for idx, prog, out in table.firsts:
+        if best is not None and prog.length >= best.total:
+            break
         q = fidelity(target, out)
         if q == 0:
             continue
@@ -101,10 +112,17 @@ def ideal_value(
     outputs: Optional[CandidateTable] = None,
 ) -> Optional[float]:
     """min over halting programs of length - log2(true fidelity): the
-    real-valued floor that the sampled mode approximates from above."""
+    real-valued floor that the sampled mode approximates from above.
+
+    The scan stops at the first row with length >= the best value, which is
+    exact: fidelity is at most 1, so no row's value is below its length, and
+    only a strictly smaller value replaces the best.
+    """
     _check_target(target, n)
     best = None
     for _idx, prog, out in _table(outputs, n, max_len).firsts:
+        if best is not None and prog.length >= best:
+            break
         q = fidelity(target, out)
         if q == 0:
             continue
@@ -257,15 +275,25 @@ def run_trials(
     """k Bernoulli trials per candidate; running minimum of
     length - log2(m / ((1+epsilon) k)).
 
-    Each candidate's randomness is seeded from (seed, its enumeration index),
-    so results do not depend on evaluation order.  Candidates with m == 0 are
-    skipped: their fidelity may be zero and they can claim nothing.  Ties on
-    the estimate go to the shorter program, then the smaller one.
+    Candidates must come in (length, value) order, as candidate table rows
+    do.  Each candidate's randomness is seeded from (seed, its enumeration
+    index), so its outcome does not depend on which other candidates run.
+    Candidates with m == 0 are skipped: their fidelity may be zero and they
+    can claim nothing.  Ties on the estimate go to the shorter program, then
+    the smaller one.
+
+    The scan stops at the first candidate with length >= the best estimate.
+    That is exact: m <= k and epsilon > 0 give m / ((1+epsilon) k) <= 1, also
+    in floating point, so no estimate is below its length, and a tie goes to
+    the best, whose (length, value) is smaller.  Skipping the remaining
+    candidates leaves every evaluated candidate's draws unchanged.
     """
     best = None
     best_key = None
     trace: list[tuple[int, float]] = []
     for idx, prog, out in candidates:
+        if best is not None and prog.length >= best.estimate:
+            break
         rng = trial_rng(seed, idx)
         m = sum(1 for _ in range(k) if measure(prog, out, rng))
         if m == 0:
@@ -303,10 +331,12 @@ def sampled_estimate(
 ) -> SampledEstimate:
     """Approximation from above driven only by a Bernoulli oracle per program.
 
-    Runs plan.k measurement trials against every row of the candidate table,
+    Runs plan.k measurement trials against each row of the candidate table,
     equal outputs included (each row has its own trial stream), and keeps the
-    candidate with the smallest estimate (shorter program on ties).  The plan
-    must supply at least as many trials as k_from_bound requires for this n.
+    candidate with the smallest estimate (shorter program on ties).  Like
+    run_trials, it stops at the first row whose length reaches the best
+    estimate.  The plan must supply at least as many trials as k_from_bound
+    requires for this n.
     """
     if not plan.covers(n):
         raise ValueError(

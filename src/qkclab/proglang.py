@@ -120,10 +120,6 @@ def _op_bits(op: Op, n: int) -> str:
     return bits
 
 
-def op_width(op: Op, n: int) -> int:
-    return len(_op_bits(op, n))
-
-
 def encode(gates, n: int) -> Program:
     """Inverse of decode: gamma header for the count, then the gate fields."""
     gates = tuple(gates)

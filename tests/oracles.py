@@ -4,9 +4,10 @@ These deliberately avoid the library's enumerator and estimator logic: they
 scan raw bit strings and minimize by hand, so agreement is evidence rather
 than tautology.  The reference_* scans are the exception: they keep the
 enumerate-then-simulate path every estimator ran on its own before the
-candidate table, as the reference the table path must reproduce exactly;
-reference_decode_prefix keeps the per-opcode decoder that the table-driven
-one replaced.
+candidate table, as the reference the table path must reproduce exactly.
+They read every row to the end, with no early exit, so they also check that
+the scans' stopping rule is exact.  reference_decode_prefix keeps the
+per-opcode decoder that the table-driven one replaced.
 """
 
 import math
@@ -23,13 +24,14 @@ from qkclab import (
     X,
     EstimateRecord,
     Program,
+    TrialResult,
     decode,
     enumerate_programs,
     fidelity,
     penalty_bits,
     run,
-    run_trials,
 )
+from qkclab.estimator import trial_rng
 from qkclab.proglang import index_width
 
 
@@ -132,10 +134,28 @@ def reference_shortest_exact_program(target, n, max_len, outputs=None):
     return None
 
 
+def reference_run_trials(candidates, measure, k, epsilon, seed):
+    """(best, trace) of k trials against every candidate, none skipped."""
+    best = best_key = None
+    trace = []
+    for idx, prog, out in candidates:
+        rng = trial_rng(seed, idx)
+        m = sum(1 for _ in range(k) if measure(prog, out, rng))
+        if m == 0:
+            continue
+        est = prog.length - math.log2(m / ((1.0 + epsilon) * k))
+        key = (est, prog.length, prog.value)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = TrialResult(prog, m, k, epsilon, est)
+            trace.append((idx, est))
+    return best, trace
+
+
 def reference_sampled_estimate(measure, n, plan, max_len, seed, outputs=None):
     """(best, trace) of plan.k trials against every halting program."""
-    candidates = list(reference_candidates(n, max_len, outputs=outputs))
-    return run_trials(candidates, measure, plan.k, plan.epsilon, seed)
+    candidates = reference_candidates(n, max_len, outputs=outputs)
+    return reference_run_trials(candidates, measure, plan.k, plan.epsilon, seed)
 
 
 def reference_decode_prefix(bits, n, allow_callc=True):

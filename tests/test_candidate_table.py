@@ -1,17 +1,24 @@
 """The candidate table against the enumerate-then-simulate scan it replaced
 (the reference_* functions in oracles.py): every scan must return the same
 best record, the same trace and the same scanned count, with and without a
-cache."""
+cache.  The references read every row, so they also check the scans'
+stopping rule; counting oracle calls shows where each scan stopped."""
 
+from fractions import Fraction as F
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qkclab.estimator as estimator
 from qkclab import (
+    CNOT,
     PHASE,
     ROT,
     X,
     SamplingPlan,
+    StateVector,
     apply_gate,
     cached_outputs,
     candidate_table,
@@ -21,6 +28,7 @@ from qkclab import (
     directly_computable,
     encode,
     exact_estimate,
+    gr,
     ideal_value,
     projection_oracle,
     random_state,
@@ -47,6 +55,13 @@ from oracles import (
 # k = 103 at n = 2: cheap enough to rerun every trial on both paths
 CHEAP_PLAN = SamplingPlan.for_dimension(2, 0.5, 0.45)
 
+# |11> with a little |00> or |10>: the best candidate before the 11-bit rows
+# scores within a bit of them, so a stopping bound off by one reads too few
+# rows (FAINT_00: the empty program wins with penalty 7) or misses the winner
+# (FAINT_10: an 11-bit row wins, by less than a bit).
+FAINT_00 = StateVector(2, (gr(F(17, 145)), gr(0), gr(0), gr(F(144, 145))))
+FAINT_10 = StateVector(2, (gr(0), gr(0), gr(F(9, 41)), gr(F(40, 41))))
+
 
 def tables(n, max_len, cached, cache_dir):
     """The table under test and the {program: output} dict the reference
@@ -64,6 +79,8 @@ def fixture_targets(n, rng):
     targets += [random_state(n, rng) for _ in range(3)]
     # outputs of short programs, so the fidelity-1 scans find something
     targets += [run(encode(random_gate_list(rng, n, 2), n), n).output for _ in range(3)]
+    if n == 2:
+        targets += [FAINT_00, FAINT_10]
     return targets
 
 
@@ -140,7 +157,7 @@ def test_conditional_subadditivity_matches_reference(cached, tmp_path):
 def test_sampled_estimate_matches_reference(cached, tmp_path):
     n, max_len = 2, 12
     table, outputs = tables(n, max_len, cached, tmp_path)
-    targets = [classical_state("01"), apply_gate(zero_state(2), ROT(1))]
+    targets = [classical_state("01"), apply_gate(zero_state(2), ROT(1)), FAINT_10]
     for target in targets:
         for seed in range(4):
             measure = projection_oracle(target)
@@ -148,6 +165,126 @@ def test_sampled_estimate_matches_reference(cached, tmp_path):
             assert (result.best, result.trace) == reference_sampled_estimate(
                 measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
             )
+
+
+class Counted:
+    """A function wrapped to count its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("n, max_len", [(2, 14), (3, 16)])
+def test_exact_estimate_stops_at_the_first_row_that_cannot_win(n, max_len, monkeypatch):
+    table = candidate_table(n, max_len)
+    targets = fixture_targets(n, Random(4100 + n))
+    stops_after_row_0 = 0
+    for target in targets:
+        best, _trace, _scanned = reference_exact_estimate(target, n, max_len)
+        # every row up to the winner, and every later row shorter than its
+        # total; every row if nothing has positive fidelity
+        expected = sum(
+            1
+            for _idx, prog, _out in table.firsts
+            if best is None
+            or prog.length < best.total
+            or (prog.length, prog.value) <= (best.length, best.program.value)
+        )
+        fidelity = Counted(estimator.fidelity)
+        monkeypatch.setattr(estimator, "fidelity", fidelity)
+        assert exact_estimate(target, n, max_len, outputs=table).best == best
+        monkeypatch.undo()
+        assert fidelity.calls == expected
+        stops_after_row_0 += expected == 1
+    assert stops_after_row_0  # |0...0> is won by the empty program, row 0
+
+
+def test_sampled_estimate_stops_at_the_first_row_that_cannot_win():
+    n, max_len, k = 2, 12, CHEAP_PLAN.k
+    table = candidate_table(n, max_len)
+    targets = [classical_state(b) for b in ("00", "01", "10", "11")]
+    targets.append(apply_gate(zero_state(2), ROT(1)))
+    for seed, target in enumerate(targets):
+        best, _trace = reference_sampled_estimate(
+            projection_oracle(target), n, CHEAP_PLAN, max_len, seed
+        )
+        measure = Counted(projection_oracle(target))
+        result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed, outputs=table)
+        assert result.best == best
+        shorter = sum(1 for _idx, prog, _out in table.rows if prog.length < best.estimate)
+        assert measure.calls == k * shorter
+        if target == classical_state("00"):
+            assert shorter == 1  # won by the empty program, row 0
+
+
+def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
+    target = classical_state("1")  # orthogonal to |0>, the only output at n=1, max_len=1
+    table = candidate_table(1, 1)
+    fidelity = Counted(estimator.fidelity)
+    monkeypatch.setattr(estimator, "fidelity", fidelity)
+    est = exact_estimate(target, 1, 1, outputs=table)
+    monkeypatch.undo()
+    assert (est.best, est.trace, est.scanned) == reference_exact_estimate(target, 1, 1)
+    assert est.best is None and fidelity.calls == len(table.firsts)
+    measure = Counted(projection_oracle(target))
+    result = sampled_estimate(measure, 1, CHEAP_PLAN, 1, 0, outputs=table)
+    assert result.best is None and result.trace == []
+    assert measure.calls == CHEAP_PLAN.k * len(table.rows)
+    # a larger table whose every trial fails
+    table = candidate_table(2, 12)
+    never = Counted(lambda prog, out, rng: False)
+    result = sampled_estimate(never, 2, CHEAP_PLAN, 12, 0, outputs=table)
+    assert result.best is None and result.trace == []
+    assert never.calls == CHEAP_PLAN.k * len(table.rows)
+
+
+@lru_cache(maxsize=None)
+def table_and_reference_outputs(n, max_len):
+    return candidate_table(n, max_len), reference_outputs(n, max_len)
+
+
+def gates(n):
+    q = st.integers(0, n - 1)
+    single = st.one_of(st.builds(X, q), st.builds(ROT, q), st.builds(PHASE, q))
+    if n == 1:
+        return single
+    cnot = st.permutations(range(n)).map(lambda p: CNOT(p[0], p[1]))
+    return st.one_of(single, cnot)
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.sampled_from((1, 2)))
+    max_len = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        target = random_state(n, Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        target = run(encode(draw(st.lists(gates(n), max_size=3)), n), n).output
+    return n, max_len, target, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scan_cases())
+def test_stopping_scans_match_the_full_scans(case):
+    n, max_len, target, seed = case
+    table, outputs = table_and_reference_outputs(n, max_len)
+    est = exact_estimate(target, n, max_len, outputs=table)
+    assert (est.best, est.trace, est.scanned) == reference_exact_estimate(
+        target, n, max_len, outputs=outputs
+    )
+    assert ideal_value(target, n, max_len, outputs=table) == reference_ideal_value(
+        target, n, max_len, outputs=outputs
+    )
+    measure = projection_oracle(target)
+    result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed, outputs=table)
+    assert (result.best, result.trace) == reference_sampled_estimate(
+        measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
+    )
 
 
 SCANS = {

@@ -18,7 +18,7 @@ from qkclab import (
     program_to_json,
     verify_prefix_free,
 )
-from qkclab.proglang import _op_alphabet, gamma_encode, index_width, op_width
+from qkclab.proglang import _op_alphabet, gamma_encode, index_width
 
 from oracles import (
     brute_force_decodables,
@@ -40,12 +40,6 @@ class TestGammaAndWidths:
         assert index_width(2) == 1
         assert index_width(3) == 2
         assert index_width(4) == 2
-
-    def test_op_widths(self):
-        assert op_width(X(0), 2) == 4
-        assert op_width(CNOT(0, 1), 2) == 5
-        assert op_width(CALLC(), 3) == 3
-        assert op_width(ROT(2), 3) == 5
 
 
 class TestEncode:
