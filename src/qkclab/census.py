@@ -355,12 +355,15 @@ def subadditivity_report(
         raise ValueError(f"n_x and n_y must be equal, got {n_x} and {n_y}")
     dx = _decode_generator(p_x, n_x, "p_x")
     dy = _decode_generator(p_y, n_y, "p_y")
-    x = run(p_x, n_x).output
-    y = run(p_y, n_y).output
+    y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
+    # a generator that fits in max_len is a row of y's table: read, not run
+    y_rows = {prog: out for _idx, prog, out in y_table.rows}
+    x, y = (
+        y_rows[p] if p.length <= max_len else run(p, n_y).output for p in (p_x, p_y)
+    )
     n = n_x + n_y
     joint_target = tensor(x, y)
-    y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
-    # x's conditional table reuses y's outputs and runs only the CALLC programs
+    # x's conditional table reuses y's outputs and steps only the CALLC programs
     x_table = y_table.with_conditional(dy)
     joint_table = candidate_table(n, max_len, cache_dir=cache_dir)
     joint = exact_estimate(joint_target, n, max_len, outputs=joint_table)

@@ -276,8 +276,10 @@ def run_trials(
     length - log2(m / ((1+epsilon) k)).
 
     Candidates must come in (length, value) order, as candidate table rows
-    do.  Each candidate's randomness is seeded from (seed, its enumeration
-    index), so its outcome does not depend on which other candidates run.
+    do; the whole input is checked before the first trial, and any other
+    order raises ValueError.  Each candidate's randomness is seeded from
+    (seed, its enumeration index), so its outcome does not depend on which
+    other candidates run.
     Candidates with m == 0 are skipped: their fidelity may be zero and they
     can claim nothing.  Ties on the estimate go to the shorter program, then
     the smaller one.
@@ -288,6 +290,10 @@ def run_trials(
     the best, whose (length, value) is smaller.  Skipping the remaining
     candidates leaves every evaluated candidate's draws unchanged.
     """
+    candidates = list(candidates)
+    keys = [(prog.length, prog.value) for _idx, prog, _out in candidates]
+    if keys != sorted(keys):
+        raise ValueError("run_trials needs its candidates in (length, value) order")
     best = None
     best_key = None
     trace: list[tuple[int, float]] = []

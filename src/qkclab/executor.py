@@ -1,5 +1,5 @@
 """Runs decoded programs from |0...0>, and builds the candidate table every
-estimator scans, with its persistent cache.
+estimator scans, one gate step per row, with its persistent cache.
 
 Every decodable program here is straight-line and halts; decode failures play
 the role of non-halting computations.  Scanning the table in enumeration
@@ -38,8 +38,9 @@ _sim_count = 0
 
 
 def simulation_count() -> int:
-    """How many programs have been executed by run() in this process; lets
-    tests prove that a warm cache performs zero simulations."""
+    """How many programs have been executed by run() in this process.  The
+    candidate table is built by stepping parent rows, not by run(), so
+    building it leaves this count unchanged."""
     return _sim_count
 
 
@@ -128,32 +129,60 @@ class CandidateTable:
 
     def with_conditional(self, conditional: DecodedProgram) -> "CandidateTable":
         """The table for the same (n, max_len) with `conditional`, built from
-        this table with no conditional: only the CALLC programs are run."""
+        this table with no conditional: its rows seed the parent lookup, so
+        each CALLC program takes one step from its parent row."""
         self.check(self.n, self.max_len)
         known = {p: out for _i, p, out in self.rows}
         return _build_table(self.n, self.max_len, conditional, known)
 
 
 def _build_table(n: int, max_len: int, conditional=None, known=None) -> CandidateTable:
-    """Run every enumerated program once.  Programs in `known` (the outputs
-    of a table with no conditional, which holds every program that halts
-    without one) are not run again; with no conditional, nothing outside it
-    halts."""
+    """Every halting program's output, one step per row.
+
+    Dropping a program's last op leaves a shorter decodable program, which
+    comes earlier in the enumeration and halts whenever the program does; so
+    each row is its parent row's output with that op applied (the
+    conditional's gates for a CALLC), and the empty program is |0^n>.  No row
+    falls back to `run`: a parent missing from the lookup is a broken
+    invariant and raises AssertionError.
+
+    `known` holds the outputs of a table with no conditional, which lists
+    every program that halts without one.  With no conditional it is the
+    whole table, so nothing is decoded; with one, its rows seed the lookup
+    and only the CALLC programs take a step.
+    """
     _check_conditional(conditional, n)
+    programs = enumerate(enumerate_programs(max_len, n))
+    if known is not None and conditional is None:
+        rows = [(idx, prog, known[prog]) for idx, prog in programs if prog in known]
+        return CandidateTable(n, max_len, conditional, tuple(rows))
+    known = known or {}
+    outputs: dict = {}  # decoded gate tuple -> output
     rows = []
-    for idx, prog in enumerate(enumerate_programs(max_len, n)):
-        out = None if known is None else known.get(prog)
-        if out is None and (known is None or conditional is not None):
-            out = run(prog, n, conditional).output
-        if out is not None:
-            rows.append((idx, prog, out))
+    for idx, prog in programs:
+        decoded = decode(prog.bits, n)  # every enumerated program decodes
+        if decoded.has_call and conditional is None:
+            continue
+        gates = decoded.gates
+        out = known.get(prog)
+        if out is None and not gates:
+            out = zero_state(n)
+        elif out is None:
+            out = outputs.get(gates[:-1])
+            if out is None:
+                raise AssertionError(f"program {prog} has no earlier parent row")
+            last = gates[-1]
+            for g in conditional.gates if isinstance(last, CALLC) else (last,):
+                out = apply_gate(out, g)
+        outputs[gates] = out
+        rows.append((idx, prog, out))
     return CandidateTable(n, max_len, conditional, tuple(rows))
 
 
 def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:
     """The table a command builds once and scores every target against.  With
     a cache_dir, the table with no conditional is read from or written to the
-    cache; a conditional table reuses it and runs only the CALLC programs."""
+    cache; a conditional table reuses it and steps only the CALLC programs."""
     if cache_dir is None:
         return _build_table(n, max_len, conditional)
     table = cached_outputs(n, max_len, cache_dir)
@@ -177,6 +206,9 @@ def cache_path(cache_dir, n: int, max_len: int) -> Path:
 
 
 def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
+    """The file's {program: output}, or None if it is stale or does not
+    parse.  Only I/O and parse errors mean a bad file; any other exception is
+    a bug and propagates."""
     try:
         lines = path.read_text().splitlines()
         # the record count catches a file that lost whole lines
@@ -185,13 +217,15 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
         known = {}
         for line in lines[1:]:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"cache record is not a JSON object: {line!r}")
             sha = record.pop("sha")
             if sha != _record_sha(record):
                 return None
             prog = program_from_json(record["program"])
             known[prog] = state_from_json(record["output"])
         return known
-    except Exception:
+    except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
 
 

@@ -404,6 +404,6 @@ def state_from_json(obj) -> StateVector:
             )
             for rn, rd, imn, imd in obj["amps"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
     return StateVector(n, amps)

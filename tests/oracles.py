@@ -7,7 +7,9 @@ enumerate-then-simulate path every estimator ran on its own before the
 candidate table, as the reference the table path must reproduce exactly.
 They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
-per-opcode decoder that the table-driven one replaced.
+per-opcode decoder that the table-driven one replaced.  Counted wraps a
+function to count its calls, for the tests that check how much work a path
+does.
 """
 
 import math
@@ -226,6 +228,18 @@ def reference_op_fields(n):
     fields += [("010" + idx(t), ROT(t)) for t in range(n)]
     fields += [("011" + idx(t), PHASE(t)) for t in range(n)]
     return fields + [("100", CALLC())]
+
+
+class Counted:
+    """A function wrapped to count its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
 
 
 def mat2_mul(a, b):

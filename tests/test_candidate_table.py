@@ -43,6 +43,7 @@ from qkclab import (
 )
 
 from oracles import (
+    Counted,
     random_gate_list,
     reference_directly_computable,
     reference_exact_estimate,
@@ -165,18 +166,6 @@ def test_sampled_estimate_matches_reference(cached, tmp_path):
             assert (result.best, result.trace) == reference_sampled_estimate(
                 measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
             )
-
-
-class Counted:
-    """A function wrapped to count its calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self.fn(*args)
 
 
 @pytest.mark.parametrize("n, max_len", [(2, 14), (3, 16)])

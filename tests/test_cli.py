@@ -111,9 +111,10 @@ class TestEstimate:
 
     def test_malformed_statefile_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        rc, _ = run_cli(capsys, "estimate", "--statefile", str(path), "--n", "1")
-        assert rc == 2
+        for text in ("{not json", '{"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]}'):
+            path.write_text(text)
+            rc, _ = run_cli(capsys, "estimate", "--statefile", str(path), "--n", "1")
+            assert rc == 2, text
 
     def test_dimension_mismatch_is_usage_error(self, capsys):
         rc, _ = run_cli(capsys, "estimate", "--classical", "01", "--n", "1")

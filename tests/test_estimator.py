@@ -262,13 +262,45 @@ class TestRunTrials:
         assert best is None and trace == []
 
     def test_seeding_is_per_candidate_position(self):
-        # evaluation order cannot change per-candidate outcomes
+        # candidate 1 draws the same trials whether or not candidate 0 runs
+        # before it; candidate 0 always fails, so the scan reaches candidate 1
         q = F(1, 2)
-        measure = lambda prog, out, rng: bernoulli(q, rng)
-        cands = [(0, Program("1"), None), (1, Program("010100"), None)]
-        best_fwd, _ = run_trials(cands, measure, k=500, epsilon=0.25, seed=11)
-        best_rev, _ = run_trials(list(reversed(cands)), measure, k=500, epsilon=0.25, seed=11)
-        assert best_fwd == best_rev
+        pa, pb = Program("1"), Program("010100")
+
+        def measure_into(outcomes):
+            def measure(prog, out, rng):
+                if prog == pa:
+                    return False
+                outcomes.append(bernoulli(q, rng))
+                return outcomes[-1]
+
+            return measure
+
+        after, alone = [], []
+        best_after, _ = run_trials(
+            [(0, pa, None), (1, pb, None)], measure_into(after), k=500, epsilon=0.25, seed=11
+        )
+        best_alone, _ = run_trials([(1, pb, None)], measure_into(alone), k=500, epsilon=0.25, seed=11)
+        assert best_after == best_alone and best_after.program == pb
+        assert after == alone and len(alone) == 500
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            [(1, "010100"), (0, "1")],
+            [(1, "0101001"), (2, "01010011"), (0, "1")],
+            [(1, "011"), (0, "010")],
+        ],
+        ids=["reversed", "shorter-last", "same-length-descending"],
+    )
+    def test_candidates_out_of_order_are_rejected_before_any_trial(self, cands):
+        calls = []
+        measure = lambda prog, out, rng: calls.append(prog) or True
+        with pytest.raises(ValueError, match="order"):
+            run_trials(
+                [(i, Program(b), None) for i, b in cands], measure, k=10, epsilon=0.25, seed=0
+            )
+        assert calls == []
 
 
 class TestSampledEstimate:

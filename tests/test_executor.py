@@ -7,6 +7,9 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+from itertools import product
+from types import SimpleNamespace
+
 import pytest
 
 from qkclab import (
@@ -26,12 +29,51 @@ from qkclab import (
     simulation_count,
     zero_state,
 )
+from qkclab import census, cli, executor
 from qkclab.cli import CACHE_ENV_VAR, main
-from qkclab.executor import cache_path
+from qkclab.executor import _build_table, cache_path
+
+from oracles import Counted, reference_op_fields
 
 
 def conditional_of(gates, n):
     return decode(encode(gates, n).bits, n, allow_callc=False)
+
+
+def run_rows(n, max_len, conditional=None):
+    """(index, program, output) of every halting program, each run on its own."""
+    return [
+        (idx, prog, result.output)
+        for idx, prog in enumerate(enumerate_programs(max_len, n))
+        if (result := run(prog, n, conditional)).status == HALTED
+    ]
+
+
+def build_steps(n, max_len, conditional=None, from_known=False):
+    """Gate applications of a table build, derived from the enumeration: one
+    per row except the empty program's, and len(conditional.gates) for a row
+    that ends in CALLC.  Built from a known table with no conditional, only
+    the CALLC rows take steps."""
+    steps = 0
+    for prog in enumerate_programs(max_len, n):
+        gates = decode(prog.bits, n).gates
+        calls = CALLC() in gates
+        if not gates or (calls and conditional is None) or (from_known and not calls):
+            continue
+        steps += len(conditional.gates) if gates[-1] == CALLC() else 1
+    return steps
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts the executor's gate applications, and run() calls through every
+    module that binds it."""
+    gates = Counted(executor.apply_gate)
+    monkeypatch.setattr(executor, "apply_gate", gates)
+    runs = Counted(executor.run)
+    for module in (executor, census, cli):
+        monkeypatch.setattr(module, "run", runs)
+    return SimpleNamespace(gates=gates, runs=runs)
 
 
 class TestRun:
@@ -76,33 +118,82 @@ class TestRun:
         assert result.steps == 4
 
 
+class TestBuildTable:
+    """Each row is its parent row's output plus one step; every row must equal
+    running its program alone."""
+
+    @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 18)])
+    def test_rows_equal_running_each_program(self, n, max_len):
+        sims = simulation_count()
+        table = _build_table(n, max_len)
+        assert simulation_count() == sims  # the build runs no program
+        assert list(table.rows) == run_rows(n, max_len)
+
+    @pytest.mark.parametrize("n, max_len", [(1, 14), (2, 12)])
+    def test_rows_equal_running_each_program_with_every_short_conditional(
+        self, n, max_len, tmp_path
+    ):
+        alphabet = [op for _bits, op in reference_op_fields(n) if op != CALLC()]
+        conditionals = [
+            conditional_of(gates, n)
+            for k in range(3)
+            for gates in product(alphabet, repeat=k)
+        ]
+        cached = cached_outputs(n, max_len, tmp_path)
+        warm = cached_outputs(n, max_len, tmp_path)
+        for conditional in conditionals:
+            expected = run_rows(n, max_len, conditional)
+            assert list(_build_table(n, max_len, conditional).rows) == expected
+            assert list(cached.with_conditional(conditional).rows) == expected
+            assert list(warm.with_conditional(conditional).rows) == expected
+
+    def test_gate_applications_are_one_step_per_row(self, work):
+        conditional = conditional_of([X(0), ROT(1)], 2)
+        table = _build_table(2, 14)
+        assert work.gates.calls == len(table.rows) - 1 == build_steps(2, 14)
+        before = work.gates.calls
+        table.with_conditional(conditional)
+        assert work.gates.calls - before == build_steps(2, 14, conditional, from_known=True)
+        before = work.gates.calls
+        _build_table(2, 14, conditional)
+        assert work.gates.calls - before == build_steps(2, 14, conditional)
+        assert work.runs.calls == 0
+
+    def test_a_missing_parent_row_is_an_internal_error(self, monkeypatch):
+        # an enumeration that lost the empty program's child X(0): its own
+        # children have no parent row, and the build must not run them instead
+        lost = encode([X(0)], 1)
+        programs = [p for p in enumerate_programs(11, 1) if p != lost]
+        assert encode([X(0), X(0)], 1) in programs
+        monkeypatch.setattr(executor, "enumerate_programs", lambda max_len, n: iter(programs))
+        with pytest.raises(AssertionError, match="parent"):
+            _build_table(1, 11)
+
+
 class TestCache:
-    def test_warm_cache_runs_zero_simulations(self, tmp_path):
+    def test_warm_cache_runs_zero_simulations(self, tmp_path, work):
         first = cached_outputs(2, 8, tmp_path)
-        before = simulation_count()
+        assert work.gates.calls == build_steps(2, 8)
+        before = work.gates.calls
         second = cached_outputs(2, 8, tmp_path)
-        assert simulation_count() == before
+        assert work.gates.calls == before and work.runs.calls == 0
         assert second == first
 
     def test_cache_agrees_with_fresh_runs(self, tmp_path):
         table = cached_outputs(2, 10, tmp_path)
-        fresh = [
-            (idx, prog, result.output)
-            for idx, prog in enumerate(enumerate_programs(10, 2))
-            if (result := run(prog, 2)).status == HALTED
-        ]
-        assert list(table.rows) == fresh
+        assert list(table.rows) == run_rows(2, 10)
 
-    def test_version_mismatch_forces_recompute(self, tmp_path):
+    def test_version_mismatch_forces_recompute(self, tmp_path, work):
         cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
         lines = path.read_text().splitlines()
         lines[0] = lines[0].replace("pf1", "pf0")
         path.write_text("\n".join(lines) + "\n")
-        before = simulation_count()
+        before = work.gates.calls
         with pytest.warns(UserWarning):
             cached_outputs(1, 7, tmp_path)
-        assert simulation_count() > before
+        assert work.gates.calls - before == build_steps(1, 7) > 0
+        assert work.runs.calls == 0
 
     def test_corrupt_record_forces_recompute(self, tmp_path):
         table = cached_outputs(1, 7, tmp_path)
@@ -115,7 +206,29 @@ class TestCache:
             recomputed = cached_outputs(1, 7, tmp_path)
         assert recomputed == table
 
-    def test_record_written_with_a_steps_field_still_reads(self, tmp_path):
+    def test_record_that_is_not_an_object_forces_recompute(self, tmp_path):
+        table = cached_outputs(1, 7, tmp_path)
+        path = cache_path(tmp_path, 1, 7)
+        header, _first, *records = path.read_text().splitlines()
+        path.write_text("\n".join([header, "5", *records]) + "\n")
+        with pytest.warns(UserWarning):
+            assert cached_outputs(1, 7, tmp_path) == table
+
+    def test_a_bug_in_the_reader_is_not_a_stale_file(self, tmp_path, monkeypatch):
+        # only I/O and parse errors mean a bad file; anything else propagates
+        # instead of turning into a warning and a silent recompute
+        cached_outputs(1, 7, tmp_path)
+
+        def broken(obj):
+            raise RuntimeError("bug in the state loader")
+
+        monkeypatch.setattr(executor, "state_from_json", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="bug in the state loader"):
+                cached_outputs(1, 7, tmp_path)
+
+    def test_record_written_with_a_steps_field_still_reads(self, tmp_path, work):
         # older cache files carry a "steps" field per record; the reader
         # ignores it and the record's sha covers it
         table = cached_outputs(1, 7, tmp_path)
@@ -130,11 +243,11 @@ class TestCache:
             record["sha"] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         path.write_text("\n".join(lines) + "\n")
-        before = simulation_count()
+        before = work.gates.calls
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cached_outputs(1, 7, tmp_path) == table
-        assert simulation_count() == before
+        assert work.gates.calls == before and work.runs.calls == 0
 
     def test_distinct_keys_get_distinct_files(self, tmp_path):
         cached_outputs(1, 7, tmp_path)
@@ -152,24 +265,27 @@ class TestCache:
         with pytest.warns(UserWarning):
             assert cached_outputs(1, 7, tmp_path) == table
 
-    def test_cold_commands_run_each_program_once(self, tmp_path, capsys, monkeypatch):
+    def test_cold_commands_run_each_program_once(self, tmp_path, capsys, monkeypatch, work):
+        # each command builds its table once, one step per row after the
+        # empty program, and runs no program on its own
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        programs = len(list(enumerate_programs(12, 2)))
+        steps = build_steps(2, 12)
         for argv in (
             ["census", "--n", "2", "--c", "1", "--max-len", "12"],
             ["census", "--n", "2", "--c", "1", "--max-len", "12", "--rotated"],
             ["consistency", "--n", "2", "--max-len", "12"],
             ["estimate", "--classical", "01", "--n", "2", "--max-len", "12"],
         ):
-            before = simulation_count()
+            before = work.gates.calls
             assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-            assert simulation_count() - before == programs, argv
+            assert work.gates.calls - before == steps, argv
+        assert work.runs.calls == 0
         capsys.readouterr()
 
-    def test_warm_cache_commands_run_zero_simulations(self, tmp_path, capsys):
+    def test_warm_cache_commands_run_zero_simulations(self, tmp_path, capsys, work):
         cache = str(tmp_path / "cache")
         cached_outputs(2, 12, cache)
-        before = simulation_count()
+        before = work.gates.calls
         for argv in (
             ["census", "--n", "2", "--c", "1", "--max-len", "12"],
             ["census", "--n", "2", "--c", "1", "--max-len", "12", "--rotated"],
@@ -179,30 +295,38 @@ class TestCache:
              "--sampled", "--alpha", "0.5", "--epsilon", "0.45"],
         ):
             assert main(argv + ["--out-dir", str(tmp_path), "--cache-dir", cache]) == 0
-        assert simulation_count() == before
+        assert work.gates.calls == before and work.runs.calls == 0
         capsys.readouterr()
 
-    def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch):
-        # p_x = ROT(0), p_y = the empty program, both on one qubit: the joint
-        # table runs every 2-qubit program, the y table every 1-qubit one, the
-        # conditional table only the 1-qubit CALLC programs, and each
-        # generator runs once
+    def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch, work):
+        # on one qubit each: the joint table steps every 2-qubit row, the y
+        # table every 1-qubit row, and the conditional table only the CALLC
+        # rows; a generator that fits in max_len is read from the y table,
+        # and only a longer one is run
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         max_len = 14
-        one = list(enumerate_programs(max_len, 1))
-        callc = sum(1 for p in one if decode(p.bits, 1).has_call)
-        joint = len(list(enumerate_programs(max_len, 2)))
-        cache = str(tmp_path / "cache")
+        rot3 = encode([ROT(0)] * 3, 1)
+        assert rot3.length > max_len
 
-        def simulations(*extra):
-            before = simulation_count()
-            argv = ["subadd", "--px", "7:24", "--py", "1:1", "--max-len", str(max_len)]
+        def work_done(px, py, *extra):
+            gates, runs = work.gates.calls, work.runs.calls
+            argv = ["subadd", "--px", px, "--py", py, "--max-len", str(max_len)]
             assert main(argv + ["--out-dir", str(tmp_path), *extra]) == 0
-            return simulation_count() - before
+            return work.gates.calls - gates, work.runs.calls - runs
 
-        assert simulations() == joint + len(one) + callc + 2
-        simulations("--cache-dir", cache)  # builds the cache
-        assert simulations("--cache-dir", cache) == callc + 2
+        unconditional = build_steps(2, max_len) + build_steps(1, max_len)
+        conditional = {
+            py: build_steps(1, max_len, conditional_of(gates, 1), from_known=True)
+            for py, gates in (("1:1", []), ("7:20", [X(0)]))
+        }
+        cache = str(tmp_path / "cache")
+        for py in conditional:
+            assert work_done("7:24", py) == (unconditional + conditional[py], 0)
+            work_done("7:24", py, "--cache-dir", cache)  # builds the cache
+            assert work_done("7:24", py, "--cache-dir", cache) == (conditional[py], 0)
+        # the only run: p_x's three gates
+        px = f"{rot3.length}:{rot3.value:x}"
+        assert work_done(px, "1:1", "--cache-dir", cache) == (3 + conditional["1:1"], 1)
         capsys.readouterr()
 
     def test_writer_interleaved_inside_another_keeps_its_temp_file(
@@ -224,11 +348,12 @@ class TestCache:
         outer = cached_outputs(1, 9, tmp_path)
         monkeypatch.undo()
         assert inner == [outer]
-        before = simulation_count()
+        gates = Counted(executor.apply_gate)
+        monkeypatch.setattr(executor, "apply_gate", gates)
         assert cached_outputs(1, 9, tmp_path) == outer
-        assert simulation_count() == before
+        assert gates.calls == 0
 
-    def test_concurrent_writers_both_succeed(self, tmp_path):
+    def test_concurrent_writers_both_succeed(self, tmp_path, work):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -243,9 +368,8 @@ class TestCache:
             _, err = writer.communicate(timeout=120)
             assert writer.returncode == 0, err.decode()
         assert list(tmp_path.iterdir()) == [cache_path(tmp_path, 3, 20)]  # no temp file left
-        before = simulation_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a stale or corrupt file would warn
             table = cached_outputs(3, 20, tmp_path)
-        assert simulation_count() == before
+        assert work.gates.calls == 0 and work.runs.calls == 0
         assert table == candidate_table(3, 20)

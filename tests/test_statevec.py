@@ -295,3 +295,5 @@ class TestSerialization:
             state_from_json({"n": 1, "amps": [["1", "1"]]})
         with pytest.raises(ValueError):
             state_from_json({"n": 1, "amps": [["1", "1", "0", "1"], ["1", "1", "0", "1"]]})
+        with pytest.raises(ValueError, match="malformed"):  # a zero denominator
+            state_from_json({"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]})
