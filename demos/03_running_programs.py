@@ -6,6 +6,7 @@ whole search: each new halting program can only lower the running minimum,
 and an estimate's trace records each time it does.
 """
 
+import json
 import random
 import tempfile
 
@@ -20,17 +21,18 @@ from qkclab import (
     random_state,
     run,
 )
+from qkclab.executor import cache_path
 
 
 def main():
     print("== single runs ==")
     result = run(encode([X(0), X(1)], 2), 2)
-    print("X0 X1 on |00>:", [str(a) for a in result.output.amps], f"({result.steps} steps)")
+    print("X0 X1 on |00>:", [str(a) for a in result.output.amps])
 
     conditional = decode(encode([X(0)], 1).bits, 1, allow_callc=False)
     called = run(encode([CALLC()], 1), 1, conditional=conditional)
     print("CALLC with conditional X0:", [str(a) for a in called.output.amps])
-    print("CALLC without a conditional:", run(encode([CALLC()], 1), 1).status)
+    print("CALLC without a conditional halts:", run(encode([CALLC()], 1), 1).output is not None)
 
     print()
     print("== the enumeration, approximated from above ==")
@@ -50,6 +52,9 @@ def main():
         print(f"{len(table.rows)} halting programs cached; each row is its parent row "
               f"(the program minus its last op) plus one gate")
         print(f"{len(table.firsts)} distinct outputs: only the first program of each can win a scan")
+        header = json.loads(cache_path(cache_dir, 2, 10).read_text().splitlines()[0])
+        print(f"cache file: {header['rows']} rows pointing to {header['outputs']} distinct "
+              f"outputs, each stored once")
         print("warm read equals the cold build:", cached_outputs(2, 10, cache_dir) == table)
 
 

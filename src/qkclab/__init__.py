@@ -47,8 +47,6 @@ from .estimator import (
     upper_bound_witness,
 )
 from .executor import (
-    DECODE_FAILED,
-    HALTED,
     CandidateTable,
     RunResult,
     cached_outputs,

@@ -31,9 +31,6 @@ from .proglang import (
 )
 from .statevec import StateVector, apply_gate, state_from_json, state_to_json, zero_state
 
-HALTED = "halted"
-DECODE_FAILED = "decode_failed"
-
 _sim_count = 0
 
 
@@ -46,10 +43,11 @@ def simulation_count() -> int:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A program and its output; the output is None when the program does
+    not decode, the role a non-halting computation plays here."""
+
     program: Program
-    status: str
     output: Optional[StateVector]
-    steps: int
 
 
 def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
@@ -70,22 +68,19 @@ def run(
     the conditional's gates.
 
     Decode failures -- including a CALLC with no conditional supplied -- yield
-    status "decode_failed" with no output; they contribute nothing to any
-    minimum downstream.
+    no output; they contribute nothing to any minimum downstream.
     """
     global _sim_count
     _sim_count += 1
     _check_conditional(conditional, n)
     decoded = decode(program.bits, n)
     if decoded is None or (decoded.has_call and conditional is None):
-        return RunResult(program, DECODE_FAILED, None, 0)
+        return RunResult(program, None)
     state = zero_state(n)
-    steps = 0
     for op in decoded.gates:
         for g in conditional.gates if isinstance(op, CALLC) else (op,):
             state = apply_gate(state, g)
-            steps += 1
-    return RunResult(program, HALTED, state, steps)
+    return RunResult(program, state)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +188,20 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _record_sha(record: dict) -> str:
-    return hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _header(n: int, max_len: int, records: int) -> dict:
-    return {"version": ENCODING_VERSION, "n": n, "max_len": max_len, "records": records}
+def _header(n: int, max_len: int, rows: int, outputs: int, sha: str) -> dict:
+    return {
+        "format": "outputs+rows",
+        "version": ENCODING_VERSION,
+        "n": n,
+        "max_len": max_len,
+        "rows": rows,
+        "outputs": outputs,
+        "sha256": sha,
+    }
 
 
 def cache_path(cache_dir, n: int, max_len: int) -> Path:
@@ -206,34 +209,51 @@ def cache_path(cache_dir, n: int, max_len: int) -> Path:
 
 
 def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
-    """The file's {program: output}, or None if it is stale or does not
-    parse.  Only I/O and parse errors mean a bad file; any other exception is
-    a bug and propagates."""
+    """The file's {program: output}, or None if it is stale or does not parse.
+
+    The file is a header line and a body line.  The header must equal
+    `_header` for this (n, max_len), with the sha256 of the body text; the
+    body is {"outputs": [state, ...], "rows": [[program, output id], ...]},
+    each distinct output stored once.  Each state is parsed once, which runs
+    the exact unit-norm check, and must be on n qubits; every output id must
+    index `outputs`, so rows of equal output share one StateVector.  The
+    header's row and output counts must match the body.  A file in any other
+    layout, the older one record per line included, is stale.
+
+    Only I/O and parse errors mean a bad file; any other exception is a bug
+    and propagates."""
     try:
-        lines = path.read_text().splitlines()
-        # the record count catches a file that lost whole lines
-        if json.loads(lines[0]) != _header(n, max_len, len(lines) - 1):
+        header, body = path.read_text().splitlines()
+        head = json.loads(header)
+        if head != _header(n, max_len, head["rows"], head["outputs"], _sha(body)):
+            return None
+        data = json.loads(body)
+        outputs = [state_from_json(obj) for obj in data["outputs"]]
+        rows = data["rows"]
+        if (len(rows), len(outputs)) != (head["rows"], head["outputs"]):
+            return None
+        if any(out.n_qubits != n for out in outputs):
             return None
         known = {}
-        for line in lines[1:]:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"cache record is not a JSON object: {line!r}")
-            sha = record.pop("sha")
-            if sha != _record_sha(record):
+        for prog, out_id in rows:
+            if not 0 <= out_id < len(outputs):
                 return None
-            prog = program_from_json(record["program"])
-            known[prog] = state_from_json(record["output"])
+            known[program_from_json(prog)] = outputs[out_id]
         return known
     except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
 
 
 def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
-    """The candidate table with no conditional, persisted as one JSON-lines
-    file per (encoding version, n, max_len).  A valid file lists every halting
-    program, so a warm read runs nothing.  A stale or corrupt file (bad hash,
-    wrong version or record count, unparsable) is recomputed with a warning."""
+    """The candidate table with no conditional, persisted as one file per
+    (encoding version, n, max_len): a header line with the body's sha256,
+    and a body that stores each distinct output once and one row per halting
+    program, in enumeration order, pointing to its output.  Enumeration
+    indices are never stored; a read takes them from `enumerate_programs`.
+    A valid file lists every halting program, so a warm read applies no
+    gate.  A file that fails any check of `_read_cache` (layout, version,
+    bound, counts, hash, exact unit norm, n, output ids) is recomputed with
+    a warning and rewritten."""
     path = cache_path(cache_dir, n, max_len)
     if path.exists():
         known = _read_cache(path, n, max_len)
@@ -241,21 +261,17 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
             return _build_table(n, max_len, known=known)
         warnings.warn(f"cache file {path} is stale or corrupt; recomputing")
     table = _build_table(n, max_len)
-    lines = [_canonical(_header(n, max_len, len(table.rows)))]
-    for _idx, prog, out in table.rows:
-        record = {
-            "program": program_to_json(prog),
-            "output": state_to_json(out),
-        }
-        record["sha"] = _record_sha(record)
-        lines.append(_canonical(record))
+    ids: dict = {}  # output -> its index in the file's outputs
+    rows = [[program_to_json(prog), ids.setdefault(out, len(ids))] for _i, prog, out in table.rows]
+    body = _canonical({"outputs": [state_to_json(out) for out in ids], "rows": rows})
+    header = _canonical(_header(n, max_len, len(rows), len(ids), _sha(body)))
     path.parent.mkdir(parents=True, exist_ok=True)
     # each writer has a temp file of its own, so concurrent builders of one
     # cache never truncate each other's; readers only see complete files
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n" + body + "\n")
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)

@@ -19,7 +19,6 @@ from random import Random
 from qkclab import (
     CALLC,
     CNOT,
-    HALTED,
     DecodedProgram,
     PHASE,
     ROT,
@@ -59,7 +58,7 @@ def brute_force_best(target, n, max_len, conditional=None):
         for v in range(1 << length):
             bits = format(v, f"0{length}b")
             result = run(Program(bits), n, conditional)
-            if result.status != HALTED:
+            if result.output is None:
                 continue
             q = fidelity(target, result.output)
             if q == 0:
@@ -83,7 +82,7 @@ def reference_candidates(n, max_len, conditional=None, outputs=None):
             yield idx, prog, outputs[prog]
             continue
         result = run(prog, n, conditional)
-        if result.status == HALTED:
+        if result.output is not None:
             yield idx, prog, result.output
 
 

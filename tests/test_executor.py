@@ -14,8 +14,7 @@ import pytest
 
 from qkclab import (
     CALLC,
-    DECODE_FAILED,
-    HALTED,
+    ENCODING_VERSION,
     ROT,
     X,
     Program,
@@ -25,13 +24,15 @@ from qkclab import (
     decode,
     encode,
     enumerate_programs,
+    program_to_json,
     run,
     simulation_count,
+    state_to_json,
     zero_state,
 )
 from qkclab import census, cli, executor
 from qkclab.cli import CACHE_ENV_VAR, main
-from qkclab.executor import _build_table, cache_path
+from qkclab.executor import _build_table, _canonical, cache_path
 
 from oracles import Counted, reference_op_fields
 
@@ -45,7 +46,7 @@ def run_rows(n, max_len, conditional=None):
     return [
         (idx, prog, result.output)
         for idx, prog in enumerate(enumerate_programs(max_len, n))
-        if (result := run(prog, n, conditional)).status == HALTED
+        if (result := run(prog, n, conditional)).output is not None
     ]
 
 
@@ -64,6 +65,31 @@ def build_steps(n, max_len, conditional=None, from_known=False):
     return steps
 
 
+def write_with_hash(path, data):
+    """Replace a cache file's body with `data`, and its header's sha256 with
+    the new body's, so that only the reader's other checks can reject it."""
+    body = _canonical(data)
+    header = json.loads(path.read_text().splitlines()[0])
+    header["sha256"] = hashlib.sha256(body.encode("ascii")).hexdigest()
+    path.write_text(_canonical(header) + "\n" + body + "\n")
+
+
+def break_body(data, fault):
+    """One fault in a parsed cache body that its hash cannot reveal."""
+    if fault == "non-unit-norm":
+        data["outputs"][0]["amps"][0][0] = "2"
+    elif fault == "wrong-n":
+        data["outputs"][0] = state_to_json(zero_state(2))
+    elif fault == "id-past-end":
+        data["rows"][-1][1] = len(data["outputs"])
+    elif fault == "negative-id":
+        data["rows"][-1][1] = -1
+    elif fault == "lost-row":
+        data["rows"].pop()
+    else:
+        raise ValueError(fault)
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Counts the executor's gate applications, and run() calls through every
@@ -77,31 +103,29 @@ def work(monkeypatch):
 
 
 class TestRun:
-    def test_empty_program_is_the_identity_computation(self):
+    def test_empty_program_is_the_identity_computation(self, work):
         result = run(Program("1"), 2)
-        assert result.status == HALTED
         assert result.output == zero_state(2)
-        assert result.steps == 0
+        assert work.gates.calls == 0
 
-    def test_rot_program(self):
+    def test_rot_program(self, work):
         result = run(encode([ROT(0)], 1), 1)
         assert [(a.re, a.im) for a in result.output.amps] == [
             (Fraction(3, 5), 0),
             (Fraction(4, 5), 0),
         ]
-        assert result.steps == 1
+        assert work.gates.calls == 1
 
-    def test_callc_inlines_the_conditional(self):
+    def test_callc_inlines_the_conditional(self, work):
         result = run(encode([CALLC()], 1), 1, conditional=conditional_of([X(0)], 1))
         assert result.output == basis_state(1, 1)
-        assert result.steps == 1
+        assert work.gates.calls == 1
 
     def test_callc_without_conditional_is_nonhalting(self):
-        result = run(encode([CALLC()], 1), 1)
-        assert result.status == DECODE_FAILED and result.output is None
+        assert run(encode([CALLC()], 1), 1).output is None
 
     def test_undecodable_program_is_nonhalting(self):
-        assert run(Program("0101010"), 2).status == DECODE_FAILED
+        assert run(Program("0101010"), 2).output is None
 
     def test_conditional_with_callc_is_a_usage_error(self):
         bad = decode(encode([CALLC()], 1).bits, 1)
@@ -112,10 +136,10 @@ class TestRun:
         with pytest.raises(ValueError):
             run(Program("1"), 2, conditional=conditional_of([X(0)], 1))
 
-    def test_steps_count_inlined_gates(self):
+    def test_steps_count_inlined_gates(self, work):
         cond = conditional_of([X(0), ROT(0)], 1)
-        result = run(encode([CALLC(), CALLC()], 1), 1, conditional=cond)
-        assert result.steps == 4
+        run(encode([CALLC(), CALLC()], 1), 1, conditional=cond)
+        assert work.gates.calls == 4
 
 
 class TestBuildTable:
@@ -198,10 +222,12 @@ class TestCache:
     def test_corrupt_record_forces_recompute(self, tmp_path):
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
-        # flip one output amplitude's numerator, a field the reader uses
-        text = path.read_text().replace('"output":{"amps":[["1",', '"output":{"amps":[["2",', 1)
-        assert text != path.read_text()
-        path.write_text(text)
+        header, body = path.read_text().splitlines()
+        # point the last row at another stored output, a field the reader
+        # uses; every other check passes, so only the body's hash catches it
+        data = json.loads(body)
+        data["rows"][-1][1] = (data["rows"][-1][1] + 1) % len(data["outputs"])
+        path.write_text(header + "\n" + _canonical(data) + "\n")
         with pytest.warns(UserWarning):
             recomputed = cached_outputs(1, 7, tmp_path)
         assert recomputed == table
@@ -209,10 +235,34 @@ class TestCache:
     def test_record_that_is_not_an_object_forces_recompute(self, tmp_path):
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
-        header, _first, *records = path.read_text().splitlines()
-        path.write_text("\n".join([header, "5", *records]) + "\n")
+        write_with_hash(path, 5)
         with pytest.warns(UserWarning):
             assert cached_outputs(1, 7, tmp_path) == table
+
+    @pytest.mark.parametrize(
+        "fault", ["non-unit-norm", "wrong-n", "id-past-end", "negative-id", "lost-row"]
+    )
+    def test_bad_body_with_a_matching_hash_forces_recompute(self, tmp_path, fault):
+        table = cached_outputs(1, 7, tmp_path)
+        path = cache_path(tmp_path, 1, 7)
+        data = json.loads(path.read_text().splitlines()[1])
+        break_body(data, fault)
+        write_with_hash(path, data)
+        with pytest.warns(UserWarning, match="stale or corrupt"):
+            assert cached_outputs(1, 7, tmp_path) == table
+        assert cached_outputs(1, 7, tmp_path) == table  # rewritten valid: no warning
+
+    def test_warm_read_parses_each_distinct_output_once(self, tmp_path, monkeypatch, work):
+        cold = cached_outputs(3, 20, tmp_path)
+        before = work.gates.calls
+        parses = Counted(executor.state_from_json)
+        monkeypatch.setattr(executor, "state_from_json", parses)
+        warm = cached_outputs(3, 20, tmp_path)
+        assert parses.calls == len(cold.firsts) < len(cold.rows)
+        assert warm == cold
+        assert work.gates.calls == before and work.runs.calls == 0
+        shared = {}
+        assert all(shared.setdefault(out, out) is out for _i, _p, out in warm.rows)
 
     def test_a_bug_in_the_reader_is_not_a_stale_file(self, tmp_path, monkeypatch):
         # only I/O and parse errors mean a bad file; anything else propagates
@@ -228,25 +278,26 @@ class TestCache:
             with pytest.raises(RuntimeError, match="bug in the state loader"):
                 cached_outputs(1, 7, tmp_path)
 
-    def test_record_written_with_a_steps_field_still_reads(self, tmp_path, work):
-        # older cache files carry a "steps" field per record; the reader
-        # ignores it and the record's sha covers it
+    def test_old_per_record_file_is_recomputed_once_and_rewritten(self, tmp_path, work):
+        # the older layout: a header line, then one record per halting
+        # program with its full output and a sha over the record
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
-        header, *records = path.read_text().splitlines()
-        lines = [header]
-        for line in records:
-            record = json.loads(line)
-            del record["sha"]
-            record["steps"] = 0
-            canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            record["sha"] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        header = {"version": ENCODING_VERSION, "n": 1, "max_len": 7, "records": len(table.rows)}
+        lines = [_canonical(header)]
+        for _idx, prog, out in table.rows:
+            record = {"program": program_to_json(prog), "output": state_to_json(out)}
+            record["sha"] = hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
+            lines.append(_canonical(record))
         path.write_text("\n".join(lines) + "\n")
         before = work.gates.calls
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.warns(UserWarning, match="stale or corrupt"):
             assert cached_outputs(1, 7, tmp_path) == table
+        assert work.gates.calls - before == build_steps(1, 7) > 0
+        head, _body = path.read_text().splitlines()
+        assert json.loads(head)["rows"] == len(table.rows)
+        before = work.gates.calls
+        assert cached_outputs(1, 7, tmp_path) == table  # no warning: the new layout reads
         assert work.gates.calls == before and work.runs.calls == 0
 
     def test_distinct_keys_get_distinct_files(self, tmp_path):
