@@ -48,14 +48,18 @@ def main():
     print()
     print("== candidate table and its persistent cache ==")
     with tempfile.TemporaryDirectory() as cache_dir:
-        table = cached_outputs(2, 10, cache_dir)
+        table = cached_outputs(2, 12, cache_dir)
+        outputs = {decode(p.bits, 2).gates: out for _i, p, out in table.rows}
+        steps = {(id(outputs[gates[:-1]]), gates[-1]) for gates in outputs if gates}
         print(f"{len(table.rows)} halting programs cached; each row is its parent row "
-              f"(the program minus its last op) plus one gate")
+              f"(the program minus its last op) plus one gate, and equal outputs are "
+              f"one object, so the {len(table.rows) - 1} rows after the empty program "
+              f"take {len(steps)} distinct steps")
         print(f"{len(table.firsts)} distinct outputs: only the first program of each can win a scan")
-        header = json.loads(cache_path(cache_dir, 2, 10).read_text().splitlines()[0])
+        header = json.loads(cache_path(cache_dir, 2, 12).read_text().splitlines()[0])
         print(f"cache file: {header['rows']} rows pointing to {header['outputs']} distinct "
               f"outputs, each stored once")
-        print("warm read equals the cold build:", cached_outputs(2, 10, cache_dir) == table)
+        print("warm read equals the cold build:", cached_outputs(2, 12, cache_dir) == table)
 
 
 if __name__ == "__main__":

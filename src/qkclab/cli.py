@@ -454,6 +454,8 @@ def cmd_decode(args) -> int:
 
 def cmd_enumerate(args) -> int:
     config = effective_config(args)
+    if args.limit < 0:
+        raise UsageError(f"--limit must be nonnegative, got {args.limit}")
     lines = []
     for program in enumerate_programs(config.max_len, config.n):
         lines.append(

@@ -1,5 +1,6 @@
 """Runs decoded programs from |0...0>, and builds the candidate table every
-estimator scans, one gate step per row, with its persistent cache.
+estimator scans, one gate step per distinct (parent output, last op) pair,
+with its persistent cache.
 
 Every decodable program here is straight-line and halts; decode failures play
 the role of non-halting computations.  Scanning the table in enumeration
@@ -107,10 +108,12 @@ class CandidateTable:
     def firsts(self) -> tuple[tuple[int, Program, StateVector], ...]:
         """The first row of each distinct output.  A later program with an
         equal output has the same fidelity to every target and a larger
-        (length, value), so no minimizing scan can prefer it."""
+        (length, value), so no minimizing scan can prefer it.  Rows of equal
+        output share one StateVector, so they are told apart by identity
+        and no state is hashed."""
         first: dict = {}
         for row in self.rows:
-            first.setdefault(row[2], row)
+            first.setdefault(id(row[2]), row)
         return tuple(first.values())
 
     def check(self, n: int, max_len: int, conditional=None) -> "CandidateTable":
@@ -125,14 +128,15 @@ class CandidateTable:
     def with_conditional(self, conditional: DecodedProgram) -> "CandidateTable":
         """The table for the same (n, max_len) with `conditional`, built from
         this table with no conditional: its rows seed the parent lookup, so
-        each CALLC program takes one step from its parent row."""
+        only the CALLC programs step from their parent rows."""
         self.check(self.n, self.max_len)
         known = {p: out for _i, p, out in self.rows}
         return _build_table(self.n, self.max_len, conditional, known)
 
 
 def _build_table(n: int, max_len: int, conditional=None, known=None) -> CandidateTable:
-    """Every halting program's output, one step per row.
+    """Every halting program's output, one step per distinct (parent output,
+    last op) pair.
 
     Dropping a program's last op leaves a shorter decodable program, which
     comes earlier in the enumeration and halts whenever the program does; so
@@ -141,10 +145,16 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
     falls back to `run`: a parent missing from the lookup is a broken
     invariant and raises AssertionError.
 
+    Equal outputs are one object: every new state is interned, so a step is
+    memoized by (id of the parent output, last op), and rows that reach one
+    state by different routes share it.  Programs collapse onto few states,
+    so most rows reuse a step (969 rows take 348 steps at n=3, max_len=20).
+
     `known` holds the outputs of a table with no conditional, which lists
-    every program that halts without one.  With no conditional it is the
-    whole table, so nothing is decoded; with one, its rows seed the lookup
-    and only the CALLC programs take a step.
+    every program that halts without one; rows of equal output in it must
+    share one object.  With no conditional it is the whole table, so nothing
+    is decoded; with one, its rows seed the lookup and the interning, and
+    only the CALLC programs take a step.
     """
     _check_conditional(conditional, n)
     programs = enumerate(enumerate_programs(max_len, n))
@@ -152,7 +162,11 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
         rows = [(idx, prog, known[prog]) for idx, prog in programs if prog in known]
         return CandidateTable(n, max_len, conditional, tuple(rows))
     known = known or {}
+    interned: dict = {}  # state -> its one object
+    for out in {id(out): out for out in known.values()}.values():
+        interned.setdefault(out, out)
     outputs: dict = {}  # decoded gate tuple -> output
+    steps: dict = {}  # (id(parent output), last op) -> output
     rows = []
     for idx, prog in programs:
         decoded = decode(prog.bits, n)  # every enumerated program decodes
@@ -162,13 +176,18 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
         out = known.get(prog)
         if out is None and not gates:
             out = zero_state(n)
+            out = interned.setdefault(out, out)
         elif out is None:
-            out = outputs.get(gates[:-1])
-            if out is None:
+            parent = outputs.get(gates[:-1])
+            if parent is None:
                 raise AssertionError(f"program {prog} has no earlier parent row")
             last = gates[-1]
-            for g in conditional.gates if isinstance(last, CALLC) else (last,):
-                out = apply_gate(out, g)
+            out = steps.get((id(parent), last))
+            if out is None:
+                out = parent
+                for g in conditional.gates if isinstance(last, CALLC) else (last,):
+                    out = apply_gate(out, g)
+                out = steps[id(parent), last] = interned.setdefault(out, out)
         outputs[gates] = out
         rows.append((idx, prog, out))
     return CandidateTable(n, max_len, conditional, tuple(rows))
@@ -216,7 +235,8 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
     body is {"outputs": [state, ...], "rows": [[program, output id], ...]},
     each distinct output stored once.  Each state is parsed once, which runs
     the exact unit-norm check, and must be on n qubits; every output id must
-    index `outputs`, so rows of equal output share one StateVector.  The
+    index `outputs`, so rows of equal output share one StateVector, and no
+    state may repeat, so rows of unequal id have unequal outputs.  The
     header's row and output counts must match the body.  A file in any other
     layout, the older one record per line included, is stale.
 
@@ -232,7 +252,7 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
         rows = data["rows"]
         if (len(rows), len(outputs)) != (head["rows"], head["outputs"]):
             return None
-        if any(out.n_qubits != n for out in outputs):
+        if any(out.n_qubits != n for out in outputs) or len(set(outputs)) != len(outputs):
             return None
         known = {}
         for prog, out_id in rows:
@@ -261,10 +281,11 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
             return _build_table(n, max_len, known=known)
         warnings.warn(f"cache file {path} is stale or corrupt; recomputing")
     table = _build_table(n, max_len)
-    ids: dict = {}  # output -> its index in the file's outputs
-    rows = [[program_to_json(prog), ids.setdefault(out, len(ids))] for _i, prog, out in table.rows]
-    body = _canonical({"outputs": [state_to_json(out) for out in ids], "rows": rows})
-    header = _canonical(_header(n, max_len, len(rows), len(ids), _sha(body)))
+    outputs = [out for _i, _p, out in table.firsts]
+    ids = {id(out): k for k, out in enumerate(outputs)}  # in first-occurrence order
+    rows = [[program_to_json(prog), ids[id(out)]] for _i, prog, out in table.rows]
+    body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": rows})
+    header = _canonical(_header(n, max_len, len(rows), len(outputs), _sha(body)))
     path.parent.mkdir(parents=True, exist_ok=True)
     # each writer has a temp file of its own, so concurrent builders of one
     # cache never truncate each other's; readers only see complete files

@@ -7,7 +7,8 @@ enumerate-then-simulate path every estimator ran on its own before the
 candidate table, as the reference the table path must reproduce exactly.
 They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
-per-opcode decoder that the table-driven one replaced.  Counted wraps a
+per-opcode decoder that the table-driven one replaced, and reference_firsts
+the value-keyed scan that `CandidateTable.firsts` replaced.  Counted wraps a
 function to count its calls, for the tests that check how much work a path
 does.
 """
@@ -84,6 +85,16 @@ def reference_candidates(n, max_len, conditional=None, outputs=None):
         result = run(prog, n, conditional)
         if result.output is not None:
             yield idx, prog, result.output
+
+
+def reference_firsts(rows):
+    """The first row of each distinct output value, in row order: what a
+    table's `firsts` must be, found by comparing states rather than by the
+    table's own identity of shared outputs."""
+    first = {}
+    for row in rows:
+        first.setdefault(row[2], row)
+    return tuple(first.values())
 
 
 def reference_outputs(n, max_len):

@@ -133,6 +133,12 @@ class TestProgramTools:
         assert len(lines) == 1
         assert json.loads(lines[0])["bits"] == "1"
 
+    def test_negative_limit_is_usage_error(self, capsys):
+        rc = main(["enumerate", "--max-len", "6", "--n", "1", "--limit", "-3"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "--limit must be nonnegative" in captured.err
+
     def test_decode_header_only(self, capsys):
         rc, out = run_cli(capsys, "decode", "--bits", "1", "--n", "2")
         assert rc == 0

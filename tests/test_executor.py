@@ -34,11 +34,21 @@ from qkclab import census, cli, executor
 from qkclab.cli import CACHE_ENV_VAR, main
 from qkclab.executor import _build_table, _canonical, cache_path
 
-from oracles import Counted, reference_op_fields
+from oracles import Counted, reference_firsts, reference_op_fields
 
 
 def conditional_of(gates, n):
     return decode(encode(gates, n).bits, n, allow_callc=False)
+
+
+def short_conditionals(n, depth=2):
+    """Every CALLC-free conditional of up to `depth` gates on n qubits."""
+    alphabet = [op for _bits, op in reference_op_fields(n) if op != CALLC()]
+    return [
+        conditional_of(gates, n)
+        for k in range(depth + 1)
+        for gates in product(alphabet, repeat=k)
+    ]
 
 
 def run_rows(n, max_len, conditional=None):
@@ -51,18 +61,21 @@ def run_rows(n, max_len, conditional=None):
 
 
 def build_steps(n, max_len, conditional=None, from_known=False):
-    """Gate applications of a table build, derived from the enumeration: one
-    per row except the empty program's, and len(conditional.gates) for a row
-    that ends in CALLC.  Built from a known table with no conditional, only
-    the CALLC rows take steps."""
-    steps = 0
-    for prog in enumerate_programs(max_len, n):
-        gates = decode(prog.bits, n).gates
-        calls = CALLC() in gates
-        if not gates or (calls and conditional is None) or (from_known and not calls):
-            continue
-        steps += len(conditional.gates) if gates[-1] == CALLC() else 1
-    return steps
+    """Gate applications of a table build, derived from running each program
+    alone: one step per distinct (parent output, last op) pair, the parent
+    being the program minus its last op, and len(conditional.gates) for a
+    pair whose op is CALLC.  Built from a known table with no conditional,
+    only the CALLC rows take steps.  Call it before counting: it runs every
+    program through the counted gate."""
+    outputs = {
+        decode(prog.bits, n).gates: out for _idx, prog, out in run_rows(n, max_len, conditional)
+    }
+    pairs = {
+        (outputs[gates[:-1]], gates[-1])
+        for gates in outputs
+        if gates and (not from_known or CALLC() in gates)
+    }
+    return sum(len(conditional.gates) if op == CALLC() else 1 for _parent, op in pairs)
 
 
 def write_with_hash(path, data):
@@ -86,6 +99,10 @@ def break_body(data, fault):
         data["rows"][-1][1] = -1
     elif fault == "lost-row":
         data["rows"].pop()
+    elif fault == "duplicate-output":
+        # the counts still match, and the rows of the last output now read
+        # the first one's state
+        data["outputs"][-1] = data["outputs"][0]
     else:
         raise ValueError(fault)
 
@@ -157,30 +174,51 @@ class TestBuildTable:
     def test_rows_equal_running_each_program_with_every_short_conditional(
         self, n, max_len, tmp_path
     ):
-        alphabet = [op for _bits, op in reference_op_fields(n) if op != CALLC()]
-        conditionals = [
-            conditional_of(gates, n)
-            for k in range(3)
-            for gates in product(alphabet, repeat=k)
-        ]
         cached = cached_outputs(n, max_len, tmp_path)
         warm = cached_outputs(n, max_len, tmp_path)
-        for conditional in conditionals:
+        for conditional in short_conditionals(n):
             expected = run_rows(n, max_len, conditional)
             assert list(_build_table(n, max_len, conditional).rows) == expected
             assert list(cached.with_conditional(conditional).rows) == expected
             assert list(warm.with_conditional(conditional).rows) == expected
 
-    def test_gate_applications_are_one_step_per_row(self, work):
+    @pytest.mark.parametrize(
+        "n, max_len, depth", [(1, 14, 2), (2, 12, 2), (3, 14, 2), (4, 14, 1)]
+    )
+    def test_equal_outputs_are_one_object_and_firsts_match_the_reference(
+        self, n, max_len, depth, tmp_path
+    ):
+        # cold build, warm read, and each built on to every short conditional
+        # (two gates would be 601 conditionals at n=4, so one there)
+        cold = cached_outputs(n, max_len, tmp_path)
+        warm = cached_outputs(n, max_len, tmp_path)
+        tables = [cold, warm] + [
+            table.with_conditional(conditional)
+            for conditional in short_conditionals(n, depth)
+            for table in (cold, warm)
+        ]
+        assert any(len(t.firsts) < len(t.rows) for t in tables)
+        for table in tables:
+            one = {}
+            assert all(one.setdefault(out, out) is out for _i, _p, out in table.rows)
+            assert table.firsts == reference_firsts(table.rows)
+
+    def test_gate_applications_are_one_step_per_distinct_parent_output_and_op(self, work):
         conditional = conditional_of([X(0), ROT(1)], 2)
+        expected = (
+            build_steps(2, 14),
+            build_steps(2, 14, conditional, from_known=True),
+            build_steps(2, 14, conditional),
+        )
+        before = work.gates.calls
         table = _build_table(2, 14)
-        assert work.gates.calls == len(table.rows) - 1 == build_steps(2, 14)
+        assert work.gates.calls - before == expected[0] < len(table.rows) - 1
         before = work.gates.calls
         table.with_conditional(conditional)
-        assert work.gates.calls - before == build_steps(2, 14, conditional, from_known=True)
+        assert work.gates.calls - before == expected[1]
         before = work.gates.calls
         _build_table(2, 14, conditional)
-        assert work.gates.calls - before == build_steps(2, 14, conditional)
+        assert work.gates.calls - before == expected[2]
         assert work.runs.calls == 0
 
     def test_a_missing_parent_row_is_an_internal_error(self, monkeypatch):
@@ -196,8 +234,10 @@ class TestBuildTable:
 
 class TestCache:
     def test_warm_cache_runs_zero_simulations(self, tmp_path, work):
+        steps = build_steps(2, 8)
+        before = work.gates.calls
         first = cached_outputs(2, 8, tmp_path)
-        assert work.gates.calls == build_steps(2, 8)
+        assert work.gates.calls - before == steps
         before = work.gates.calls
         second = cached_outputs(2, 8, tmp_path)
         assert work.gates.calls == before and work.runs.calls == 0
@@ -213,10 +253,11 @@ class TestCache:
         lines = path.read_text().splitlines()
         lines[0] = lines[0].replace("pf1", "pf0")
         path.write_text("\n".join(lines) + "\n")
+        steps = build_steps(1, 7)
         before = work.gates.calls
         with pytest.warns(UserWarning):
             cached_outputs(1, 7, tmp_path)
-        assert work.gates.calls - before == build_steps(1, 7) > 0
+        assert work.gates.calls - before == steps > 0
         assert work.runs.calls == 0
 
     def test_corrupt_record_forces_recompute(self, tmp_path):
@@ -240,7 +281,8 @@ class TestCache:
             assert cached_outputs(1, 7, tmp_path) == table
 
     @pytest.mark.parametrize(
-        "fault", ["non-unit-norm", "wrong-n", "id-past-end", "negative-id", "lost-row"]
+        "fault",
+        ["non-unit-norm", "wrong-n", "id-past-end", "negative-id", "lost-row", "duplicate-output"],
     )
     def test_bad_body_with_a_matching_hash_forces_recompute(self, tmp_path, fault):
         table = cached_outputs(1, 7, tmp_path)
@@ -290,15 +332,31 @@ class TestCache:
             record["sha"] = hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
             lines.append(_canonical(record))
         path.write_text("\n".join(lines) + "\n")
+        steps = build_steps(1, 7)
         before = work.gates.calls
         with pytest.warns(UserWarning, match="stale or corrupt"):
             assert cached_outputs(1, 7, tmp_path) == table
-        assert work.gates.calls - before == build_steps(1, 7) > 0
+        assert work.gates.calls - before == steps > 0
         head, _body = path.read_text().splitlines()
         assert json.loads(head)["rows"] == len(table.rows)
         before = work.gates.calls
         assert cached_outputs(1, 7, tmp_path) == table  # no warning: the new layout reads
         assert work.gates.calls == before and work.runs.calls == 0
+
+    @pytest.mark.parametrize(
+        "n, max_len, digest",
+        [
+            (2, 12, "88e9c729a5b4de9c65cf73ae0d6d2ce6aca39c5b356881732ebc1b518bc10ccd"),
+            (3, 20, "cc53a66a4927770c0d1531fcf698b019cae7882aaef41d7b83f4c3d8c8811107"),
+        ],
+    )
+    def test_cache_file_bytes_are_pinned(self, tmp_path, n, max_len, digest):
+        # the sha256 of the file as first written by the one-state-per-output
+        # layout: a change in output ids, their order or which rows share an
+        # output changes the bytes
+        cached_outputs(n, max_len, tmp_path)
+        data = cache_path(tmp_path, n, max_len).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_distinct_keys_get_distinct_files(self, tmp_path):
         cached_outputs(1, 7, tmp_path)
@@ -317,8 +375,8 @@ class TestCache:
             assert cached_outputs(1, 7, tmp_path) == table
 
     def test_cold_commands_run_each_program_once(self, tmp_path, capsys, monkeypatch, work):
-        # each command builds its table once, one step per row after the
-        # empty program, and runs no program on its own
+        # each command builds its table once, one step per distinct (parent
+        # output, last op) pair, and runs no program on its own
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         steps = build_steps(2, 12)
         for argv in (
@@ -350,10 +408,11 @@ class TestCache:
         capsys.readouterr()
 
     def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch, work):
-        # on one qubit each: the joint table steps every 2-qubit row, the y
-        # table every 1-qubit row, and the conditional table only the CALLC
-        # rows; a generator that fits in max_len is read from the y table,
-        # and only a longer one is run
+        # on one qubit each: the joint table steps each distinct (parent
+        # output, last op) pair of the 2-qubit rows, the y table that of the
+        # 1-qubit rows, and the conditional table that of the CALLC rows; a
+        # generator that fits in max_len is read from the y table, and only a
+        # longer one is run
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         max_len = 14
         rot3 = encode([ROT(0)] * 3, 1)
