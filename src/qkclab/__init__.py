@@ -63,6 +63,7 @@ from .proglang import (
     decode,
     decode_prefix,
     encode,
+    enumerate_decoded,
     enumerate_programs,
     kraft_sum,
     program_from_json,

@@ -265,7 +265,10 @@ def cmd_estimate(args) -> int:
     if args.sampled:
         if conditional is not None:
             raise UsageError("--sampled does not take a conditional program")
-        plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
+        try:
+            plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
     record = {
         "kind": "estimate",

@@ -206,10 +206,18 @@ def k_from_bound(n: int, alpha: float, epsilon: float, slack: float = 0.0) -> in
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
-    k = math.ceil(6.0 * (2 * n - math.log2(alpha) + slack) / (epsilon**2 * LOG2_E))
-    return max(1, k)
+    if not 0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
+    try:
+        k = 6.0 * (2 * n - math.log2(alpha) + slack) / (epsilon**2 * LOG2_E)
+    except (OverflowError, ZeroDivisionError):  # epsilon**2 can underflow to 0
+        k = math.inf
+    if not math.isfinite(k):
+        raise ValueError(
+            f"k is not a finite integer for n={n}, alpha={alpha}, "
+            f"epsilon={epsilon}, slack={slack}"
+        )
+    return max(1, math.ceil(k))
 
 
 @dataclass(frozen=True)

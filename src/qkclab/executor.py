@@ -26,7 +26,7 @@ from .proglang import (
     DecodedProgram,
     Program,
     decode,
-    enumerate_programs,
+    enumerate_decoded,
     program_from_json,
     program_to_json,
 )
@@ -138,11 +138,12 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
     """Every halting program's output, one step per distinct (parent output,
     last op) pair.
 
-    Dropping a program's last op leaves a shorter decodable program, which
-    comes earlier in the enumeration and halts whenever the program does; so
-    each row is its parent row's output with that op applied (the
-    conditional's gates for a CALLC), and the empty program is |0^n>.  No row
-    falls back to `run`: a parent missing from the lookup is a broken
+    Each program's gates come with it from `enumerate_decoded`, so the build
+    decodes nothing.  Dropping a program's last op leaves a shorter decodable
+    program, which comes earlier in the enumeration and halts whenever the
+    program does; so each row is its parent row's output with that op applied
+    (the conditional's gates for a CALLC), and the empty program is |0^n>.
+    No row falls back to `run`: a parent missing from the lookup is a broken
     invariant and raises AssertionError.
 
     Equal outputs are one object: every new state is interned, so a step is
@@ -152,27 +153,25 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
 
     `known` holds the outputs of a table with no conditional, which lists
     every program that halts without one; rows of equal output in it must
-    share one object.  With no conditional it is the whole table, so nothing
-    is decoded; with one, its rows seed the lookup and the interning, and
+    share one object.  With no conditional it is the whole table, so no
+    gate is applied; with one, its rows seed the lookup and the interning, and
     only the CALLC programs take a step.
     """
     _check_conditional(conditional, n)
-    programs = enumerate(enumerate_programs(max_len, n))
+    programs = enumerate(enumerate_decoded(max_len, n))
     if known is not None and conditional is None:
-        rows = [(idx, prog, known[prog]) for idx, prog in programs if prog in known]
+        rows = [(idx, prog, known[prog]) for idx, (prog, _gates) in programs if prog in known]
         return CandidateTable(n, max_len, conditional, tuple(rows))
     known = known or {}
     interned: dict = {}  # state -> its one object
     for out in {id(out): out for out in known.values()}.values():
         interned.setdefault(out, out)
-    outputs: dict = {}  # decoded gate tuple -> output
+    outputs: dict = {}  # gate tuple -> output
     steps: dict = {}  # (id(parent output), last op) -> output
     rows = []
-    for idx, prog in programs:
-        decoded = decode(prog.bits, n)  # every enumerated program decodes
-        if decoded.has_call and conditional is None:
+    for idx, (prog, gates) in programs:
+        if conditional is None and CALLC in map(type, gates):
             continue
-        gates = decoded.gates
         out = known.get(prog)
         if out is None and not gates:
             out = zero_state(n)
@@ -269,7 +268,7 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
     (encoding version, n, max_len): a header line with the body's sha256,
     and a body that stores each distinct output once and one row per halting
     program, in enumeration order, pointing to its output.  Enumeration
-    indices are never stored; a read takes them from `enumerate_programs`.
+    indices are never stored; a read takes them from the enumeration.
     A valid file lists every halting program, so a warm read applies no
     gate.  A file that fails any check of `_read_cache` (layout, version,
     bound, counts, hash, exact unit norm, n, output ids) is recomputed with

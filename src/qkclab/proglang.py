@@ -49,7 +49,7 @@ class Program:
     bits: str
 
     def __post_init__(self):
-        if any(b not in "01" for b in self.bits):
+        if self.bits.strip("01"):
             raise ValueError(f"not a bit string: {self.bits!r}")
 
     @property
@@ -185,37 +185,46 @@ def _op_alphabet(n: int) -> list[tuple[str, Op]]:
     return [(_op_bits(op, n), op) for op in ops]
 
 
-def _sequences(alphabet, k: int, budget: int) -> Iterator[str]:
+def _sequences(alphabet, k: int, budget: int) -> Iterator[tuple[str, tuple[Op, ...]]]:
     # Narrowest field is a bare opcode, which prunes the recursion early.
     if k == 0:
-        yield ""
+        yield "", ()
         return
-    for bits, _op in alphabet:
+    for bits, op in alphabet:
         rest = budget - len(bits)
         if rest < OPCODE_WIDTH * (k - 1):
             continue
-        for tail in _sequences(alphabet, k - 1, rest):
-            yield bits + tail
+        for tail, ops in _sequences(alphabet, k - 1, rest):
+            yield bits + tail, (op,) + ops
 
 
-def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:
+def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op, ...]]]:
     """All decodable programs of length <= max_len, ordered by (length, then
-    numeric value of the bits).  Deterministic and platform-independent.
+    numeric value of the bits), each with its gate tuple: the gates
+    `decode(program.bits, n)` would return, kept from building the bits, so
+    nothing is decoded.  Deterministic and platform-independent.
     """
     if max_len < 1:
         return
     alphabet = _op_alphabet(n)
-    programs: list[Program] = []
+    programs: list[tuple[Program, tuple[Op, ...]]] = []
     k = 0
     while True:
         header = gamma_encode(k + 1)
         if len(header) + OPCODE_WIDTH * k > max_len:
             break  # header length and minimum body both grow with k
-        for body in _sequences(alphabet, k, max_len - len(header)):
-            programs.append(Program(header + body))
+        for body, gates in _sequences(alphabet, k, max_len - len(header)):
+            programs.append((Program(header + body), gates))
         k += 1
-    programs.sort(key=lambda p: (p.length, p.value))
+    programs.sort(key=lambda pg: (pg[0].length, pg[0].value))
     yield from programs
+
+
+def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:
+    """The programs of `enumerate_decoded`, in its order, without their
+    gates."""
+    for program, _gates in enumerate_decoded(max_len, n):
+        yield program
 
 
 def verify_prefix_free(max_len: int, n: int, decodes=None) -> bool:

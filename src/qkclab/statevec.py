@@ -129,6 +129,15 @@ def operands(op) -> tuple[int, ...]:
 # States
 # ---------------------------------------------------------------------------
 
+def _norm_sq_ints(amps) -> tuple[int, int]:
+    """The sum of |a|^2 over `amps` as (total, D^2) in plain ints, so that
+    the sum is exactly total / D^2: D is the lcm of every amplitude part's
+    denominator, and each part num/den is num * (D/den) / D."""
+    parts = [(x.numerator, x.denominator) for a in amps for x in (a.re, a.im)]
+    d = math.lcm(*[den for _num, den in parts])
+    return sum((num * (d // den)) ** 2 for num, den in parts), d * d
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit vector of 2^n_qubits Gaussian-rational amplitudes.
@@ -147,11 +156,12 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.n_qubits} amplitudes, got {len(self.amps)}"
             )
-        if self.norm_sq() != 1:
+        total, scale = _norm_sq_ints(self.amps)
+        if total != scale:
             raise ValueError("state is not exactly unit norm")
 
     def norm_sq(self) -> Fraction:
-        return sum((a.abs2() for a in self.amps), Fraction(0))
+        return Fraction(*_norm_sq_ints(self.amps))
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,9 @@ enumerate-then-simulate path every estimator ran on its own before the
 candidate table, as the reference the table path must reproduce exactly.
 They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
-per-opcode decoder that the table-driven one replaced, and reference_firsts
-the value-keyed scan that `CandidateTable.firsts` replaced.  Counted wraps a
+per-opcode decoder that the table-driven one replaced, reference_firsts the
+value-keyed scan that `CandidateTable.firsts` replaced, and reference_norm_sq
+the Fraction sum that the integer unit-norm check replaced.  Counted wraps a
 function to count its calls, for the tests that check how much work a path
 does.
 """
@@ -238,6 +239,12 @@ def reference_op_fields(n):
     fields += [("010" + idx(t), ROT(t)) for t in range(n)]
     fields += [("011" + idx(t), PHASE(t)) for t in range(n)]
     return fields + [("100", CALLC())]
+
+
+def reference_norm_sq(amps):
+    """Sum of |a|^2, one Fraction operation per term: the sum that the
+    integer unit-norm check over one common denominator replaced."""
+    return sum((a.abs2() for a in amps), Fraction(0))
 
 
 class Counted:

@@ -301,6 +301,19 @@ class TestConfig:
         assert out1 == out2
 
 
+# k = ceil(6 (2n - log2 alpha + slack) / (epsilon^2 log2 e)) is no finite
+# integer: epsilon^2 underflows to 0, or slack is not a finite number
+K_NOT_FINITE = {
+    "kplan-epsilon-underflow": ["kplan", "--n", "2", "--epsilon", "1e-200"],
+    "sampled-epsilon-underflow": [
+        "estimate", "--classical", "00", "--n", "2", "--sampled", "--epsilon", "1e-200",
+        "--max-len", "4",
+    ],
+    "kplan-slack-inf": ["kplan", "--slack", "inf"],
+    "kplan-slack-nan": ["kplan", "--slack", "nan"],
+}
+
+
 class TestExitCodes:
     """Exit 2 means the input was wrong; a fault inside a command surfaces."""
 
@@ -318,17 +331,28 @@ class TestExitCodes:
             ["estimate", "--classical", "0", "--n", "1", "--max-len", "4", "--epsilon", "0.5"],
             ["estimate", "--classical", "0", "--n", "1", "--max-len", "0"],
             ["census", "--n", "1", "--c", "1", "--max-len", "-3"],
+            ["decode", "--bits", "0 1", "--n", "1"],
+            *K_NOT_FINITE.values(),
         ],
         ids=[
             "classical-not-bits", "sampled-alpha", "census-negative-c",
             "decode-not-bits", "decode-no-input", "subadd-zero-qubits",
             "subadd-unequal-widths", "exact-alpha", "exact-epsilon",
-            "estimate-zero-max-len", "census-negative-max-len",
+            "estimate-zero-max-len", "census-negative-max-len", "decode-inner-space",
+            *K_NOT_FINITE,
         ],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
         rc, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", K_NOT_FINITE.values(), ids=K_NOT_FINITE)
+    def test_a_k_that_is_not_a_finite_integer_names_the_bad_value(
+        self, capsys, tmp_path, argv
+    ):
+        rc = main([*argv, "--out-dir", str(tmp_path)])
+        bad = argv[argv.index("--slack" if "--slack" in argv else "--epsilon") + 1]
+        assert rc == 2 and f"{float(bad)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

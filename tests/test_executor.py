@@ -23,6 +23,7 @@ from qkclab import (
     candidate_table,
     decode,
     encode,
+    enumerate_decoded,
     enumerate_programs,
     program_to_json,
     run,
@@ -30,7 +31,7 @@ from qkclab import (
     state_to_json,
     zero_state,
 )
-from qkclab import census, cli, executor
+from qkclab import census, cli, executor, proglang
 from qkclab.cli import CACHE_ENV_VAR, main
 from qkclab.executor import _build_table, _canonical, cache_path
 
@@ -221,13 +222,21 @@ class TestBuildTable:
         assert work.gates.calls - before == expected[2]
         assert work.runs.calls == 0
 
+    def test_a_cold_build_decodes_nothing(self, monkeypatch):
+        # the gates come with each program from the enumeration
+        decodes = Counted(proglang.decode)
+        for module in (proglang, executor):
+            monkeypatch.setattr(module, "decode", decodes)
+        table = _build_table(3, 20)
+        assert decodes.calls == 0 and len(table.rows) == 970
+
     def test_a_missing_parent_row_is_an_internal_error(self, monkeypatch):
         # an enumeration that lost the empty program's child X(0): its own
         # children have no parent row, and the build must not run them instead
         lost = encode([X(0)], 1)
-        programs = [p for p in enumerate_programs(11, 1) if p != lost]
-        assert encode([X(0), X(0)], 1) in programs
-        monkeypatch.setattr(executor, "enumerate_programs", lambda max_len, n: iter(programs))
+        programs = [(p, gates) for p, gates in enumerate_decoded(11, 1) if p != lost]
+        assert (encode([X(0), X(0)], 1), (X(0), X(0))) in programs
+        monkeypatch.setattr(executor, "enumerate_decoded", lambda max_len, n: iter(programs))
         with pytest.raises(AssertionError, match="parent"):
             _build_table(1, 11)
 

@@ -12,6 +12,7 @@ from qkclab import (
     decode,
     decode_prefix,
     encode,
+    enumerate_decoded,
     enumerate_programs,
     kraft_sum,
     program_from_json,
@@ -148,6 +149,12 @@ class TestEnumerate:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 16)])
+    def test_decoded_enumeration_carries_each_programs_gates(self, n, max_len):
+        pairs = list(enumerate_decoded(max_len, n))
+        assert all(decode(prog.bits, n).gates == gates for prog, gates in pairs)
+        assert [prog for prog, _gates in pairs] == list(enumerate_programs(max_len, n))
+
     def test_enumeration_is_reproducible(self):
         a = [p.bits for p in enumerate_programs(13, 3)]
         b = [p.bits for p in enumerate_programs(13, 3)]
@@ -183,6 +190,18 @@ class TestKraft:
             Fraction(1, 1 << len(bits)) for bits in brute_force_decodables(12, 2)
         )
         assert kraft_sum(12, 2) == total
+
+
+class TestProgram:
+    def test_bit_strings_accepted(self):
+        for bits in ("", "0", "1", "0100000"):
+            assert Program(bits).bits == bits
+
+    @pytest.mark.parametrize("bits", ["10x1", "0 1", "01\n", " 01", "0\uff121", "012", "2"])
+    def test_any_other_character_rejected(self, bits):
+        # inner, trailing, leading, full-width and out-of-range characters
+        with pytest.raises(ValueError, match="not a bit string"):
+            Program(bits)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkclab import (
     CNOT,
@@ -11,6 +12,7 @@ from qkclab import (
     ROT,
     X,
     Basis,
+    GaussianRational,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -30,9 +32,9 @@ from qkclab import (
     zero_state,
 )
 from qkclab.proglang import CALLC, _op_alphabet
-from qkclab.statevec import ROT_COS, ROT_SIN
+from qkclab.statevec import ROT_COS, ROT_SIN, _norm_sq_ints
 
-from oracles import mat2_mul, random_gate
+from oracles import mat2_mul, random_fraction, random_gate, reference_norm_sq
 
 F = Fraction
 
@@ -276,6 +278,89 @@ class TestRandomState:
         b = random_state(3, Random(99))
         assert a == b
         assert a.norm_sq() == 1
+
+
+def signed_fraction(rng):
+    f = random_fraction(rng)
+    return -f if rng.random() < 0.5 else f
+
+
+def unit_parts(rng, m):
+    """m + 1 rationals whose squares sum to exactly 1: the inverse
+    stereographic image (2v, |v|^2 - 1) / (|v|^2 + 1) of m random ones."""
+    v = [signed_fraction(rng) for _ in range(m)]
+    s = sum(x * x for x in v)
+    return [2 * x / (s + 1) for x in v] + [(s - 1) / (s + 1)]
+
+
+@st.composite
+def amplitude_tuples(draw):
+    """(n, amps): 2^n random Gaussian-rational amplitudes, of unit norm or
+    not, with whole parts as plain ints or not."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    m = 2 << n  # real and imaginary parts
+    if draw(st.booleans()):
+        parts = unit_parts(rng, m - 1)
+        rng.shuffle(parts)
+    else:
+        parts = [signed_fraction(rng) for _ in range(m)]
+    if draw(st.booleans()):
+        parts = [int(x) if x.denominator == 1 else x for x in parts]
+    return n, tuple(map(GaussianRational, parts[::2], parts[1::2]))
+
+
+def assert_accepted_exactly_when_unit(n, amps):
+    """The integer sum equals the Fraction sum, and StateVector takes the
+    amplitudes exactly when that sum is 1."""
+    reference = reference_norm_sq(amps)
+    assert Fraction(*_norm_sq_ints(amps)) == reference
+    if reference == 1:
+        assert StateVector(n, amps).norm_sq() == 1
+    else:
+        with pytest.raises(ValueError, match="unit norm"):
+            StateVector(n, amps)
+
+
+class TestUnitNorm:
+    """The unit-norm check sums over one common denominator in ints; the
+    Fraction sum it replaced (oracles.py) is the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(amplitude_tuples())
+    def test_integer_sum_matches_the_fraction_sum(self, case):
+        assert_accepted_exactly_when_unit(*case)
+
+    def test_random_states_off_powers_of_five(self):
+        states = [random_state(n, Random(seed)) for n in (1, 2, 3) for seed in range(20)]
+        dens = {x.denominator for s in states for a in s.amps for x in (a.re, a.im)}
+        assert any(den > 1 and den % 5 for den in dens)  # Pythagorean, not 5^r
+        for s in states:
+            assert_accepted_exactly_when_unit(s.n_qubits, s.amps)
+
+    def test_one_part_in_five_to_the_thirty_off_unit_is_rejected(self):
+        tiny = F(1, 5**15)
+        assert_accepted_exactly_when_unit(1, (gr(1), gr(0, tiny)))
+        assert reference_norm_sq((gr(1), gr(0, tiny))) == 1 + F(1, 5**30)
+        # a machine state over 5^r, one part nudged by 5^-30
+        s = apply_circuit(zero_state(2), [ROT(0), ROT(1), PHASE(0), ROT(0)])
+        amps = (gr(s.amps[0].re + tiny**2, s.amps[0].im),) + s.amps[1:]
+        assert_accepted_exactly_when_unit(2, s.amps)
+        assert_accepted_exactly_when_unit(2, amps)
+        record = state_to_json(s)  # and read back, as from a cache file
+        record["amps"][0][:2] = [str(amps[0].re.numerator), str(amps[0].re.denominator)]
+        with pytest.raises(ValueError, match="unit norm"):
+            state_from_json(record)
+
+    def test_int_parts(self):
+        for n, amps in [
+            (1, (GaussianRational(0, 1), GaussianRational(0, 0))),
+            (1, (GaussianRational(F(3, 5), 0), GaussianRational(0, F(-4, 5)))),
+            (1, (GaussianRational(1, 0), GaussianRational(0, -1))),
+            (2, (GaussianRational(-1, 0),) + (GaussianRational(0, 0),) * 3),
+            (2, (GaussianRational(1, 1),) + (GaussianRational(0, 0),) * 3),
+        ]:
+            assert_accepted_exactly_when_unit(n, amps)
 
 
 class TestSerialization:
