@@ -52,7 +52,6 @@ from .executor import (
     cached_outputs,
     candidate_table,
     run,
-    simulation_count,
 )
 from .proglang import (
     CALLC,

@@ -348,8 +348,8 @@ def subadditivity_report(
 
     The run is conclusive only when the product-style joint description fits
     inside max_len; a too-small bound is reported as inconclusive, never as a
-    failed inequality.  The conditional table for x is built from y's, so
-    the two widths must be equal.
+    failed inequality.  The conditional p_y runs on x's register, so the
+    two widths must be equal.
     """
     if n_x != n_y:
         raise ValueError(f"n_x and n_y must be equal, got {n_x} and {n_y}")
@@ -363,8 +363,7 @@ def subadditivity_report(
     )
     n = n_x + n_y
     joint_target = tensor(x, y)
-    # x's conditional table reuses y's outputs and steps only the CALLC programs
-    x_table = y_table.with_conditional(dy)
+    x_table = candidate_table(n_x, max_len, dy)
     joint_table = candidate_table(n, max_len, cache_dir=cache_dir)
     joint = exact_estimate(joint_target, n, max_len, outputs=joint_table)
     cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=x_table)

@@ -1,6 +1,7 @@
 """Runs decoded programs from |0...0>, and builds the candidate table every
 estimator scans, one gate step per distinct (parent output, last op) pair,
-with its persistent cache.
+with its persistent cache: the file stores the table's rows as they are, so
+a warm read neither enumerates nor applies a gate.
 
 Every decodable program here is straight-line and halts; decode failures play
 the role of non-halting computations.  Scanning the table in enumeration
@@ -32,15 +33,6 @@ from .proglang import (
 )
 from .statevec import StateVector, apply_gate, state_from_json, state_to_json, zero_state
 
-_sim_count = 0
-
-
-def simulation_count() -> int:
-    """How many programs have been executed by run() in this process.  The
-    candidate table is built by stepping parent rows, not by run(), so
-    building it leaves this count unchanged."""
-    return _sim_count
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -71,8 +63,6 @@ def run(
     Decode failures -- including a CALLC with no conditional supplied -- yield
     no output; they contribute nothing to any minimum downstream.
     """
-    global _sim_count
-    _sim_count += 1
     _check_conditional(conditional, n)
     decoded = decode(program.bits, n)
     if decoded is None or (decoded.has_call and conditional is None):
@@ -125,16 +115,8 @@ class CandidateTable:
             )
         return self
 
-    def with_conditional(self, conditional: DecodedProgram) -> "CandidateTable":
-        """The table for the same (n, max_len) with `conditional`, built from
-        this table with no conditional: its rows seed the parent lookup, so
-        only the CALLC programs step from their parent rows."""
-        self.check(self.n, self.max_len)
-        known = {p: out for _i, p, out in self.rows}
-        return _build_table(self.n, self.max_len, conditional, known)
 
-
-def _build_table(n: int, max_len: int, conditional=None, known=None) -> CandidateTable:
+def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
     """Every halting program's output, one step per distinct (parent output,
     last op) pair.
 
@@ -150,33 +132,19 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
     memoized by (id of the parent output, last op), and rows that reach one
     state by different routes share it.  Programs collapse onto few states,
     so most rows reuse a step (969 rows take 348 steps at n=3, max_len=20).
-
-    `known` holds the outputs of a table with no conditional, which lists
-    every program that halts without one; rows of equal output in it must
-    share one object.  With no conditional it is the whole table, so no
-    gate is applied; with one, its rows seed the lookup and the interning, and
-    only the CALLC programs take a step.
     """
     _check_conditional(conditional, n)
-    programs = enumerate(enumerate_decoded(max_len, n))
-    if known is not None and conditional is None:
-        rows = [(idx, prog, known[prog]) for idx, (prog, _gates) in programs if prog in known]
-        return CandidateTable(n, max_len, conditional, tuple(rows))
-    known = known or {}
     interned: dict = {}  # state -> its one object
-    for out in {id(out): out for out in known.values()}.values():
-        interned.setdefault(out, out)
     outputs: dict = {}  # gate tuple -> output
     steps: dict = {}  # (id(parent output), last op) -> output
     rows = []
-    for idx, (prog, gates) in programs:
+    for idx, (prog, gates) in enumerate(enumerate_decoded(max_len, n)):
         if conditional is None and CALLC in map(type, gates):
             continue
-        out = known.get(prog)
-        if out is None and not gates:
+        if not gates:
             out = zero_state(n)
             out = interned.setdefault(out, out)
-        elif out is None:
+        else:
             parent = outputs.get(gates[:-1])
             if parent is None:
                 raise AssertionError(f"program {prog} has no earlier parent row")
@@ -195,11 +163,10 @@ def _build_table(n: int, max_len: int, conditional=None, known=None) -> Candidat
 def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:
     """The table a command builds once and scores every target against.  With
     a cache_dir, the table with no conditional is read from or written to the
-    cache; a conditional table reuses it and steps only the CALLC programs."""
-    if cache_dir is None:
+    cache; a table with a conditional is always built fresh and never cached."""
+    if cache_dir is None or conditional is not None:
         return _build_table(n, max_len, conditional)
-    table = cached_outputs(n, max_len, cache_dir)
-    return table if conditional is None else table.with_conditional(conditional)
+    return cached_outputs(n, max_len, cache_dir)
 
 
 def _canonical(obj) -> str:
@@ -212,7 +179,7 @@ def _sha(text: str) -> str:
 
 def _header(n: int, max_len: int, rows: int, outputs: int, sha: str) -> dict:
     return {
-        "format": "outputs+rows",
+        "format": "outputs+indexed-rows",
         "version": ENCODING_VERSION,
         "n": n,
         "max_len": max_len,
@@ -226,18 +193,19 @@ def cache_path(cache_dir, n: int, max_len: int) -> Path:
     return Path(cache_dir) / f"outputs-{ENCODING_VERSION}-n{n}-len{max_len}.jsonl"
 
 
-def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
-    """The file's {program: output}, or None if it is stale or does not parse.
+def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
+    """The table stored in the file, or None if it is stale or does not parse.
 
     The file is a header line and a body line.  The header must equal
     `_header` for this (n, max_len), with the sha256 of the body text; the
-    body is {"outputs": [state, ...], "rows": [[program, output id], ...]},
-    each distinct output stored once.  Each state is parsed once, which runs
-    the exact unit-norm check, and must be on n qubits; every output id must
-    index `outputs`, so rows of equal output share one StateVector, and no
-    state may repeat, so rows of unequal id have unequal outputs.  The
-    header's row and output counts must match the body.  A file in any other
-    layout, the older one record per line included, is stale.
+    body is {"outputs": [state, ...], "rows": [[index, program, output id],
+    ...]}, each distinct output stored once.  Each state is parsed once,
+    which runs the exact unit-norm check, and must be on n qubits; every
+    output id must index `outputs`, so rows of equal output share one
+    StateVector, and no state may repeat, so rows of unequal id have unequal
+    outputs.  Each index must be an int, at least 0 and larger than the one
+    before.  The header's row and output counts must match the body.  A file
+    in any other layout, the older ones included, is stale.
 
     Only I/O and parse errors mean a bad file; any other exception is a bug
     and propagates."""
@@ -248,17 +216,18 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[dict]:
             return None
         data = json.loads(body)
         outputs = [state_from_json(obj) for obj in data["outputs"]]
-        rows = data["rows"]
-        if (len(rows), len(outputs)) != (head["rows"], head["outputs"]):
+        if (len(data["rows"]), len(outputs)) != (head["rows"], head["outputs"]):
             return None
         if any(out.n_qubits != n for out in outputs) or len(set(outputs)) != len(outputs):
             return None
-        known = {}
-        for prog, out_id in rows:
-            if not 0 <= out_id < len(outputs):
+        rows = []
+        last = -1
+        for idx, prog, out_id in data["rows"]:
+            if type(idx) is not int or idx <= last or not 0 <= out_id < len(outputs):
                 return None
-            known[program_from_json(prog)] = outputs[out_id]
-        return known
+            rows.append((idx, program_from_json(prog), outputs[out_id]))
+            last = idx
+        return CandidateTable(n, max_len, None, tuple(rows))
     except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
 
@@ -267,22 +236,21 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
     """The candidate table with no conditional, persisted as one file per
     (encoding version, n, max_len): a header line with the body's sha256,
     and a body that stores each distinct output once and one row per halting
-    program, in enumeration order, pointing to its output.  Enumeration
-    indices are never stored; a read takes them from the enumeration.
-    A valid file lists every halting program, so a warm read applies no
-    gate.  A file that fails any check of `_read_cache` (layout, version,
-    bound, counts, hash, exact unit norm, n, output ids) is recomputed with
-    a warning and rewritten."""
+    program, in enumeration order, with its enumeration index and a pointer
+    to its output.  A warm read returns the table as stored: it neither
+    enumerates nor applies a gate.  A file that fails any check of
+    `_read_cache` (layout, version, bound, counts, hash, exact unit norm, n,
+    indices, output ids) is recomputed with a warning and rewritten."""
     path = cache_path(cache_dir, n, max_len)
     if path.exists():
-        known = _read_cache(path, n, max_len)
-        if known is not None:
-            return _build_table(n, max_len, known=known)
+        table = _read_cache(path, n, max_len)
+        if table is not None:
+            return table
         warnings.warn(f"cache file {path} is stale or corrupt; recomputing")
     table = _build_table(n, max_len)
     outputs = [out for _i, _p, out in table.firsts]
     ids = {id(out): k for k, out in enumerate(outputs)}  # in first-occurrence order
-    rows = [[program_to_json(prog), ids[id(out)]] for _i, prog, out in table.rows]
+    rows = [[idx, program_to_json(prog), ids[id(out)]] for idx, prog, out in table.rows]
     body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": rows})
     header = _canonical(_header(n, max_len, len(rows), len(outputs), _sha(body)))
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -133,7 +133,10 @@ def _norm_sq_ints(amps) -> tuple[int, int]:
     """The sum of |a|^2 over `amps` as (total, D^2) in plain ints, so that
     the sum is exactly total / D^2: D is the lcm of every amplitude part's
     denominator, and each part num/den is num * (D/den) / D."""
-    parts = [(x.numerator, x.denominator) for a in amps for x in (a.re, a.im)]
+    try:
+        parts = [(x.numerator, x.denominator) for a in amps for x in (a.re, a.im)]
+    except AttributeError:
+        raise TypeError(f"amplitude parts must be exact rationals, got {amps!r}") from None
     d = math.lcm(*[den for _num, den in parts])
     return sum((num * (d // den)) ** 2 for num, den in parts), d * d
 

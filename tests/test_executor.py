@@ -27,7 +27,6 @@ from qkclab import (
     enumerate_programs,
     program_to_json,
     run,
-    simulation_count,
     state_to_json,
     zero_state,
 )
@@ -61,21 +60,16 @@ def run_rows(n, max_len, conditional=None):
     ]
 
 
-def build_steps(n, max_len, conditional=None, from_known=False):
+def build_steps(n, max_len, conditional=None):
     """Gate applications of a table build, derived from running each program
     alone: one step per distinct (parent output, last op) pair, the parent
     being the program minus its last op, and len(conditional.gates) for a
-    pair whose op is CALLC.  Built from a known table with no conditional,
-    only the CALLC rows take steps.  Call it before counting: it runs every
-    program through the counted gate."""
+    pair whose op is CALLC.  Call it before counting: it runs every program
+    through the counted gate."""
     outputs = {
         decode(prog.bits, n).gates: out for _idx, prog, out in run_rows(n, max_len, conditional)
     }
-    pairs = {
-        (outputs[gates[:-1]], gates[-1])
-        for gates in outputs
-        if gates and (not from_known or CALLC() in gates)
-    }
+    pairs = {(outputs[gates[:-1]], gates[-1]) for gates in outputs if gates}
     return sum(len(conditional.gates) if op == CALLC() else 1 for _parent, op in pairs)
 
 
@@ -88,6 +82,40 @@ def write_with_hash(path, data):
     path.write_text(_canonical(header) + "\n" + body + "\n")
 
 
+def old_layout_file(table, layout):
+    """The text of `table` in an older cache layout, valid in that layout."""
+    if layout == "per-record":
+        # a header line, then one record per halting program with its full
+        # output and a sha over the record
+        header = {"version": ENCODING_VERSION, "n": table.n, "max_len": table.max_len,
+                  "records": len(table.rows)}
+        lines = [_canonical(header)]
+        for _idx, prog, out in table.rows:
+            record = {"program": program_to_json(prog), "output": state_to_json(out)}
+            record["sha"] = hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
+            lines.append(_canonical(record))
+    elif layout == "outputs+rows":
+        # each distinct output once, and rows of [program, output id] with no
+        # index, which a read took from the enumeration
+        outputs = [out for _i, _p, out in table.firsts]
+        ids = {id(out): k for k, out in enumerate(outputs)}
+        rows = [[program_to_json(prog), ids[id(out)]] for _i, prog, out in table.rows]
+        body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": rows})
+        header = {
+            "format": "outputs+rows",
+            "version": ENCODING_VERSION,
+            "n": table.n,
+            "max_len": table.max_len,
+            "rows": len(rows),
+            "outputs": len(outputs),
+            "sha256": hashlib.sha256(body.encode("ascii")).hexdigest(),
+        }
+        lines = [_canonical(header), body]
+    else:
+        raise ValueError(layout)
+    return "\n".join(lines) + "\n"
+
+
 def break_body(data, fault):
     """One fault in a parsed cache body that its hash cannot reveal."""
     if fault == "non-unit-norm":
@@ -95,9 +123,15 @@ def break_body(data, fault):
     elif fault == "wrong-n":
         data["outputs"][0] = state_to_json(zero_state(2))
     elif fault == "id-past-end":
-        data["rows"][-1][1] = len(data["outputs"])
+        data["rows"][-1][2] = len(data["outputs"])
     elif fault == "negative-id":
-        data["rows"][-1][1] = -1
+        data["rows"][-1][2] = -1
+    elif fault == "index-not-increasing":
+        data["rows"][-1][0] = data["rows"][-2][0]
+    elif fault == "negative-index":
+        data["rows"][0][0] = -1
+    elif fault == "float-index":
+        data["rows"][-1][0] += 0.5
     elif fault == "lost-row":
         data["rows"].pop()
     elif fault == "duplicate-output":
@@ -165,23 +199,20 @@ class TestBuildTable:
     running its program alone."""
 
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 18)])
-    def test_rows_equal_running_each_program(self, n, max_len):
-        sims = simulation_count()
+    def test_rows_equal_running_each_program(self, n, max_len, work):
         table = _build_table(n, max_len)
-        assert simulation_count() == sims  # the build runs no program
+        assert work.runs.calls == 0  # the build runs no program
         assert list(table.rows) == run_rows(n, max_len)
 
     @pytest.mark.parametrize("n, max_len", [(1, 14), (2, 12)])
     def test_rows_equal_running_each_program_with_every_short_conditional(
         self, n, max_len, tmp_path
     ):
-        cached = cached_outputs(n, max_len, tmp_path)
-        warm = cached_outputs(n, max_len, tmp_path)
         for conditional in short_conditionals(n):
             expected = run_rows(n, max_len, conditional)
             assert list(_build_table(n, max_len, conditional).rows) == expected
-            assert list(cached.with_conditional(conditional).rows) == expected
-            assert list(warm.with_conditional(conditional).rows) == expected
+            assert list(candidate_table(n, max_len, conditional, tmp_path).rows) == expected
+        assert list(tmp_path.iterdir()) == []  # a conditional table is never cached
 
     @pytest.mark.parametrize(
         "n, max_len, depth", [(1, 14, 2), (2, 12, 2), (3, 14, 2), (4, 14, 1)]
@@ -189,14 +220,13 @@ class TestBuildTable:
     def test_equal_outputs_are_one_object_and_firsts_match_the_reference(
         self, n, max_len, depth, tmp_path
     ):
-        # cold build, warm read, and each built on to every short conditional
+        # cold build, warm read, and a table for every short conditional
         # (two gates would be 601 conditionals at n=4, so one there)
         cold = cached_outputs(n, max_len, tmp_path)
         warm = cached_outputs(n, max_len, tmp_path)
         tables = [cold, warm] + [
-            table.with_conditional(conditional)
+            candidate_table(n, max_len, conditional, tmp_path)
             for conditional in short_conditionals(n, depth)
-            for table in (cold, warm)
         ]
         assert any(len(t.firsts) < len(t.rows) for t in tables)
         for table in tables:
@@ -206,20 +236,13 @@ class TestBuildTable:
 
     def test_gate_applications_are_one_step_per_distinct_parent_output_and_op(self, work):
         conditional = conditional_of([X(0), ROT(1)], 2)
-        expected = (
-            build_steps(2, 14),
-            build_steps(2, 14, conditional, from_known=True),
-            build_steps(2, 14, conditional),
-        )
+        expected = build_steps(2, 14), build_steps(2, 14, conditional)
         before = work.gates.calls
         table = _build_table(2, 14)
         assert work.gates.calls - before == expected[0] < len(table.rows) - 1
         before = work.gates.calls
-        table.with_conditional(conditional)
-        assert work.gates.calls - before == expected[1]
-        before = work.gates.calls
         _build_table(2, 14, conditional)
-        assert work.gates.calls - before == expected[2]
+        assert work.gates.calls - before == expected[1]
         assert work.runs.calls == 0
 
     def test_a_cold_build_decodes_nothing(self, monkeypatch):
@@ -276,7 +299,7 @@ class TestCache:
         # point the last row at another stored output, a field the reader
         # uses; every other check passes, so only the body's hash catches it
         data = json.loads(body)
-        data["rows"][-1][1] = (data["rows"][-1][1] + 1) % len(data["outputs"])
+        data["rows"][-1][2] = (data["rows"][-1][2] + 1) % len(data["outputs"])
         path.write_text(header + "\n" + _canonical(data) + "\n")
         with pytest.warns(UserWarning):
             recomputed = cached_outputs(1, 7, tmp_path)
@@ -291,7 +314,17 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "fault",
-        ["non-unit-norm", "wrong-n", "id-past-end", "negative-id", "lost-row", "duplicate-output"],
+        [
+            "non-unit-norm",
+            "wrong-n",
+            "id-past-end",
+            "negative-id",
+            "lost-row",
+            "duplicate-output",
+            "index-not-increasing",
+            "negative-index",
+            "float-index",
+        ],
     )
     def test_bad_body_with_a_matching_hash_forces_recompute(self, tmp_path, fault):
         table = cached_outputs(1, 7, tmp_path)
@@ -308,8 +341,12 @@ class TestCache:
         before = work.gates.calls
         parses = Counted(executor.state_from_json)
         monkeypatch.setattr(executor, "state_from_json", parses)
+        enumerations = Counted(executor.enumerate_decoded)
+        monkeypatch.setattr(executor, "enumerate_decoded", enumerations)
         warm = cached_outputs(3, 20, tmp_path)
         assert parses.calls == len(cold.firsts) < len(cold.rows)
+        assert enumerations.calls == 0  # the indices are read, not enumerated
+        assert (warm.scanned, warm.rows, warm.firsts) == (cold.scanned, cold.rows, cold.firsts)
         assert warm == cold
         assert work.gates.calls == before and work.runs.calls == 0
         shared = {}
@@ -330,23 +367,23 @@ class TestCache:
                 cached_outputs(1, 7, tmp_path)
 
     def test_old_per_record_file_is_recomputed_once_and_rewritten(self, tmp_path, work):
-        # the older layout: a header line, then one record per halting
-        # program with its full output and a sha over the record
+        self.check_old_file_is_recomputed_once_and_rewritten(tmp_path, work, "per-record")
+
+    def test_old_outputs_rows_file_is_recomputed_once_and_rewritten(self, tmp_path, work):
+        self.check_old_file_is_recomputed_once_and_rewritten(tmp_path, work, "outputs+rows")
+
+    @staticmethod
+    def check_old_file_is_recomputed_once_and_rewritten(tmp_path, work, layout):
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
-        header = {"version": ENCODING_VERSION, "n": 1, "max_len": 7, "records": len(table.rows)}
-        lines = [_canonical(header)]
-        for _idx, prog, out in table.rows:
-            record = {"program": program_to_json(prog), "output": state_to_json(out)}
-            record["sha"] = hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
-            lines.append(_canonical(record))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(old_layout_file(table, layout))
         steps = build_steps(1, 7)
         before = work.gates.calls
         with pytest.warns(UserWarning, match="stale or corrupt"):
             assert cached_outputs(1, 7, tmp_path) == table
         assert work.gates.calls - before == steps > 0
         head, _body = path.read_text().splitlines()
+        assert json.loads(head)["format"] == "outputs+indexed-rows"
         assert json.loads(head)["rows"] == len(table.rows)
         before = work.gates.calls
         assert cached_outputs(1, 7, tmp_path) == table  # no warning: the new layout reads
@@ -355,13 +392,13 @@ class TestCache:
     @pytest.mark.parametrize(
         "n, max_len, digest",
         [
-            (2, 12, "88e9c729a5b4de9c65cf73ae0d6d2ce6aca39c5b356881732ebc1b518bc10ccd"),
-            (3, 20, "cc53a66a4927770c0d1531fcf698b019cae7882aaef41d7b83f4c3d8c8811107"),
+            (2, 12, "45c148c61b9731a781bcadbda8765e8fcd89f9cdf56d5b16da9af88edf5aa7ff"),
+            (3, 20, "0dad26bac4b3bc6dc9703c11b26c2fb119f6c525621bdec636686c65e3e78512"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, n, max_len, digest):
-        # the sha256 of the file as first written by the one-state-per-output
-        # layout: a change in output ids, their order or which rows share an
+        # the sha256 of the file as first written by the indexed-row layout:
+        # a change in indices, output ids, their order or which rows share an
         # output changes the bytes
         cached_outputs(n, max_len, tmp_path)
         data = cache_path(tmp_path, n, max_len).read_bytes()
@@ -419,9 +456,9 @@ class TestCache:
     def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch, work):
         # on one qubit each: the joint table steps each distinct (parent
         # output, last op) pair of the 2-qubit rows, the y table that of the
-        # 1-qubit rows, and the conditional table that of the CALLC rows; a
-        # generator that fits in max_len is read from the y table, and only a
-        # longer one is run
+        # 1-qubit rows, and the conditional table, never cached, that of the
+        # 1-qubit rows with the CALLC rows; a generator that fits in max_len
+        # is read from the y table, and only a longer one is run
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         max_len = 14
         rot3 = encode([ROT(0)] * 3, 1)
@@ -435,7 +472,7 @@ class TestCache:
 
         unconditional = build_steps(2, max_len) + build_steps(1, max_len)
         conditional = {
-            py: build_steps(1, max_len, conditional_of(gates, 1), from_known=True)
+            py: build_steps(1, max_len, conditional_of(gates, 1))
             for py, gates in (("1:1", []), ("7:20", [X(0)]))
         }
         cache = str(tmp_path / "cache")

@@ -61,6 +61,13 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             gr(0.5)
 
+    def test_float_parts_in_a_state_rejected(self):
+        # GaussianRational itself checks nothing; the state's norm check
+        # names the value instead of failing on a missing attribute
+        amps = (GaussianRational(0.6, 0), GaussianRational(0.8, 0))
+        with pytest.raises(TypeError, match="0.6"):
+            StateVector(1, amps)
+
 
 class TestStates:
     def test_zero_state(self):
