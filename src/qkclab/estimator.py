@@ -163,7 +163,7 @@ def shortest_exact_program(
     (not merely up to phase); None if no such program exists within the bound."""
     _check_target(target, n)
     for _idx, prog, out in _table(outputs, n, max_len).firsts:
-        if out.amps == target.amps:
+        if out == target:
             return prog
     return None
 

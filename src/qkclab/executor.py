@@ -203,9 +203,10 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
     which runs the exact unit-norm check, and must be on n qubits; every
     output id must index `outputs`, so rows of equal output share one
     StateVector, and no state may repeat, so rows of unequal id have unequal
-    outputs.  Each index must be an int, at least 0 and larger than the one
-    before.  The header's row and output counts must match the body.  A file
-    in any other layout, the older ones included, is stale.
+    outputs.  Each output id must be an int, and so must each index, at least
+    0 and larger than the one before.  The header's row and output counts
+    must match the body.  A file in any other layout, the older ones
+    included, is stale.
 
     Only I/O and parse errors mean a bad file; any other exception is a bug
     and propagates."""
@@ -223,7 +224,9 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
         rows = []
         last = -1
         for idx, prog, out_id in data["rows"]:
-            if type(idx) is not int or idx <= last or not 0 <= out_id < len(outputs):
+            if type(idx) is not int or idx <= last:
+                return None
+            if type(out_id) is not int or not 0 <= out_id < len(outputs):
                 return None
             rows.append((idx, program_from_json(prog), outputs[out_id]))
             last = idx

@@ -5,12 +5,20 @@ Amplitudes live in Q(i) -- complex numbers whose real and imaginary parts are
 arbitrary-precision rationals -- so unit norm, orthogonality and outcome
 probabilities are decided exactly. No function in this module performs
 floating-point arithmetic on amplitudes.
+
+A state holds its amplitudes in one integer form: Gaussian integers over a
+common denominator D, the lattice form that exact synthesis uses over
+Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
+place of powers of sqrt2.  Gate steps, tensor products, the unit-norm check,
+equality and hashing run on that form in plain ints.  The Fraction-valued
+`amps` is built from it on first read; `inner_product`, `fidelity` and
+`Basis` work on `amps`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from random import Random
 from typing import Union
@@ -129,46 +137,107 @@ def operands(op) -> tuple[int, ...]:
 # States
 # ---------------------------------------------------------------------------
 
-def _norm_sq_ints(amps) -> tuple[int, int]:
-    """The sum of |a|^2 over `amps` as (total, D^2) in plain ints, so that
-    the sum is exactly total / D^2: D is the lcm of every amplitude part's
-    denominator, and each part num/den is num * (D/den) / D."""
+def _reduced(v, d: int) -> tuple[tuple[int, ...], int]:
+    """(v, d) with the gcd of d and every entry of v divided out."""
+    g = math.gcd(d, *v)
+    if g == 1:
+        return tuple(v), d
+    return tuple(x // g for x in v), d // g
+
+
+def _lattice(amps) -> tuple[tuple[int, ...], int]:
+    """The integer form (v, D) of `amps`: D is the lcm of every amplitude
+    part's denominator, and each part num/den is v[k] = num * (D/den) over D,
+    parts listed re, im for each amplitude in turn.  The form is reduced:
+    each prime power p^e of D is the p-part of some den, whose num p does not
+    divide, and p does not divide D/den either."""
     try:
         parts = [(x.numerator, x.denominator) for a in amps for x in (a.re, a.im)]
     except AttributeError:
         raise TypeError(f"amplitude parts must be exact rationals, got {amps!r}") from None
     d = math.lcm(*[den for _num, den in parts])
-    return sum((num * (d // den)) ** 2 for num, den in parts), d * d
+    return tuple(num * (d // den) for num, den in parts), d
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class StateVector:
     """Unit vector of 2^n_qubits Gaussian-rational amplitudes.
 
     Qubit 0 is the most significant bit of the amplitude index, so the
     amplitude of |b_0 b_1 ... b_{n-1}> sits at index int(b_0 b_1 ... b_{n-1}, 2).
+
+    The state is held as (v, D): amplitude j is (v[2j] + v[2j+1] i) / D,
+    with D > 0 and gcd(D, *v) == 1.  That form is unique, so == and hash
+    compare it directly, and unit norm is sum(x*x for x in v) == D*D.
+    `amps`, the tuple of GaussianRational, is built from it on first read
+    and kept; `StateVector(n, amps)` builds a state from amplitudes.  A state
+    is immutable: assigning to any attribute raises FrozenInstanceError.
     """
 
-    n_qubits: int
-    amps: tuple[GaussianRational, ...]
+    __slots__ = ("n_qubits", "_v", "_d", "_amps")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __new__(cls, n_qubits: int, amps):
+        if n_qubits < 1:
             raise ValueError("n_qubits must be a positive integer")
-        if len(self.amps) != 1 << self.n_qubits:
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got {len(self.amps)}"
+        amps = tuple(amps)
+        if len(amps) != 1 << n_qubits:
+            raise ValueError(f"expected {1 << n_qubits} amplitudes, got {len(amps)}")
+        return _from_lattice(n_qubits, *_lattice(amps), amps)
+
+    @property
+    def amps(self) -> tuple[GaussianRational, ...]:
+        amps = self._amps
+        if amps is None:
+            v, d = self._v, self._d
+            amps = tuple(
+                GaussianRational(Fraction(v[k], d), Fraction(v[k + 1], d))
+                for k in range(0, len(v), 2)
             )
-        total, scale = _norm_sq_ints(self.amps)
-        if total != scale:
-            raise ValueError("state is not exactly unit norm")
+            _set(self, "_amps", amps)
+        return amps
 
     def norm_sq(self) -> Fraction:
-        return Fraction(*_norm_sq_ints(self.amps))
+        return Fraction(sum(x * x for x in self._v), self._d * self._d)
 
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+    def __eq__(self, other):
+        if other.__class__ is not StateVector:
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and self._d == other._d and self._v == other._v
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self._d, self._v))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _from_lattice, (self.n_qubits, self._v, self._d)
+
+    def __repr__(self) -> str:
+        return f"StateVector(n_qubits={self.n_qubits!r}, amps={self.amps!r})"
+
+
+def _from_lattice(n: int, v: tuple, d: int, amps=None) -> StateVector:
+    """The state on n qubits with integer form (v, d), which must already be
+    reduced, after the exact unit-norm check.  `amps` are its amplitudes if
+    the caller has them; otherwise they are built when first read."""
+    if sum(x * x for x in v) != d * d:
+        raise ValueError("state is not exactly unit norm")
+    state = object.__new__(StateVector)
+    _set(state, "n_qubits", n)
+    _set(state, "_v", v)
+    _set(state, "_d", d)
+    _set(state, "_amps", amps)
+    return state
 
 
 def zero_state(n: int) -> StateVector:
@@ -178,9 +247,9 @@ def zero_state(n: int) -> StateVector:
 def basis_state(n: int, index: int) -> StateVector:
     if not 0 <= index < (1 << n):
         raise ValueError(f"basis index {index} out of range for n={n}")
-    amps = [GR_ZERO] * (1 << n)
-    amps[index] = GR_ONE
-    return StateVector(n, tuple(amps))
+    v = [0] * (2 << n)
+    v[2 * index] = 1
+    return _from_lattice(n, tuple(v), 1)
 
 
 def classical_state(bits: str) -> StateVector:
@@ -198,35 +267,41 @@ def _mask(n: int, qubit: int) -> int:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Exact matrix action of one gate; the result is unit norm by unitarity."""
-    n = state.n_qubits
-    amps = list(state.amps)
+    """Exact matrix action of one gate; the result is unit norm by unitarity.
+
+    The step runs on the integer form (v, D).  Part k of v belongs to
+    amplitude k >> 1, so a qubit's amplitude-index mask is mask << 1 on part
+    indices.  X and CNOT permute parts and PHASE maps (re, im) to (-im, re),
+    all over the same D.  ROT (cosine 3/5, sine 4/5) maps each pair (a, b) to
+    (3a - 4b, 4a + 3b) over 5D, then divides out the common gcd.
+    """
+    n, v, d = state.n_qubits, list(state._v), state._d
     if isinstance(gate, X):
-        m = _mask(n, gate.target)
-        for i in range(state.dim):
-            if not i & m:
-                amps[i], amps[i | m] = amps[i | m], amps[i]
+        m = _mask(n, gate.target) << 1
+        for k in range(len(v)):
+            if not k & m:
+                v[k], v[k | m] = v[k | m], v[k]
     elif isinstance(gate, ROT):
-        m = _mask(n, gate.target)
-        for i in range(state.dim):
-            if not i & m:
-                lo, hi = amps[i], amps[i | m]
-                amps[i] = lo.scale(ROT_COS) - hi.scale(ROT_SIN)
-                amps[i | m] = lo.scale(ROT_SIN) + hi.scale(ROT_COS)
+        m = _mask(n, gate.target) << 1
+        for k in range(len(v)):
+            if not k & m:
+                a, b = v[k], v[k | m]
+                v[k], v[k | m] = 3 * a - 4 * b, 4 * a + 3 * b
+        v, d = _reduced(v, 5 * d)
     elif isinstance(gate, PHASE):
-        m = _mask(n, gate.target)
-        for i in range(state.dim):
-            if i & m:
-                amps[i] = amps[i].times_i()
+        m = _mask(n, gate.target) << 1
+        for k in range(0, len(v), 2):
+            if k & m:
+                v[k], v[k + 1] = -v[k + 1], v[k]
     elif isinstance(gate, CNOT):
-        mc = _mask(n, gate.control)
-        mt = _mask(n, gate.target)
-        for i in range(state.dim):
-            if i & mc and not i & mt:
-                amps[i], amps[i | mt] = amps[i | mt], amps[i]
+        mc = _mask(n, gate.control) << 1
+        mt = _mask(n, gate.target) << 1
+        for k in range(len(v)):
+            if k & mc and not k & mt:
+                v[k], v[k | mt] = v[k | mt], v[k]
     else:
         raise TypeError(f"not a gate: {gate!r}")
-    return StateVector(n, tuple(amps))
+    return _from_lattice(n, tuple(v), d)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:
@@ -251,9 +326,16 @@ def fidelity(x: StateVector, z: StateVector) -> Fraction:
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
-    """Joint state; x supplies the high-order qubits."""
-    amps = tuple(a * b for a in x.amps for b in y.amps)
-    return StateVector(x.n_qubits + y.n_qubits, amps)
+    """Joint state; x supplies the high-order qubits.  Each amplitude is the
+    Gaussian-integer product of the two over Dx * Dy, then reduced."""
+    xv, yv = x._v, y._v
+    v = []
+    for k in range(0, len(xv), 2):
+        a, b = xv[k], xv[k + 1]
+        for j in range(0, len(yv), 2):
+            c, e = yv[j], yv[j + 1]
+            v += (a * c - b * e, a * e + b * c)
+    return _from_lattice(x.n_qubits + y.n_qubits, *_reduced(v, x._d * y._d))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ candidate table, as the reference the table path must reproduce exactly.
 They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
 per-opcode decoder that the table-driven one replaced, reference_firsts the
-value-keyed scan that `CandidateTable.firsts` replaced, and reference_norm_sq
-the Fraction sum that the integer unit-norm check replaced.  Counted wraps a
-function to count its calls, for the tests that check how much work a path
-does.
+value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
+the Fraction sum that the integer unit-norm check replaced, and
+reference_apply_gate the Fraction simulator that the integer gate kernel
+replaced.  Counted wraps a function to count its calls, for the tests that
+check how much work a path does.
 """
 
 import math
@@ -27,6 +28,7 @@ from qkclab import (
     X,
     EstimateRecord,
     Program,
+    StateVector,
     TrialResult,
     decode,
     enumerate_programs,
@@ -36,6 +38,7 @@ from qkclab import (
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import index_width
+from qkclab.statevec import ROT_COS, ROT_SIN, _mask
 
 
 def brute_force_decodables(max_len, n):
@@ -245,6 +248,40 @@ def reference_norm_sq(amps):
     """Sum of |a|^2, one Fraction operation per term: the sum that the
     integer unit-norm check over one common denominator replaced."""
     return sum((a.abs2() for a in amps), Fraction(0))
+
+
+def reference_apply_gate(state, gate):
+    """One gate step in GaussianRational arithmetic on the state's amps, one
+    Fraction operation per amplitude part touched: the simulator that the
+    integer kernel over one common denominator replaced."""
+    n = state.n_qubits
+    amps = list(state.amps)
+    if isinstance(gate, X):
+        m = _mask(n, gate.target)
+        for i in range(state.dim):
+            if not i & m:
+                amps[i], amps[i | m] = amps[i | m], amps[i]
+    elif isinstance(gate, ROT):
+        m = _mask(n, gate.target)
+        for i in range(state.dim):
+            if not i & m:
+                lo, hi = amps[i], amps[i | m]
+                amps[i] = lo.scale(ROT_COS) - hi.scale(ROT_SIN)
+                amps[i | m] = lo.scale(ROT_SIN) + hi.scale(ROT_COS)
+    elif isinstance(gate, PHASE):
+        m = _mask(n, gate.target)
+        for i in range(state.dim):
+            if i & m:
+                amps[i] = amps[i].times_i()
+    elif isinstance(gate, CNOT):
+        mc = _mask(n, gate.control)
+        mt = _mask(n, gate.target)
+        for i in range(state.dim):
+            if i & mc and not i & mt:
+                amps[i], amps[i | mt] = amps[i | mt], amps[i]
+    else:
+        raise TypeError(f"not a gate: {gate!r}")
+    return StateVector(n, tuple(amps))
 
 
 class Counted:

@@ -126,6 +126,8 @@ def break_body(data, fault):
         data["rows"][-1][2] = len(data["outputs"])
     elif fault == "negative-id":
         data["rows"][-1][2] = -1
+    elif fault == "bool-id":
+        data["rows"][-1][2] = True  # an int subclass, and not an id
     elif fault == "index-not-increasing":
         data["rows"][-1][0] = data["rows"][-2][0]
     elif fault == "negative-index":
@@ -253,6 +255,20 @@ class TestBuildTable:
         table = _build_table(3, 20)
         assert decodes.calls == 0 and len(table.rows) == 970
 
+    def test_a_cold_build_creates_no_fraction(self, monkeypatch, work):
+        # each step runs on the integer form of its states, and a state's
+        # Fraction amplitudes are built only when read
+        expected = run_rows(3, 20)
+        fractions = Counted(Fraction.__new__)
+        monkeypatch.setattr(Fraction, "__new__", fractions)
+        before = work.gates.calls
+        table = _build_table(3, 20)
+        assert fractions.calls == 0
+        assert work.gates.calls - before == 348
+        assert list(table.rows) == expected and len(table.rows) == 970
+        assert table.firsts == reference_firsts(expected) and len(table.firsts) == 136
+        assert table.scanned == expected[-1][0] + 1 == 1538
+
     def test_a_missing_parent_row_is_an_internal_error(self, monkeypatch):
         # an enumeration that lost the empty program's child X(0): its own
         # children have no parent row, and the build must not run them instead
@@ -319,6 +335,7 @@ class TestCache:
             "wrong-n",
             "id-past-end",
             "negative-id",
+            "bool-id",
             "lost-row",
             "duplicate-output",
             "index-not-increasing",

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -32,9 +35,15 @@ from qkclab import (
     zero_state,
 )
 from qkclab.proglang import CALLC, _op_alphabet
-from qkclab.statevec import ROT_COS, ROT_SIN, _norm_sq_ints
+from qkclab.statevec import ROT_COS, ROT_SIN, _lattice
 
-from oracles import mat2_mul, random_fraction, random_gate, reference_norm_sq
+from oracles import (
+    mat2_mul,
+    random_fraction,
+    random_gate,
+    reference_apply_gate,
+    reference_norm_sq,
+)
 
 F = Fraction
 
@@ -86,6 +95,19 @@ class TestStates:
         # qubit 0 is the most significant index bit
         s = classical_state("10")
         assert s.amps[2] == gr(1)
+
+    def test_states_are_immutable_hashable_and_copyable(self):
+        # interning, the tables' id() dedupe and sets of states rely on it
+        s = apply_circuit(zero_state(2), [ROT(0), PHASE(1)])
+        same = apply_circuit(zero_state(2), [ROT(0), PHASE(1)])
+        for name in ("n_qubits", "amps", "_v", "_d", "_amps", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, zero_state(2).amps)
+            with pytest.raises(FrozenInstanceError):
+                delattr(s, name)
+        s.amps  # the amplitudes built on first read change nothing
+        assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+        assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
 
 
 class TestApplyGate:
@@ -148,6 +170,50 @@ class TestApplyGate:
             for _bits, op in _op_alphabet(n):
                 if not isinstance(op, CALLC):
                     transformed_basis(n, [op])
+
+
+def assert_step_matches_the_oracle(state, op):
+    """One step equals the Fraction simulator's, amplitude for amplitude, and
+    compares and hashes equal to the state built from the oracle's amps."""
+    new, expected = apply_gate(state, op), reference_apply_gate(state, op)
+    assert new.amps == expected.amps
+    assert new == expected and hash(new) == hash(expected)
+    return new
+
+
+class TestIntegerKernel:
+    """Gate steps and tensor products run on each state's integer form; the
+    Fraction arithmetic they replaced (oracles.py) is the reference."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.lists(st.integers(0, 3), max_size=12),
+    )
+    def test_every_gate_matches_the_fraction_simulator(self, n, seed, from_random, rots):
+        # a random state, or |0...0>, then a chain of ROT steps, then every op
+        state = random_state(n, Random(seed)) if from_random else zero_state(n)
+        for t in rots:
+            state = assert_step_matches_the_oracle(state, ROT(t % n))
+        for _bits, op in _op_alphabet(n):
+            if not isinstance(op, CALLC):
+                assert_step_matches_the_oracle(state, op)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_tensor_matches_the_gaussian_rational_product(self, nx, ny, seed):
+        rng = Random(seed)
+        chain = [random_gate(rng, ny) for _ in range(rng.randrange(8))]
+        for x, y in [
+            (random_state(nx, rng), random_state(ny, rng)),
+            (random_state(nx, rng), apply_circuit(zero_state(ny), chain)),
+        ]:
+            expected = StateVector(nx + ny, tuple(a * b for a in x.amps for b in y.amps))
+            joint = tensor(x, y)
+            assert joint.amps == expected.amps
+            assert joint == expected and hash(joint) == hash(expected)
 
 
 class TestFidelity:
@@ -271,6 +337,15 @@ class TestTensor:
         s = tensor(apply_gate(zero_state(1), ROT(0)), zero_state(1))
         assert amps(s) == [(F(3, 5), 0), (0, 0), (F(4, 5), 0), (0, 0)]
 
+    def test_conjugate_factors_cancel_into_the_reduced_form(self):
+        # (3+4i)/5 times (3-4i)/5 is 1: the product over 25 must reduce to
+        # the basis state's form to compare and hash equal to it
+        x = StateVector(1, (gr(F(3, 5), F(4, 5)), gr(0)))
+        y = StateVector(1, (gr(F(3, 5), F(-4, 5)), gr(0)))
+        joint = tensor(x, y)
+        assert joint == basis_state(2, 0) and hash(joint) == hash(basis_state(2, 0))
+        assert joint.amps == basis_state(2, 0).amps
+
     def test_norm_multiplicativity_on_random_states(self):
         rng = Random(14)
         for _ in range(25):
@@ -321,7 +396,8 @@ def assert_accepted_exactly_when_unit(n, amps):
     """The integer sum equals the Fraction sum, and StateVector takes the
     amplitudes exactly when that sum is 1."""
     reference = reference_norm_sq(amps)
-    assert Fraction(*_norm_sq_ints(amps)) == reference
+    v, d = _lattice(amps)
+    assert Fraction(sum(x * x for x in v), d * d) == reference
     if reference == 1:
         assert StateVector(n, amps).norm_sq() == 1
     else:
