@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
-from .statevec import CNOT, PHASE, ROT, X, Gate, operands
+from .statevec import CNOT, PHASE, ROT, X, Gate, json_int, operands
 
 # Bumping this invalidates every cache file and dated report.
 ENCODING_VERSION = "pf1"
@@ -265,11 +265,14 @@ def program_to_json(p: Program) -> dict:
 
 
 def program_from_json(obj) -> Program:
+    """The program of a wire record.  `len` must be an integer, not a bool or
+    a float, and `bits_hex` a value that fits in `len` bits, so the empty
+    program is only {"len": 0, "bits_hex": "0"}."""
     try:
-        length = int(obj["len"])
+        length = json_int(obj["len"])
         value = int(obj["bits_hex"], 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed program record: {exc}") from exc
-    if length < 0 or value >= 1 << max(length, 1):
+    if length < 0 or value < 0 or value.bit_length() > length:
         raise ValueError(f"program value does not fit in {length} bits")
     return Program(format(value, f"0{length}b") if length else "")

@@ -10,9 +10,9 @@ A state holds its amplitudes in one integer form: Gaussian integers over a
 common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
 place of powers of sqrt2.  Gate steps, tensor products, the unit-norm check,
-equality and hashing run on that form in plain ints.  The Fraction-valued
-`amps` is built from it on first read; `inner_product`, `fidelity` and
-`Basis` work on `amps`.
+equality, hashing, `fidelity` and the JSON writer run on that form in plain
+ints.  The Fraction-valued `amps` is built from it on first read;
+`inner_product` and the `Basis` orthogonality check work on `amps`.
 """
 
 from __future__ import annotations
@@ -321,8 +321,25 @@ def inner_product(x: StateVector, z: StateVector) -> GaussianRational:
 
 
 def fidelity(x: StateVector, z: StateVector) -> Fraction:
-    """|<x|z>|^2: the probability that z passes a test for x."""
-    return inner_product(x, z).abs2()
+    """|<x|z>|^2: the probability that z passes a test for x, exactly.
+
+    Computed on the integer forms: over x's support, each pair of parts
+    (a, b) of x and (c, e) of z adds conj(a + bi)(c + ei) to the Gaussian
+    integer re + im i, and the result is (re^2 + im^2) / (Dx Dz)^2, the same
+    reduced Fraction that |<x|z>|^2 gives on `amps`.  Neither state's `amps`
+    is built.
+    """
+    if x.n_qubits != z.n_qubits:
+        raise ValueError("dimension mismatch")
+    xv, zv = x._v, z._v
+    re = im = 0
+    for k in range(0, len(xv), 2):
+        a, b = xv[k], xv[k + 1]
+        if a or b:
+            c, e = zv[k], zv[k + 1]
+            re += a * c + b * e
+            im += a * e - b * c
+    return Fraction(re * re + im * im, (x._d * z._d) ** 2)
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
@@ -473,29 +490,34 @@ def random_state(n: int, rng: Random) -> StateVector:
 # Serialization (the wire format for the CLI and the cache)
 # ---------------------------------------------------------------------------
 
+def json_int(x) -> int:
+    """An integer field of a wire record: an int or a decimal string.  A bool
+    or a float is refused with TypeError, where int() would coerce it (True
+    to 1, 3.9 to 3)."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def state_to_json(state: StateVector) -> dict:
     """{"n": int, "amps": [[re_num, re_den, im_num, im_den], ...]} with the
-    integers as decimal strings, so arbitrary precision survives JSON."""
-    return {
-        "n": state.n_qubits,
-        "amps": [
-            [
-                str(a.re.numerator),
-                str(a.re.denominator),
-                str(a.im.numerator),
-                str(a.im.denominator),
-            ]
-            for a in state.amps
-        ],
-    }
+    integers as decimal strings, so arbitrary precision survives JSON.  Each
+    part v[k] / D is written in lowest terms, read from the integer form."""
+    d = state._d
+    parts = []
+    for x in state._v:
+        g = math.gcd(x, d)
+        parts += (str(x // g), str(d // g))
+    return {"n": state.n_qubits, "amps": [parts[k : k + 4] for k in range(0, len(parts), 4)]}
 
 
 def state_from_json(obj) -> StateVector:
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"])
         amps = tuple(
             GaussianRational(
-                Fraction(int(rn), int(rd)), Fraction(int(imn), int(imd))
+                Fraction(json_int(rn), json_int(rd)),
+                Fraction(json_int(imn), json_int(imd)),
             )
             for rn, rd, imn, imd in obj["amps"]
         )

@@ -9,10 +9,12 @@ They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
 per-opcode decoder that the table-driven one replaced, reference_firsts the
 value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
-the Fraction sum that the integer unit-norm check replaced, and
+the Fraction sum that the integer unit-norm check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
-replaced.  Counted wraps a function to count its calls, for the tests that
-check how much work a path does.
+replaced, and reference_fidelity the Fraction overlap that the integer
+fidelity kernel replaced; every scan here scores with it.  Counted wraps a
+function to count its calls, for the tests that check how much work a path
+does.
 """
 
 import math
@@ -32,13 +34,19 @@ from qkclab import (
     TrialResult,
     decode,
     enumerate_programs,
-    fidelity,
+    inner_product,
     penalty_bits,
     run,
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import index_width
 from qkclab.statevec import ROT_COS, ROT_SIN, _mask
+
+
+def reference_fidelity(x, z):
+    """|<x|z>|^2 as the GaussianRational inner product of the two states'
+    amps: the Fraction path that the integer fidelity kernel replaced."""
+    return inner_product(x, z).abs2()
 
 
 def brute_force_decodables(max_len, n):
@@ -65,7 +73,7 @@ def brute_force_best(target, n, max_len, conditional=None):
             result = run(Program(bits), n, conditional)
             if result.output is None:
                 continue
-            q = fidelity(target, result.output)
+            q = reference_fidelity(target, result.output)
             if q == 0:
                 continue
             total = length + penalty_bits(q)
@@ -113,7 +121,7 @@ def reference_exact_estimate(target, n, max_len, conditional=None, outputs=None)
     scanned = 0
     for idx, prog, out in reference_candidates(n, max_len, conditional, outputs):
         scanned = idx + 1
-        q = fidelity(target, out)
+        q = reference_fidelity(target, out)
         if q == 0:
             continue
         pen = penalty_bits(q)
@@ -129,7 +137,7 @@ def reference_exact_estimate(target, n, max_len, conditional=None, outputs=None)
 def reference_ideal_value(target, n, max_len, outputs=None):
     best = None
     for _idx, prog, out in reference_candidates(n, max_len, outputs=outputs):
-        q = fidelity(target, out)
+        q = reference_fidelity(target, out)
         if q == 0:
             continue
         value = prog.length - math.log2(q)
@@ -140,7 +148,9 @@ def reference_ideal_value(target, n, max_len, outputs=None):
 
 def reference_directly_computable(target, n, max_len, outputs=None):
     candidates = reference_candidates(n, max_len, outputs=outputs)
-    return any(fidelity(target, out) == 1 for _idx, _prog, out in candidates)
+    return any(
+        reference_fidelity(target, out) == 1 for _idx, _prog, out in candidates
+    )
 
 
 def reference_shortest_exact_program(target, n, max_len, outputs=None):

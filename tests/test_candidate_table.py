@@ -116,6 +116,19 @@ def test_fixtures_exercise_every_branch():
     assert len(table.firsts) < len(table.rows)
 
 
+def test_exact_scans_build_no_output_amplitudes():
+    # every exact scan scores on the outputs' integer forms, so a cold
+    # table's outputs never build their Fraction amplitudes
+    n, max_len = 3, 20
+    table = candidate_table(n, max_len)
+    for target in standard_basis(n).vectors + rotated_basis(n).vectors:
+        exact_estimate(target, n, max_len, outputs=table)
+        ideal_value(target, n, max_len, outputs=table)
+        directly_computable(target, n, max_len, outputs=table)
+        shortest_exact_program(target, n, max_len, outputs=table)
+    assert all(out._amps is None for _idx, _prog, out in table.rows)
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 def test_consistency_sweep_matches_reference(cached, tmp_path):
     n, max_len = 2, 12

@@ -371,6 +371,12 @@ class TestExitCodes:
         rc, _ = run_cli(capsys, *argv, "--n", "0", "--out-dir", str(tmp_path))
         assert rc == 2
 
+    def test_a_program_value_past_its_length_is_a_bad_argument(self, capsys, tmp_path):
+        # 0:1 is no program: one bit set in a length of zero
+        argv = ["estimate", "--target-program", "0:1", "--n", "1", "--max-len", "4"]
+        rc = main([*argv, "--out-dir", str(tmp_path)])
+        assert rc == 2 and "bad program argument '0:1'" in capsys.readouterr().err
+
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*_args, **_kwargs):
             raise ValueError("internal invariant violated")

@@ -134,6 +134,16 @@ def break_body(data, fault):
         data["rows"][0][0] = -1
     elif fault == "float-index":
         data["rows"][-1][0] += 0.5
+    elif fault == "float-part":
+        data["outputs"][0]["amps"][0][0] = 1.0  # int() would read it as 1
+    elif fault == "float-n":
+        data["outputs"][0]["n"] = 1.0
+    elif fault == "program-past-its-length":
+        data["rows"][0][1] = {"len": 0, "bits_hex": "1"}  # once read as the empty program
+    elif fault == "bool-program-length":
+        data["rows"][0][1]["len"] = True
+    elif fault == "float-program-length":
+        data["rows"][0][1]["len"] = 1.5
     elif fault == "lost-row":
         data["rows"].pop()
     elif fault == "duplicate-output":
@@ -341,6 +351,11 @@ class TestCache:
             "index-not-increasing",
             "negative-index",
             "float-index",
+            "float-part",
+            "float-n",
+            "program-past-its-length",
+            "bool-program-length",
+            "float-program-length",
         ],
     )
     def test_bad_body_with_a_matching_hash_forces_recompute(self, tmp_path, fault):

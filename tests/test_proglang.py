@@ -216,6 +216,27 @@ class TestSerialization:
         p = Program("0100000")
         assert program_from_json(program_to_json(p)).bits == "0100000"
 
+    def test_empty_program_round_trip(self):
+        assert program_to_json(Program("")) == {"len": 0, "bits_hex": "0"}
+        assert program_from_json({"len": 0, "bits_hex": "0"}) == Program("")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"len": 0, "bits_hex": "1"},
+            {"len": 3, "bits_hex": "8"},
+            {"len": 2, "bits_hex": "-1"},
+            {"len": True, "bits_hex": "1"},
+            {"len": 3.9, "bits_hex": "5"},
+            {"len": 3.0, "bits_hex": "5"},
+        ],
+        ids=["value-past-empty", "value-past-len", "negative-value", "bool-len",
+             "float-len", "integral-float-len"],
+    )
+    def test_bad_numbers_rejected(self, record):
+        with pytest.raises(ValueError):
+            program_from_json(record)
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             program_from_json({"len": 2, "bits_hex": "f"})

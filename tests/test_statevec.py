@@ -42,6 +42,7 @@ from oracles import (
     random_fraction,
     random_gate,
     reference_apply_gate,
+    reference_fidelity,
     reference_norm_sq,
 )
 
@@ -232,6 +233,41 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(zero_state(1), zero_state(2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.lists(st.integers(0, 3), max_size=8),
+    )
+    def test_integer_kernel_matches_the_fraction_overlap(self, n, seed, from_random, rots):
+        # random states or basis states, each then stepped by a chain of ROTs
+        rng = Random(seed)
+        chain = [ROT(t % n) for t in rots]
+
+        def state():
+            if from_random:
+                return apply_circuit(random_state(n, rng), chain)
+            return apply_circuit(basis_state(n, rng.randrange(1 << n)), chain)
+
+        x, z = state(), state()
+        basis = transformed_basis(n, chain).vectors  # exactly orthonormal
+        i, j = rng.sample(range(1 << n), 2)
+        for a, b, exact in [
+            (x, z, None),
+            (z, x, None),
+            (x, basis[i], None),
+            (x, x, 1),
+            (basis[i], basis[i], 1),
+            (basis[i], basis[j], 0),
+        ]:
+            q = fidelity(a, b)
+            assert type(q) is Fraction and q == reference_fidelity(a, b)
+            assert exact is None or q == exact
+        for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), x)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fidelity(a, b)
 
 
 class TestPenaltyBits:
@@ -465,3 +501,31 @@ class TestSerialization:
             state_from_json({"n": 1, "amps": [["1", "1", "0", "1"], ["1", "1", "0", "1"]]})
         with pytest.raises(ValueError, match="malformed"):  # a zero denominator
             state_from_json({"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"n": 1.9, "amps": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]},
+            {"n": True, "amps": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]},
+            {"n": 1, "amps": [[1.7, "1", "0", "1"], ["0", "1", "0", "1"]]},
+            {"n": 1, "amps": [["1", 1.0, "0", "1"], ["0", "1", "0", "1"]]},
+            {"n": 1, "amps": [[True, "1", "0", "1"], ["0", "1", "0", "1"]]},
+        ],
+        ids=["float-n", "bool-n", "float-part", "float-den", "bool-part"],
+    )
+    def test_a_bool_or_float_is_not_an_integer(self, record):
+        # int() would read each as |0> on one qubit
+        with pytest.raises(ValueError, match="malformed"):
+            state_from_json(record)
+
+    def test_integer_parts_are_read(self):
+        assert state_from_json({"n": 1, "amps": [[1, 1, 0, 1], [0, 1, 0, 1]]}) == zero_state(1)
+
+    def test_parts_are_written_in_lowest_terms(self):
+        rng = Random(17)
+        for s in [random_state(3, rng), apply_circuit(zero_state(2), [ROT(0), ROT(1)])]:
+            expected = [
+                [str(x) for a in (amp.re, amp.im) for x in (a.numerator, a.denominator)]
+                for amp in s.amps
+            ]
+            assert state_to_json(s) == {"n": s.n_qubits, "amps": expected}
