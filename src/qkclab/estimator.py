@@ -265,11 +265,15 @@ def projection_oracle(target: StateVector) -> Callable:
     with probability fidelity(target, output), exactly."""
 
     def measure(program: Program, output: StateVector, rng: Random) -> bool:
-        # The Fraction path on purpose; its draws equal `fidelity`'s.  On a
-        # 2-core host the integer kernel took the sampled benchmark from 0.79
-        # to 27.4 targets/s (15 s run), and at 40 s the retained reports of
-        # the extra ops raised its peak_rss_mb 23%, past the 0.2 bound.  It
-        # waits for the benchmark to stop retaining them (ROADMAP items 1, 4).
+        # inner_product runs on the integer overlap kernel that `fidelity`
+        # shares, and |<x|z>|^2 is the same reduced Fraction either way, so
+        # the draws are those of the Fraction sum over amps.  With the kernel
+        # the sampled benchmark (40 s runs, 2 cores) went from 1.07 to 9.71
+        # targets/s and its peak_rss_mb from 25.55 to 28.05 MB (+9.8%).  A
+        # `fidelity` oracle or a per-output memo is faster still, past 27
+        # targets/s, but the benchmark retains every op's report, so the
+        # extra ops would raise peak_rss_mb past its 0.2 bound; both wait
+        # for that to end (ROADMAP items 1, 4).
         return bernoulli(inner_product(target, output).abs2(), rng)
 
     return measure

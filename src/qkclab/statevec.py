@@ -10,9 +10,12 @@ A state holds its amplitudes in one integer form: Gaussian integers over a
 common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
 place of powers of sqrt2.  Gate steps, tensor products, the unit-norm check,
-equality, hashing, `fidelity` and the JSON writer run on that form in plain
-ints.  The Fraction-valued `amps` is built from it on first read;
-`inner_product` and the `Basis` orthogonality check work on `amps`.
+equality, hashing, the JSON writer and the one overlap kernel behind
+`inner_product` and `fidelity` (and so the `Basis` orthogonality check) run
+on that form in plain ints.  The Fraction-valued `amps` is kept when a state
+is built from amplitudes (`StateVector(n, amps)`, so state files and
+`random_state`) and is otherwise built on first read, which in this package
+only `repr` does.
 """
 
 from __future__ import annotations
@@ -310,25 +313,10 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
     return state
 
 
-def inner_product(x: StateVector, z: StateVector) -> GaussianRational:
-    """<x|z>, exactly."""
-    if x.n_qubits != z.n_qubits:
-        raise ValueError("dimension mismatch")
-    acc = GR_ZERO
-    for a, b in zip(x.amps, z.amps):
-        acc = acc + a.conj() * b
-    return acc
-
-
-def fidelity(x: StateVector, z: StateVector) -> Fraction:
-    """|<x|z>|^2: the probability that z passes a test for x, exactly.
-
-    Computed on the integer forms: over x's support, each pair of parts
-    (a, b) of x and (c, e) of z adds conj(a + bi)(c + ei) to the Gaussian
-    integer re + im i, and the result is (re^2 + im^2) / (Dx Dz)^2, the same
-    reduced Fraction that |<x|z>|^2 gives on `amps`.  Neither state's `amps`
-    is built.
-    """
+def _overlap(x: StateVector, z: StateVector) -> tuple[int, int]:
+    """(re, im) of the Gaussian integer <x|z> * Dx * Dz, from the integer
+    forms: over x's support, each pair of parts (a, b) of x and (c, e) of z
+    adds conj(a + bi)(c + ei).  Neither state's `amps` is built."""
     if x.n_qubits != z.n_qubits:
         raise ValueError("dimension mismatch")
     xv, zv = x._v, z._v
@@ -339,6 +327,24 @@ def fidelity(x: StateVector, z: StateVector) -> Fraction:
             c, e = zv[k], zv[k + 1]
             re += a * c + b * e
             im += a * e - b * c
+    return re, im
+
+
+def inner_product(x: StateVector, z: StateVector) -> GaussianRational:
+    """<x|z>, exactly: (re + im i) / (Dx Dz) from the integer overlap, with
+    each part the reduced Fraction that the sum over `amps` gives."""
+    re, im = _overlap(x, z)
+    d = x._d * z._d
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+
+def fidelity(x: StateVector, z: StateVector) -> Fraction:
+    """|<x|z>|^2: the probability that z passes a test for x, exactly.
+
+    (re^2 + im^2) / (Dx Dz)^2 from the integer overlap, the same reduced
+    Fraction that |<x|z>|^2 gives on `amps`.
+    """
+    re, im = _overlap(x, z)
     return Fraction(re * re + im * im, (x._d * z._d) ** 2)
 
 

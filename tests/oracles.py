@@ -11,10 +11,11 @@ per-opcode decoder that the table-driven one replaced, reference_firsts the
 value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
 the Fraction sum that the integer unit-norm check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
-replaced, and reference_fidelity the Fraction overlap that the integer
-fidelity kernel replaced; every scan here scores with it.  Counted wraps a
-function to count its calls, for the tests that check how much work a path
-does.
+replaced, and reference_inner_product the Fraction overlap that the integer
+overlap kernel behind `inner_product` and `fidelity` replaced.
+reference_fidelity is its squared modulus; every scan here scores with it.
+Counted wraps a function to count its calls, for the tests that check how
+much work a path does.
 """
 
 import math
@@ -34,19 +35,29 @@ from qkclab import (
     TrialResult,
     decode,
     enumerate_programs,
-    inner_product,
     penalty_bits,
     run,
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import index_width
-from qkclab.statevec import ROT_COS, ROT_SIN, _mask
+from qkclab.statevec import GR_ZERO, ROT_COS, ROT_SIN, _mask
+
+
+def reference_inner_product(x, z):
+    """<x|z> summed in GaussianRational arithmetic over the two states' amps:
+    the Fraction path that the integer overlap kernel replaced."""
+    if x.n_qubits != z.n_qubits:
+        raise ValueError("dimension mismatch")
+    acc = GR_ZERO
+    for a, b in zip(x.amps, z.amps):
+        acc = acc + a.conj() * b
+    return acc
 
 
 def reference_fidelity(x, z):
-    """|<x|z>|^2 as the GaussianRational inner product of the two states'
-    amps: the Fraction path that the integer fidelity kernel replaced."""
-    return inner_product(x, z).abs2()
+    """|<x|z>|^2 from reference_inner_product, so it shares nothing with the
+    integer kernel."""
+    return reference_inner_product(x, z).abs2()
 
 
 def brute_force_decodables(max_len, n):

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qkclab.census as census
 import qkclab.estimator as estimator
 from qkclab import (
     CNOT,
@@ -30,6 +31,7 @@ from qkclab import (
     exact_estimate,
     gr,
     ideal_value,
+    incompressibility_census,
     projection_oracle,
     random_state,
     rotated_basis,
@@ -127,6 +129,33 @@ def test_exact_scans_build_no_output_amplitudes():
         directly_computable(target, n, max_len, outputs=table)
         shortest_exact_program(target, n, max_len, outputs=table)
     assert all(out._amps is None for _idx, _prog, out in table.rows)
+
+
+def test_census_and_sampled_build_no_amplitudes(monkeypatch):
+    # the Basis check and the sampled oracle take inner products on the
+    # integer forms, so a cold census and a cold sampled estimate leave the
+    # Fraction amplitudes of every output, basis vector and target unbuilt
+    tables = []
+
+    def keep(build):
+        def wrapped(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(census, "candidate_table", keep(census.candidate_table))
+    monkeypatch.setattr(estimator, "candidate_table", keep(estimator.candidate_table))
+    basis = rotated_basis(3)
+    incompressibility_census(3, 1, 12, basis=basis)
+    plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
+    targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
+    targets += rotated_basis(2).vectors
+    for target in targets:
+        sampled_estimate(projection_oracle(target), 2, plan, 8, seed=0)
+    assert len(tables) == 1 + len(targets)
+    outputs = [out for table in tables for _idx, _prog, out in table.rows]
+    assert all(state._amps is None for state in outputs + list(basis.vectors) + targets)
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])

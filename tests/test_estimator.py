@@ -14,6 +14,7 @@ from qkclab import (
     apply_gate,
     bernoulli,
     cached_outputs,
+    candidate_table,
     classical_state,
     decode,
     encode,
@@ -32,8 +33,9 @@ from qkclab import (
     upper_bound_witness,
     zero_state,
 )
+from qkclab.estimator import trial_rng
 
-from oracles import brute_force_best, random_gate_list
+from oracles import brute_force_best, random_gate_list, reference_fidelity
 
 F = Fraction
 
@@ -232,6 +234,24 @@ class TestBernoulli:
         q = F(9, 25)
         hits = sum(bernoulli(q, rng) for _ in range(20000))
         assert abs(hits / 20000 - 9 / 25) < 0.01
+
+
+class TestProjectionOracle:
+    def test_draw_stream_matches_the_fraction_fidelity(self):
+        # each row's trial stream gives the same outcomes as Bernoulli draws
+        # on the Fraction-path fidelity, so sampled records do not depend on
+        # how the oracle computes the overlap
+        k = k_from_bound(2, 0.05, 0.25)  # 554: the sampled command's default plan
+        table = candidate_table(2, 12)
+        for bits in ("00", "01", "10", "11"):
+            target = classical_state(bits)
+            measure = projection_oracle(target)
+            for idx, prog, out in table.rows:
+                q = reference_fidelity(target, out)
+                for seed in (7, 2024):
+                    rng, ref = trial_rng(seed, idx), trial_rng(seed, idx)
+                    drawn = [measure(prog, out, rng) for _ in range(k)]
+                    assert drawn == [bernoulli(q, ref) for _ in range(k)]
 
 
 class TestRunTrials:

@@ -3,6 +3,7 @@ import math
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -20,11 +21,14 @@ from qkclab import (
     apply_circuit,
     apply_gate,
     basis_state,
+    candidate_table,
     classical_state,
     fidelity,
     gr,
+    inner_product,
     penalty_bits,
     random_state,
+    rotated_basis,
     shannon_fano_code,
     shannon_fano_lengths,
     standard_basis,
@@ -43,6 +47,7 @@ from oracles import (
     random_gate,
     reference_apply_gate,
     reference_fidelity,
+    reference_inner_product,
     reference_norm_sq,
 )
 
@@ -270,6 +275,37 @@ class TestFidelity:
                 fidelity(a, b)
 
 
+@lru_cache(maxsize=None)
+def table_outputs(n):
+    """The distinct outputs of a candidate table at n qubits."""
+    max_len = {1: 16, 2: 16, 3: 18, 4: 18}[n]
+    return tuple(out for _idx, _prog, out in candidate_table(n, max_len).firsts)
+
+
+class TestInnerProduct:
+    """inner_product runs on the overlap kernel that fidelity shares; the
+    GaussianRational sum over amps (oracles.py) is the reference."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+    def test_integer_kernel_matches_the_fraction_sum(self, n, seed, two_outputs):
+        # pairs of random_state targets, table outputs and rotated basis
+        # vectors; the conjugate check covers each pair's other order
+        rng = Random(seed)
+        outputs = table_outputs(n)
+        x, z = random_state(n, rng), rng.choice(outputs)
+        y = rng.choice(outputs) if two_outputs else random_state(n, rng)
+        w = rng.choice(rotated_basis(n).vectors)
+        for a, b in [(x, z), (z, x), (z, y), (y, z), (x, y), (w, z), (x, w), (x, x), (z, z)]:
+            p = inner_product(a, b)
+            assert p == reference_inner_product(a, b)
+            assert type(p.re) is Fraction and type(p.im) is Fraction
+            assert p == inner_product(b, a).conj()
+        for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), z)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                inner_product(a, b)
+
+
 class TestPenaltyBits:
     def test_examples(self):
         assert penalty_bits(1) == 0
@@ -356,6 +392,22 @@ class TestBasis:
         rot = apply_gate(zero_state(1), ROT(0))
         with pytest.raises(ValueError):
             Basis((zero_state(1), rot))
+
+    def test_an_imaginary_overlap_is_not_orthogonal(self):
+        # <0|s> = 3i/5: the real part is zero, so only the imaginary part
+        # tells these two apart from an orthogonal pair
+        s = StateVector(1, (gr(0, F(3, 5)), gr(F(4, 5))))
+        assert inner_product(zero_state(1), s) == gr(0, F(3, 5))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Basis((zero_state(1), s))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rotated_basis_is_accepted(self, n):
+        vectors = rotated_basis(n).vectors
+        assert len(vectors) == 1 << n
+        for i, v in enumerate(vectors):
+            for j, w in enumerate(vectors):
+                assert reference_inner_product(v, w) == (gr(1) if i == j else gr(0))
 
     def test_transformed_basis_stays_orthonormal(self):
         b = transformed_basis(2, [ROT(0), CNOT(0, 1), ROT(1)])
