@@ -26,18 +26,18 @@ from qkclab.executor import cache_path
 
 def main():
     print("== single runs ==")
-    result = run(encode([X(0), X(1)], 2), 2)
-    print("X0 X1 on |00>:", [str(a) for a in result.output.amps])
+    output = run(encode([X(0), X(1)], 2), 2)
+    print("X0 X1 on |00>:", [str(a) for a in output.amps])
 
     conditional = decode(encode([X(0)], 1).bits, 1, allow_callc=False)
     called = run(encode([CALLC()], 1), 1, conditional=conditional)
-    print("CALLC with conditional X0:", [str(a) for a in called.output.amps])
-    print("CALLC without a conditional halts:", run(encode([CALLC()], 1), 1).output is not None)
+    print("CALLC with conditional X0:", [str(a) for a in called.amps])
+    print("CALLC without a conditional halts:", run(encode([CALLC()], 1), 1) is not None)
 
     print()
     print("== the enumeration, approximated from above ==")
     programs = list(enumerate_programs(14, 2))
-    halted = [p for p in programs if run(p, 2).output is not None]
+    halted = [p for p in programs if run(p, 2) is not None]
     print(f"{len(programs)} programs up to 14 bits for n=2; {len(halted)} halt, "
           f"{len(programs) - len(halted)} need a conditional for CALLC")
     target = random_state(2, random.Random(6))

@@ -66,7 +66,7 @@ def main():
     # a deliberately long-winded program that still outputs exactly |1>
     generator = encode([X(0), PHASE(0), PHASE(0), PHASE(0), PHASE(0)], 1)
     conditional = decode(generator.bits, 1, allow_callc=False)
-    target = run(generator, 1).output
+    target = run(generator, 1)
     show(f"without conditional ({generator.length}-bit generator)",
          exact_estimate(target, 1, 12))
     show("with the generator as conditional",

@@ -48,7 +48,6 @@ from .estimator import (
 )
 from .executor import (
     CandidateTable,
-    RunResult,
     cached_outputs,
     candidate_table,
     run,

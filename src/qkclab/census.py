@@ -168,6 +168,10 @@ def uniform_sweep(
 ) -> dict:
     """Monte Carlo stand-in for the continuum claim: the empirical fraction of
     pseudo-random rational unit vectors whose estimate is at least n - c."""
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    if samples < 1:
+        raise ValueError("samples must be a positive integer")
     rng = Random(f"sweep:{seed}")
     table = candidate_table(n, max_len, cache_dir=cache_dir)
     threshold = n - c
@@ -359,7 +363,7 @@ def subadditivity_report(
     # a generator that fits in max_len is a row of y's table: read, not run
     y_rows = {prog: out for _idx, prog, out in y_table.rows}
     x, y = (
-        y_rows[p] if p.length <= max_len else run(p, n_y).output for p in (p_x, p_y)
+        y_rows[p] if p.length <= max_len else run(p, n_y) for p in (p_x, p_y)
     )
     n = n_x + n_y
     joint_target = tensor(x, y)

@@ -232,12 +232,11 @@ def _load_target(args, config: Config):
         desc = {"statefile": args.statefile}
     else:
         prog = parse_program_arg(args.target_program)
-        result = run(prog, config.n)
-        if result.output is None:
+        target = run(prog, config.n)
+        if target is None:
             raise UsageError(
                 f"target program does not halt for n={config.n}: {prog.bits}"
             )
-        target = result.output
         desc = {"target_program": program_to_json(prog)}
     if target.n_qubits != config.n:
         raise UsageError(

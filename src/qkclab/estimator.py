@@ -5,10 +5,8 @@ upper-bound witness.
 
 Both estimation modes are anytime procedures: the running minimum only ever
 decreases as more programs are processed, so stopping early gives a sound
-upper bound.  Every minimizing scan also stops by itself once the bound is
-settled: rows come in (length, value) order and no row scores below its
-length, so the first row whose length reaches the running minimum, and every
-row after it, can no longer win.
+upper bound.  Every minimizing scan is that one running minimum,
+`_running_min`, with its own score.
 """
 
 from __future__ import annotations
@@ -62,6 +60,32 @@ def _table(outputs, n: int, max_len: int, conditional=None) -> CandidateTable:
     return outputs.check(n, max_len, conditional)
 
 
+def _running_min(rows, score):
+    """The running minimum of `score` over rows in (length, value) order.
+
+    `score(idx, prog, out)` is (value, record) for a row, or None for a row
+    that can claim nothing.  Returns the record of the least value (None if
+    no row scores) and the trace of each (index, value) that lowered it.
+
+    Only a strictly smaller value replaces the best, so of rows that tie the
+    earliest, the one with the smallest (length, value), wins.  No row's
+    value is below its length, so the scan stops at the first row whose
+    length reaches the best value: that row and every later one can at most
+    tie, and a tie keeps the best.  The stop is exact, and every row read
+    before it is scored as in a full scan.
+    """
+    best = record = None
+    trace: list = []
+    for idx, prog, out in rows:
+        if best is not None and prog.length >= best:
+            break
+        scored = score(idx, prog, out)
+        if scored is not None and (best is None or scored[0] < best):
+            best, record = scored
+            trace.append((idx, best))
+    return record, trace
+
+
 def exact_estimate(
     target: StateVector,
     n: int,
@@ -73,35 +97,23 @@ def exact_estimate(
 
     Candidates with zero fidelity contribute nothing (their penalty is
     infinite).  Ties go to the shorter program, then to the numerically
-    smaller one; since enumeration is ordered that way, the first program to
-    reach the minimum is the winner.  If nothing has positive fidelity the
-    result carries best=None: no finite estimate at this bound.  `outputs` is
-    the candidate table to score (built here if None).
-
-    The scan stops at the first row with length >= the best total.  That is
-    exact: the row's total is its length plus a penalty of at least 0, and a
-    tie on the total goes to the best record, whose (length, value) is
-    smaller than that of this and every later row.  `scanned` still counts
-    the whole table.
+    smaller one.  If nothing has positive fidelity the result carries
+    best=None: no finite estimate at this bound.  `outputs` is the candidate
+    table to score (built here if None); `scanned` counts the whole table,
+    though the scan stops early as `_running_min` says.
     """
     _check_target(target, n)
     table = _table(outputs, n, max_len, conditional)
-    best = None
-    best_key = None
-    trace: list[tuple[int, int]] = []
-    for idx, prog, out in table.firsts:
-        if best is not None and prog.length >= best.total:
-            break
+
+    def score(_idx, prog, out):
         q = fidelity(target, out)
         if q == 0:
-            continue
+            return None
         pen = penalty_bits(q)
         total = prog.length + pen
-        key = (total, prog.length, prog.value)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = EstimateRecord(prog, prog.length, q, pen, total)
-            trace.append((idx, total))
+        return total, EstimateRecord(prog, prog.length, q, pen, total)
+
+    best, trace = _running_min(table.firsts, score)
     return ExactEstimate(best, trace, table.scanned, n, max_len)
 
 
@@ -113,23 +125,17 @@ def ideal_value(
 ) -> Optional[float]:
     """min over halting programs of length - log2(true fidelity): the
     real-valued floor that the sampled mode approximates from above.
-
-    The scan stops at the first row with length >= the best value, which is
-    exact: fidelity is at most 1, so no row's value is below its length, and
-    only a strictly smaller value replaces the best.
-    """
+    Fidelity is at most 1, so no value is below its length."""
     _check_target(target, n)
-    best = None
-    for _idx, prog, out in _table(outputs, n, max_len).firsts:
-        if best is not None and prog.length >= best:
-            break
+
+    def score(_idx, prog, out):
         q = fidelity(target, out)
         if q == 0:
-            continue
+            return None
         value = prog.length - math.log2(q)
-        if best is None or value < best:
-            best = value
-    return best
+        return value, value
+
+    return _running_min(_table(outputs, n, max_len).firsts, score)[0]
 
 
 def directly_computable(
@@ -298,38 +304,27 @@ def run_trials(
     do; the whole input is checked before the first trial, and any other
     order raises ValueError.  Each candidate's randomness is seeded from
     (seed, its enumeration index), so its outcome does not depend on which
-    other candidates run.
-    Candidates with m == 0 are skipped: their fidelity may be zero and they
-    can claim nothing.  Ties on the estimate go to the shorter program, then
-    the smaller one.
-
-    The scan stops at the first candidate with length >= the best estimate.
-    That is exact: m <= k and epsilon > 0 give m / ((1+epsilon) k) <= 1, also
-    in floating point, so no estimate is below its length, and a tie goes to
-    the best, whose (length, value) is smaller.  Skipping the remaining
-    candidates leaves every evaluated candidate's draws unchanged.
+    other candidates run, and the early stop of `_running_min` leaves every
+    evaluated candidate's draws unchanged.  Candidates with m == 0 are
+    skipped: their fidelity may be zero and they can claim nothing.  Ties on
+    the estimate go to the shorter program, then the smaller one.  m <= k
+    and epsilon > 0 give m / ((1+epsilon) k) <= 1, also in floating point,
+    so no estimate is below its length.
     """
     candidates = list(candidates)
     keys = [(prog.length, prog.value) for _idx, prog, _out in candidates]
     if keys != sorted(keys):
         raise ValueError("run_trials needs its candidates in (length, value) order")
-    best = None
-    best_key = None
-    trace: list[tuple[int, float]] = []
-    for idx, prog, out in candidates:
-        if best is not None and prog.length >= best.estimate:
-            break
+
+    def score(idx, prog, out):
         rng = trial_rng(seed, idx)
         m = sum(1 for _ in range(k) if measure(prog, out, rng))
         if m == 0:
-            continue
+            return None
         est = prog.length - math.log2(m / ((1.0 + epsilon) * k))
-        key = (est, prog.length, prog.value)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = TrialResult(prog, m, k, epsilon, est)
-            trace.append((idx, est))
-    return best, trace
+        return est, TrialResult(prog, m, k, epsilon, est)
+
+    return _running_min(candidates, score)
 
 
 @dataclass

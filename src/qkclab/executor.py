@@ -34,15 +34,6 @@ from .proglang import (
 from .statevec import StateVector, apply_gate, state_from_json, state_to_json, zero_state
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """A program and its output; the output is None when the program does
-    not decode, the role a non-halting computation plays here."""
-
-    program: Program
-    output: Optional[StateVector]
-
-
 def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
     if conditional is None:
         return
@@ -56,22 +47,23 @@ def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
 
 def run(
     program: Program, n: int, conditional: Optional[DecodedProgram] = None
-) -> RunResult:
-    """Execute one program on the |0^n> register, with each CALLC replaced by
-    the conditional's gates.
+) -> Optional[StateVector]:
+    """The output of one program on the |0^n> register, with each CALLC
+    replaced by the conditional's gates.
 
     Decode failures -- including a CALLC with no conditional supplied -- yield
-    no output; they contribute nothing to any minimum downstream.
+    None, the role a non-halting computation plays here; they contribute
+    nothing to any minimum downstream.
     """
     _check_conditional(conditional, n)
     decoded = decode(program.bits, n)
     if decoded is None or (decoded.has_call and conditional is None):
-        return RunResult(program, None)
+        return None
     state = zero_state(n)
     for op in decoded.gates:
         for g in conditional.gates if isinstance(op, CALLC) else (op,):
             state = apply_gate(state, g)
-    return RunResult(program, state)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,9 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
     output id must index `outputs`, so rows of equal output share one
     StateVector, and no state may repeat, so rows of unequal id have unequal
     outputs.  Each output id must be an int, and so must each index, at least
-    0 and larger than the one before.  The header's row and output counts
+    0 and larger than the one before.  The programs must come in strictly
+    increasing (length, value) order, the order every scan relies on, and
+    none may be longer than max_len.  The header's row and output counts
     must match the body.  A file in any other layout, the older ones
     included, is stale.
 
@@ -222,14 +216,19 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
         if any(out.n_qubits != n for out in outputs) or len(set(outputs)) != len(outputs):
             return None
         rows = []
-        last = -1
+        last, last_key = -1, (-1, "")
         for idx, prog, out_id in data["rows"]:
             if type(idx) is not int or idx <= last:
                 return None
             if type(out_id) is not int or not 0 <= out_id < len(outputs):
                 return None
-            rows.append((idx, program_from_json(prog), outputs[out_id]))
-            last = idx
+            program = program_from_json(prog)
+            bits = program.bits  # equal-length bit strings sort as their values
+            key = (len(bits), bits)
+            if key <= last_key or key[0] > max_len:
+                return None
+            rows.append((idx, program, outputs[out_id]))
+            last, last_key = idx, key
         return CandidateTable(n, max_len, None, tuple(rows))
     except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
@@ -243,7 +242,8 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
     to its output.  A warm read returns the table as stored: it neither
     enumerates nor applies a gate.  A file that fails any check of
     `_read_cache` (layout, version, bound, counts, hash, exact unit norm, n,
-    indices, output ids) is recomputed with a warning and rewritten."""
+    indices, output ids, program order and lengths) is recomputed with a
+    warning and rewritten."""
     path = cache_path(cache_dir, n, max_len)
     if path.exists():
         table = _read_cache(path, n, max_len)

@@ -377,13 +377,8 @@ def penalty_bits(q) -> int | float:
         raise ValueError(f"probability out of range: {q}")
     if q == 0:
         return INFINITE
-    num, den = q.numerator, q.denominator
-    d = max(0, den.bit_length() - num.bit_length() - 1)
-    while (num << d) < den:
-        d += 1
-    while d > 0 and (num << (d - 1)) >= den:
-        d -= 1
-    return d
+    # the least d with 2^d >= ceil(den / num); q <= 1 makes that at least 1
+    return (-(-q.denominator // q.numerator) - 1).bit_length()
 
 
 @dataclass(frozen=True)

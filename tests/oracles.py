@@ -11,8 +11,10 @@ per-opcode decoder that the table-driven one replaced, reference_firsts the
 value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
 the Fraction sum that the integer unit-norm check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
-replaced, and reference_inner_product the Fraction overlap that the integer
-overlap kernel behind `inner_product` and `fidelity` replaced.
+replaced, reference_inner_product the Fraction overlap that the integer
+overlap kernel behind `inner_product` and `fidelity` replaced, and
+reference_penalty_bits the count-up search that the closed form in
+`penalty_bits` must match.
 reference_fidelity is its squared modulus; every scan here scores with it.
 Counted wraps a function to count its calls, for the tests that check how
 much work a path does.
@@ -54,6 +56,14 @@ def reference_inner_product(x, z):
     return acc
 
 
+def reference_penalty_bits(num, den):
+    """The least d >= 0 with num * 2^d >= den, counted up one at a time."""
+    d = 0
+    while (num << d) < den:
+        d += 1
+    return d
+
+
 def reference_fidelity(x, z):
     """|<x|z>|^2 from reference_inner_product, so it shares nothing with the
     integer kernel."""
@@ -81,10 +91,10 @@ def brute_force_best(target, n, max_len, conditional=None):
     for length in range(1, max_len + 1):
         for v in range(1 << length):
             bits = format(v, f"0{length}b")
-            result = run(Program(bits), n, conditional)
-            if result.output is None:
+            output = run(Program(bits), n, conditional)
+            if output is None:
                 continue
-            q = reference_fidelity(target, result.output)
+            q = reference_fidelity(target, output)
             if q == 0:
                 continue
             total = length + penalty_bits(q)
@@ -105,9 +115,9 @@ def reference_candidates(n, max_len, conditional=None, outputs=None):
         if outputs is not None and prog in outputs:
             yield idx, prog, outputs[prog]
             continue
-        result = run(prog, n, conditional)
-        if result.output is not None:
-            yield idx, prog, result.output
+        output = run(prog, n, conditional)
+        if output is not None:
+            yield idx, prog, output
 
 
 def reference_firsts(rows):

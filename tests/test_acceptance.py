@@ -85,9 +85,9 @@ def test_criterion_02_exact_unit_norm_simulation():
     for _ in range(10_000):
         n = rng.randrange(1, 4)
         program = encode(random_gate_list(rng, n, 8), n)
-        result = run(program, n)
-        assert result.output is not None
-        assert result.output.norm_sq() == F(1)
+        output = run(program, n)
+        assert output is not None
+        assert output.norm_sq() == F(1)
         checked += 1
     print(f"criterion 2 PASS: {checked} random programs, all outputs exactly unit norm")
 
@@ -270,7 +270,7 @@ def test_criterion_09_conditional_reuse(cache_dir):
         gates = random_gate_list(rng, n, 7)
         generator = encode(gates, n)
         conditional = decode(generator.bits, n, allow_callc=False)
-        target = run(generator, n).output
+        target = run(generator, n)
         return generator, conditional, target
 
     def conditional_table(n, conditional):

@@ -81,7 +81,7 @@ def fixture_targets(n, rng):
     targets = list(standard_basis(n).vectors) + list(rotated_basis(n).vectors)
     targets += [random_state(n, rng) for _ in range(3)]
     # outputs of short programs, so the fidelity-1 scans find something
-    targets += [run(encode(random_gate_list(rng, n, 2), n), n).output for _ in range(3)]
+    targets += [run(encode(random_gate_list(rng, n, 2), n), n) for _ in range(3)]
     if n == 2:
         targets += [FAINT_00, FAINT_10]
     return targets
@@ -182,7 +182,7 @@ def test_conditional_subadditivity_matches_reference(cached, tmp_path):
     for gx, gy in (([ROT(0)], [X(0)]), ([ROT(0), PHASE(0)], [ROT(0)]), ([], [X(0), ROT(0)])):
         p_x, p_y = encode(gx, 1), encode(gy, 1)
         report = subadditivity_report(p_x, p_y, max_len, cache_dir=cache_dir)
-        x, y = run(p_x, 1).output, run(p_y, 1).output
+        x, y = run(p_x, 1), run(p_y, 1)
         dy = decode(p_y.bits, 1, allow_callc=False)
         expected = {
             "joint": reference_exact_estimate(tensor(x, y), 2, max_len, outputs=outputs[2]),
@@ -295,7 +295,7 @@ def scan_cases(draw):
     if draw(st.booleans()):
         target = random_state(n, Random(draw(st.integers(0, 2**32 - 1))))
     else:
-        target = run(encode(draw(st.lists(gates(n), max_size=3)), n), n).output
+        target = run(encode(draw(st.lists(gates(n), max_size=3)), n), n)
     return n, max_len, target, draw(st.integers(0, 2**16))
 
 

@@ -38,10 +38,10 @@ class TestCountingBound:
         # into fidelities summing to 1, so at most 2^d vectors have penalty <= d
         basis = standard_basis(2)
         for prog in enumerate_programs(10, 2):
-            result = run(prog, 2)
-            if result.output is None:
+            output = run(prog, 2)
+            if output is None:
                 continue
-            penalties = [penalty_bits(fidelity(e, result.output)) for e in basis.vectors]
+            penalties = [penalty_bits(fidelity(e, output)) for e in basis.vectors]
             for d in range(4):
                 assert sum(1 for p in penalties if p <= d) <= 1 << d
 
@@ -94,6 +94,15 @@ class TestUniformSweep:
         a = uniform_sweep(2, 2, 10, samples=10, seed=5)
         b = uniform_sweep(2, 2, 10, samples=10, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            uniform_sweep(2, 1, 10, samples=samples, seed=4)
+
+    def test_rejects_negative_c(self):
+        with pytest.raises(ValueError, match="c must be nonnegative"):
+            uniform_sweep(2, -1, 10, samples=1, seed=4)
 
 
 class TestConsistency:
@@ -174,11 +183,11 @@ class TestSubadditivity:
     def test_witness_program_prepares_the_joint_state(self):
         p_x, p_y = encode([ROT(0)], 1), encode([X(0)], 1)
         witness = product_witness(decode(p_x.bits, 1), decode(p_y.bits, 1))
-        joint = run(witness, 2).output
+        joint = run(witness, 2)
         from qkclab import tensor
 
-        x = run(p_x, 1).output
-        y = run(p_y, 1).output
+        x = run(p_x, 1)
+        y = run(p_y, 1)
         assert joint == tensor(x, y)
 
 
@@ -225,7 +234,7 @@ class TestSuperposedBit:
     def test_constructive_bound_on_nonzero_strings(self):
         for bits, position in (("1", 0), ("01", 1), ("110", 2)):
             report = superposed_bit_example(len(bits), 18, bits=bits, position=position)
-            constructive_state = run(report.constructive, len(bits)).output
+            constructive_state = run(report.constructive, len(bits))
             target_fid = fidelity(constructive_state, constructive_state)
             assert target_fid == 1
             if report.rotated.best is not None and report.constructive.length <= 18:

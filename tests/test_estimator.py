@@ -139,7 +139,7 @@ class TestExactEstimate:
         outputs = cached_outputs(1, 10, tmp_path)
         rng = Random(38)
         targets = [random_state(1, rng) for _ in range(4)]
-        targets += [run(encode(random_gate_list(rng, 1, 2), 1), 1).output for _ in range(6)]
+        targets += [run(encode(random_gate_list(rng, 1, 2), 1), 1) for _ in range(6)]
         targets += [classical_state("0"), classical_state("1")]
         for target in targets:
             flag = directly_computable(target, 1, 10, outputs=outputs)
@@ -171,7 +171,7 @@ class TestConditionalReuse:
             gates = random_gate_list(rng, 1, 6)
             generator = encode(gates, 1)
             cond = decode(generator.bits, 1, allow_callc=False)
-            target = run(generator, 1).output
+            target = run(generator, 1)
             seen_lengths.add(generator.length)
             with_cond = exact_estimate(target, 1, 12, conditional=cond)
             without = exact_estimate(target, 1, 12)
@@ -386,7 +386,7 @@ class TestShortestExactProgram:
     def test_exact_means_amplitudes_not_phase(self):
         # PHASE^2 |1> = -|1>: fidelity 1 with |1> but amplitudes differ
         generator = encode([X(0), PHASE(0), PHASE(0)], 1)
-        minus_one = run(generator, 1).output
+        minus_one = run(generator, 1)
         assert shortest_exact_program(minus_one, 1, generator.length) == generator
         # the phase-equivalent state |1> has a 7-bit program instead
         assert shortest_exact_program(classical_state("1"), 1, 17) == encode([X(0)], 1)

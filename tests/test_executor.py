@@ -54,9 +54,9 @@ def short_conditionals(n, depth=2):
 def run_rows(n, max_len, conditional=None):
     """(index, program, output) of every halting program, each run on its own."""
     return [
-        (idx, prog, result.output)
+        (idx, prog, output)
         for idx, prog in enumerate(enumerate_programs(max_len, n))
-        if (result := run(prog, n, conditional)).output is not None
+        if (output := run(prog, n, conditional)) is not None
     ]
 
 
@@ -144,6 +144,12 @@ def break_body(data, fault):
         data["rows"][0][1]["len"] = True
     elif fault == "float-program-length":
         data["rows"][0][1]["len"] = 1.5
+    elif fault == "rows-out-of-order":
+        rows = data["rows"]
+        rows[0][1], rows[-1][1] = rows[-1][1], rows[0][1]
+    elif fault == "program-past-max-len":
+        # the body is read at max_len=7; an 8-bit last program is still in order
+        data["rows"][-1][1] = {"len": 8, "bits_hex": "0"}
     elif fault == "lost-row":
         data["rows"].pop()
     elif fault == "duplicate-output":
@@ -168,28 +174,27 @@ def work(monkeypatch):
 
 class TestRun:
     def test_empty_program_is_the_identity_computation(self, work):
-        result = run(Program("1"), 2)
-        assert result.output == zero_state(2)
+        assert run(Program("1"), 2) == zero_state(2)
         assert work.gates.calls == 0
 
     def test_rot_program(self, work):
-        result = run(encode([ROT(0)], 1), 1)
-        assert [(a.re, a.im) for a in result.output.amps] == [
+        output = run(encode([ROT(0)], 1), 1)
+        assert [(a.re, a.im) for a in output.amps] == [
             (Fraction(3, 5), 0),
             (Fraction(4, 5), 0),
         ]
         assert work.gates.calls == 1
 
     def test_callc_inlines_the_conditional(self, work):
-        result = run(encode([CALLC()], 1), 1, conditional=conditional_of([X(0)], 1))
-        assert result.output == basis_state(1, 1)
+        output = run(encode([CALLC()], 1), 1, conditional=conditional_of([X(0)], 1))
+        assert output == basis_state(1, 1)
         assert work.gates.calls == 1
 
     def test_callc_without_conditional_is_nonhalting(self):
-        assert run(encode([CALLC()], 1), 1).output is None
+        assert run(encode([CALLC()], 1), 1) is None
 
     def test_undecodable_program_is_nonhalting(self):
-        assert run(Program("0101010"), 2).output is None
+        assert run(Program("0101010"), 2) is None
 
     def test_conditional_with_callc_is_a_usage_error(self):
         bad = decode(encode([CALLC()], 1).bits, 1)
@@ -356,6 +361,8 @@ class TestCache:
             "program-past-its-length",
             "bool-program-length",
             "float-program-length",
+            "rows-out-of-order",
+            "program-past-max-len",
         ],
     )
     def test_bad_body_with_a_matching_hash_forces_recompute(self, tmp_path, fault):

@@ -49,6 +49,7 @@ from oracles import (
     reference_fidelity,
     reference_inner_product,
     reference_norm_sq,
+    reference_penalty_bits,
 )
 
 F = Fraction
@@ -333,6 +334,16 @@ class TestPenaltyBits:
             assert q >= F(1, 1 << d)
             if d > 0:
                 assert q < F(1, 1 << (d - 1))
+
+    def test_matches_reference(self):
+        # every a/b with b < 200, and the powers of two and their neighbours,
+        # where an estimate from bit lengths is off by one
+        pairs = [(a, b) for b in range(1, 200) for a in range(1, b + 1)]
+        for k in range(1, 200):
+            pairs += [(1, (1 << k) - 1), (1, 1 << k), (1, (1 << k) + 1)]
+        for a, b in pairs:
+            q = F(a, b)
+            assert penalty_bits(q) == reference_penalty_bits(q.numerator, q.denominator)
 
     def test_agrees_with_float_away_from_boundaries(self):
         rng = Random(11)
