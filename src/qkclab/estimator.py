@@ -279,7 +279,7 @@ def projection_oracle(target: StateVector) -> Callable:
         # `fidelity` oracle or a per-output memo is faster still, past 27
         # targets/s, but the benchmark retains every op's report, so the
         # extra ops would raise peak_rss_mb past its 0.2 bound; both wait
-        # for that to end (ROADMAP items 1, 4).
+        # for that to end (ROADMAP items 1, 5).
         return bernoulli(inner_product(target, output).abs2(), rng)
 
     return measure

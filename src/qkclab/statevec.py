@@ -9,13 +9,14 @@ floating-point arithmetic on amplitudes.
 A state holds its amplitudes in one integer form: Gaussian integers over a
 common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
-place of powers of sqrt2.  Gate steps, tensor products, the unit-norm check,
-equality, hashing, the JSON writer and the one overlap kernel behind
-`inner_product` and `fidelity` (and so the `Basis` orthogonality check) run
-on that form in plain ints.  The Fraction-valued `amps` is kept when a state
-is built from amplitudes (`StateVector(n, amps)`, so state files and
-`random_state`) and is otherwise built on first read, which in this package
-only `repr` does.
+place of powers of sqrt2.  Gate steps, tensor products, `random_state`'s
+rotations, the unit-norm check, equality, hashing, the JSON writer and the
+one overlap kernel behind `inner_product`, `fidelity` and the `Basis`
+orthogonality check run on that form in plain ints.  The Fraction-valued
+`amps` is kept when a state is built from amplitudes (`StateVector(n, amps)`,
+so state files) and is otherwise built on first read, which in this package
+only `repr` does.  `GaussianRational` is the value type of `amps` and of
+`inner_product`; the library does no arithmetic in it but `abs2`.
 """
 
 from __future__ import annotations
@@ -48,35 +49,8 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def scale(self, f: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * f, self.im * f)
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
 
     def __str__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
@@ -85,10 +59,6 @@ class GaussianRational:
 def gr(re=0, im=0) -> GaussianRational:
     """Build a GaussianRational from ints, Fractions or rational strings."""
     return GaussianRational(_frac(re), _frac(im))
-
-
-GR_ZERO = gr(0)
-GR_ONE = gr(1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +95,6 @@ class PHASE:
 
 
 Gate = Union[X, CNOT, ROT, PHASE]
-
-ROT_COS = Fraction(3, 5)
-ROT_SIN = Fraction(4, 5)
 
 
 def operands(op) -> tuple[int, ...]:
@@ -185,8 +152,10 @@ class StateVector:
         if n_qubits < 1:
             raise ValueError("n_qubits must be a positive integer")
         amps = tuple(amps)
-        if len(amps) != 1 << n_qubits:
-            raise ValueError(f"expected {1 << n_qubits} amplitudes, got {len(amps)}")
+        # compare exponents: a huge n_qubits from a file builds no 1 << n_qubits
+        size = len(amps)
+        if size & (size - 1) or size.bit_length() - 1 != n_qubits:
+            raise ValueError(f"expected 2**{n_qubits} amplitudes, got {size}")
         return _from_lattice(n_qubits, *_lattice(amps), amps)
 
     @property
@@ -397,7 +366,7 @@ class Basis:
             raise ValueError("basis does not span the space")
         for i in range(len(self.vectors)):
             for j in range(i + 1, len(self.vectors)):
-                if not inner_product(self.vectors[i], self.vectors[j]).is_zero():
+                if _overlap(self.vectors[i], self.vectors[j]) != (0, 0):
                     raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
 
     @property
@@ -454,14 +423,14 @@ def shannon_fano_code(basis: Basis, z: StateVector) -> dict[int, str]:
 # Random exact states
 # ---------------------------------------------------------------------------
 
-def _pythagorean_rotation(rng: Random) -> tuple[Fraction, Fraction]:
-    # (a/c, b/c) with a^2 + b^2 = c^2, so the Givens rotation is exactly unitary
+def _pythagorean_rotation(rng: Random) -> tuple[int, int, int]:
+    # (a, b, c) with a^2 + b^2 = c^2, so the Givens rotation by (a/c, b/c) is
+    # exactly unitary
     while True:
         m = rng.randrange(2, 12)
         k = rng.randrange(1, m)
         if (m - k) % 2 == 1 and math.gcd(m, k) == 1:
-            a, b, c = m * m - k * k, 2 * m * k, m * m + k * k
-            return Fraction(a, c), Fraction(b, c)
+            return m * m - k * k, 2 * m * k, m * m + k * k
 
 
 def random_state(n: int, rng: Random) -> StateVector:
@@ -470,21 +439,28 @@ def random_state(n: int, rng: Random) -> StateVector:
     Starts from |0...0> and applies a chain of exact Givens rotations built
     from Pythagorean triples, plus occasional factors of i and -1, so the
     output does not have to be reachable by the machine's gate set.
+
+    The chain runs on the integer form (v, D): a rotation by (a/c, b/c) of
+    amplitudes i and j maps their parts (x, y) to (a x - b y, b x + a y) and
+    every other part x to c x, over c D.  D is the product of the c's; the
+    form is reduced once, at the end.
     """
     dim = 1 << n
-    amps = [GR_ZERO] * dim
-    amps[0] = GR_ONE
+    v = [1] + [0] * (2 * dim - 1)
+    d = 1
     for _ in range(3 * dim):
-        i, j = rng.sample(range(dim), 2)
-        c, s = _pythagorean_rotation(rng)
-        ai, aj = amps[i], amps[j]
-        amps[i] = ai.scale(c) - aj.scale(s)
-        amps[j] = ai.scale(s) + aj.scale(c)
+        i, j = (2 * k for k in rng.sample(range(dim), 2))  # parts re, im at i, i + 1
+        a, b, c = _pythagorean_rotation(rng)
+        xs, ys = v[i : i + 2], v[j : j + 2]
+        v = [c * x for x in v]
+        v[i : i + 2] = [a * x - b * y for x, y in zip(xs, ys)]
+        v[j : j + 2] = [b * x + a * y for x, y in zip(xs, ys)]
+        d *= c
         if rng.random() < 0.5:
-            amps[i] = amps[i].times_i()
+            v[i], v[i + 1] = -v[i + 1], v[i]
         if rng.random() < 0.25:
-            amps[j] = -amps[j]
-    return StateVector(n, tuple(amps))
+            v[j], v[j + 1] = -v[j], -v[j + 1]
+    return _from_lattice(n, *_reduced(v, d))
 
 
 # ---------------------------------------------------------------------------

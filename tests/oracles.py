@@ -12,10 +12,14 @@ value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
 the Fraction sum that the integer unit-norm check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
 replaced, reference_inner_product the Fraction overlap that the integer
-overlap kernel behind `inner_product` and `fidelity` replaced, and
-reference_penalty_bits the count-up search that the closed form in
-`penalty_bits` must match.
+overlap kernel behind `inner_product` and `fidelity` replaced,
+reference_random_state the Fraction Givens chain that the integer one in
+`random_state` replaced, and reference_penalty_bits the count-up search that
+the closed form in `penalty_bits` must match.
 reference_fidelity is its squared modulus; every scan here scores with it.
+The Fraction references do their complex arithmetic with the c_* helpers on
+(re, im) pairs of Fractions, and ROT_COS, ROT_SIN are the ROT gate's entries:
+the library itself keeps no such arithmetic.
 Counted wraps a function to count its calls, for the tests that check how
 much work a path does.
 """
@@ -32,6 +36,7 @@ from qkclab import (
     ROT,
     X,
     EstimateRecord,
+    GaussianRational,
     Program,
     StateVector,
     TrialResult,
@@ -42,18 +47,66 @@ from qkclab import (
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import index_width
-from qkclab.statevec import GR_ZERO, ROT_COS, ROT_SIN, _mask
+from qkclab.statevec import _mask
+
+ROT_COS = Fraction(3, 5)
+ROT_SIN = Fraction(4, 5)
+
+
+# Complex arithmetic on (re, im) pairs of Fractions.
+
+def c_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def c_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def c_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def c_neg(x):
+    return -x[0], -x[1]
+
+
+def c_scale(x, f):
+    return x[0] * f, x[1] * f
+
+
+def c_conj(x):
+    return x[0], -x[1]
+
+
+def c_times_i(x):
+    return -x[1], x[0]
+
+
+def c_abs2(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def parts(state):
+    """A state's amps as (re, im) pairs."""
+    return [(a.re, a.im) for a in state.amps]
+
+
+def state_of_parts(n, pairs):
+    """The state on n qubits with amplitudes (re, im) pairs, through the
+    public constructor, so its unit-norm check applies."""
+    return StateVector(n, tuple(GaussianRational(*p) for p in pairs))
 
 
 def reference_inner_product(x, z):
-    """<x|z> summed in GaussianRational arithmetic over the two states' amps:
-    the Fraction path that the integer overlap kernel replaced."""
+    """<x|z> summed in Fraction arithmetic over the two states' amps: the
+    path that the integer overlap kernel replaced."""
     if x.n_qubits != z.n_qubits:
         raise ValueError("dimension mismatch")
-    acc = GR_ZERO
-    for a, b in zip(x.amps, z.amps):
-        acc = acc + a.conj() * b
-    return acc
+    acc = (Fraction(0), Fraction(0))
+    for a, b in zip(parts(x), parts(z)):
+        acc = c_add(acc, c_mul(c_conj(a), b))
+    return GaussianRational(*acc)
 
 
 def reference_penalty_bits(num, den):
@@ -67,7 +120,8 @@ def reference_penalty_bits(num, den):
 def reference_fidelity(x, z):
     """|<x|z>|^2 from reference_inner_product, so it shares nothing with the
     integer kernel."""
-    return reference_inner_product(x, z).abs2()
+    p = reference_inner_product(x, z)
+    return c_abs2((p.re, p.im))
 
 
 def brute_force_decodables(max_len, n):
@@ -278,15 +332,15 @@ def reference_op_fields(n):
 def reference_norm_sq(amps):
     """Sum of |a|^2, one Fraction operation per term: the sum that the
     integer unit-norm check over one common denominator replaced."""
-    return sum((a.abs2() for a in amps), Fraction(0))
+    return sum((c_abs2((a.re, a.im)) for a in amps), Fraction(0))
 
 
 def reference_apply_gate(state, gate):
-    """One gate step in GaussianRational arithmetic on the state's amps, one
-    Fraction operation per amplitude part touched: the simulator that the
-    integer kernel over one common denominator replaced."""
+    """One gate step in Fraction arithmetic on the state's amps, one Fraction
+    operation per amplitude part touched: the simulator that the integer
+    kernel over one common denominator replaced."""
     n = state.n_qubits
-    amps = list(state.amps)
+    amps = parts(state)
     if isinstance(gate, X):
         m = _mask(n, gate.target)
         for i in range(state.dim):
@@ -297,13 +351,13 @@ def reference_apply_gate(state, gate):
         for i in range(state.dim):
             if not i & m:
                 lo, hi = amps[i], amps[i | m]
-                amps[i] = lo.scale(ROT_COS) - hi.scale(ROT_SIN)
-                amps[i | m] = lo.scale(ROT_SIN) + hi.scale(ROT_COS)
+                amps[i] = c_sub(c_scale(lo, ROT_COS), c_scale(hi, ROT_SIN))
+                amps[i | m] = c_add(c_scale(lo, ROT_SIN), c_scale(hi, ROT_COS))
     elif isinstance(gate, PHASE):
         m = _mask(n, gate.target)
         for i in range(state.dim):
             if i & m:
-                amps[i] = amps[i].times_i()
+                amps[i] = c_times_i(amps[i])
     elif isinstance(gate, CNOT):
         mc = _mask(n, gate.control)
         mt = _mask(n, gate.target)
@@ -312,7 +366,37 @@ def reference_apply_gate(state, gate):
                 amps[i], amps[i | mt] = amps[i | mt], amps[i]
     else:
         raise TypeError(f"not a gate: {gate!r}")
-    return StateVector(n, tuple(amps))
+    return state_of_parts(n, amps)
+
+
+def _reference_pythagorean_rotation(rng):
+    # (a/c, b/c) with a^2 + b^2 = c^2, so the Givens rotation is exactly unitary
+    while True:
+        m = rng.randrange(2, 12)
+        k = rng.randrange(1, m)
+        if (m - k) % 2 == 1 and math.gcd(m, k) == 1:
+            a, b, c = m * m - k * k, 2 * m * k, m * m + k * k
+            return Fraction(a, c), Fraction(b, c)
+
+
+def reference_random_state(n, rng):
+    """`random_state`'s Givens chain in Fraction arithmetic on amplitudes,
+    with the same rng calls in the same order: the path that the integer
+    chain replaced."""
+    dim = 1 << n
+    amps = [(Fraction(0), Fraction(0))] * dim
+    amps[0] = (Fraction(1), Fraction(0))
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c, s = _reference_pythagorean_rotation(rng)
+        ai, aj = amps[i], amps[j]
+        amps[i] = c_sub(c_scale(ai, c), c_scale(aj, s))
+        amps[j] = c_add(c_scale(ai, s), c_scale(aj, c))
+        if rng.random() < 0.5:
+            amps[i] = c_times_i(amps[i])
+        if rng.random() < 0.25:
+            amps[j] = c_neg(amps[j])
+    return state_of_parts(n, amps)
 
 
 class Counted:

@@ -111,9 +111,15 @@ class TestEstimate:
 
     def test_malformed_statefile_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        for text in ("{not json", '{"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]}'):
+        for text in (
+            "{not json",
+            '{"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]}',
+            '{"n": "100000000000000000000", "amps": [["1", "1", "0", "1"]]}',
+        ):
             path.write_text(text)
-            rc, _ = run_cli(capsys, "estimate", "--statefile", str(path), "--n", "1")
+            rc, _ = run_cli(
+                capsys, "estimate", "--statefile", str(path), "--n", "1", "--max-len", "4"
+            )
             assert rc == 2, text
 
     def test_dimension_mismatch_is_usage_error(self, capsys):

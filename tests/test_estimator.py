@@ -11,6 +11,7 @@ from qkclab import (
     X,
     Program,
     SamplingPlan,
+    StateVector,
     apply_gate,
     bernoulli,
     cached_outputs,
@@ -21,6 +22,7 @@ from qkclab import (
     directly_computable,
     exact_estimate,
     fidelity,
+    gr,
     ideal_value,
     k_from_bound,
     projection_oracle,
@@ -204,9 +206,6 @@ class TestUpperBoundWitness:
         assert record.penalty == 1
 
     def test_equal_fidelity_target_hits_penalty_n(self):
-        amps = tuple(classical_state("00").amps)  # placeholder for structure
-        from qkclab import StateVector, gr
-
         uniform = StateVector(2, (gr(F(1, 2)),) * 4)
         prog, record = upper_bound_witness(uniform, 2)
         assert record.penalty == 2

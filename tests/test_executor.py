@@ -138,6 +138,9 @@ def break_body(data, fault):
         data["outputs"][0]["amps"][0][0] = 1.0  # int() would read it as 1
     elif fault == "float-n":
         data["outputs"][0]["n"] = 1.0
+    elif fault == "huge-n":
+        # fails without allocating; an n near 10**9 would build a huge 1 << n
+        data["outputs"][0]["n"] = str(10**20)
     elif fault == "program-past-its-length":
         data["rows"][0][1] = {"len": 0, "bits_hex": "1"}  # once read as the empty program
     elif fault == "bool-program-length":
@@ -358,6 +361,7 @@ class TestCache:
             "float-index",
             "float-part",
             "float-n",
+            "huge-n",
             "program-past-its-length",
             "bool-program-length",
             "float-program-length",

@@ -39,9 +39,20 @@ from qkclab import (
     zero_state,
 )
 from qkclab.proglang import CALLC, _op_alphabet
-from qkclab.statevec import ROT_COS, ROT_SIN, _lattice
+from qkclab import statevec
+from qkclab.statevec import _lattice
 
 from oracles import (
+    ROT_COS,
+    ROT_SIN,
+    c_abs2,
+    c_add,
+    c_conj,
+    c_mul,
+    c_neg,
+    c_scale,
+    c_sub,
+    c_times_i,
     mat2_mul,
     random_fraction,
     random_gate,
@@ -50,6 +61,8 @@ from oracles import (
     reference_inner_product,
     reference_norm_sq,
     reference_penalty_bits,
+    reference_random_state,
+    state_of_parts,
 )
 
 F = Fraction
@@ -61,13 +74,18 @@ def amps(state):
 
 class TestGaussianRational:
     def test_arithmetic_is_exact(self):
-        a = gr(F(1, 3), F(1, 2))
-        b = gr(F(2, 3), F(-1, 2))
-        assert (a + b) == gr(1, 0)
-        assert (a * b).re == F(1, 3) * F(2, 3) - F(1, 2) * F(-1, 2)
-        assert a.conj().im == -F(1, 2)
-        assert a.times_i() == gr(F(-1, 2), F(1, 3))
-        assert a.abs2() == F(1, 9) + F(1, 4)
+        # the reference paths' helpers on (re, im) pairs, and abs2, the one
+        # operation GaussianRational itself still has
+        a = (F(1, 3), F(1, 2))
+        b = (F(2, 3), F(-1, 2))
+        assert c_add(a, b) == (1, 0)
+        assert c_sub(a, b) == (F(-1, 3), 1)
+        assert c_mul(a, b)[0] == F(1, 3) * F(2, 3) - F(1, 2) * F(-1, 2)
+        assert c_neg(a) == (F(-1, 3), F(-1, 2))
+        assert c_scale(a, F(3, 2)) == (F(1, 2), F(3, 4))
+        assert c_conj(a)[1] == -F(1, 2)
+        assert c_times_i(a) == (F(-1, 2), F(1, 3))
+        assert c_abs2(a) == gr(*a).abs2() == F(1, 9) + F(1, 4)
 
     def test_canonical_form_gives_exact_equality(self):
         assert gr(F(2, 4)) == gr(F(1, 2))
@@ -97,6 +115,11 @@ class TestStates:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             StateVector(2, (gr(1), gr(0)))
+        # an n from a file: 10**20 fails without allocating, where an n near
+        # 10**9 would build a huge 1 << n if the check computed it
+        for n, size in [(10**20, 1), (10**20, 2), (1, 0), (1, 3), (2, 3)]:
+            with pytest.raises(ValueError, match="amplitudes"):
+                StateVector(n, (gr(1),) * size)
 
     def test_classical_state_indexing(self):
         # qubit 0 is the most significant index bit
@@ -217,7 +240,7 @@ class TestIntegerKernel:
             (random_state(nx, rng), random_state(ny, rng)),
             (random_state(nx, rng), apply_circuit(zero_state(ny), chain)),
         ]:
-            expected = StateVector(nx + ny, tuple(a * b for a in x.amps for b in y.amps))
+            expected = state_of_parts(nx + ny, [c_mul(a, b) for a in amps(x) for b in amps(y)])
             joint = tensor(x, y)
             assert joint.amps == expected.amps
             assert joint == expected and hash(joint) == hash(expected)
@@ -285,7 +308,7 @@ def table_outputs(n):
 
 class TestInnerProduct:
     """inner_product runs on the overlap kernel that fidelity shares; the
-    GaussianRational sum over amps (oracles.py) is the reference."""
+    Fraction sum over amps (oracles.py) is the reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
@@ -301,7 +324,8 @@ class TestInnerProduct:
             p = inner_product(a, b)
             assert p == reference_inner_product(a, b)
             assert type(p.re) is Fraction and type(p.im) is Fraction
-            assert p == inner_product(b, a).conj()
+            q = inner_product(b, a)
+            assert (p.re, p.im) == c_conj((q.re, q.im))
         for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), z)]:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 inner_product(a, b)
@@ -454,11 +478,36 @@ class TestTensor:
 
 
 class TestRandomState:
+    """random_state runs its Givens chain on the integer form; the Fraction
+    chain it replaced (oracles.py) is the reference."""
+
     def test_exact_unit_norm_and_reproducible(self):
         a = random_state(3, Random(99))
         b = random_state(3, Random(99))
         assert a == b
         assert a.norm_sq() == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_states_and_rng_streams_match_the_fraction_chain(self, n):
+        for seed in range(300):
+            rng, ref_rng = Random(seed), Random(seed)
+            state, ref = random_state(n, rng), reference_random_state(n, ref_rng)
+            assert state == ref and amps(state) == amps(ref)
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_random_states_and_bases_use_no_fraction_arithmetic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction arithmetic in the library")
+
+        monkeypatch.setattr(statevec, "Fraction", refuse)
+        monkeypatch.setattr(statevec, "GaussianRational", refuse)
+        for n in (1, 2, 3):
+            for seed in range(5):
+                random_state(n, Random(seed))
+            rotated_basis(n)
+            Basis(tuple(basis_state(n, i) for i in range(1 << n)))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Basis((zero_state(1), apply_gate(zero_state(1), ROT(0))))
 
 
 def signed_fraction(rng):
@@ -564,6 +613,8 @@ class TestSerialization:
             state_from_json({"n": 1, "amps": [["1", "1", "0", "1"], ["1", "1", "0", "1"]]})
         with pytest.raises(ValueError, match="malformed"):  # a zero denominator
             state_from_json({"n": 1, "amps": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]})
+        with pytest.raises(ValueError, match="amplitudes"):
+            state_from_json({"n": str(10**20), "amps": [["1", "1", "0", "1"]]})
 
     @pytest.mark.parametrize(
         "record",
