@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .executor import CandidateTable, candidate_table
 from .proglang import DecodedProgram, Program, encode
-from .statevec import StateVector, X, fidelity, inner_product, penalty_bits
+from .statevec import StateVector, X, fidelity, penalty_bits
 
 LOG2_E = math.log2(math.e)
 
@@ -271,16 +271,14 @@ def projection_oracle(target: StateVector) -> Callable:
     with probability fidelity(target, output), exactly."""
 
     def measure(program: Program, output: StateVector, rng: Random) -> bool:
-        # inner_product runs on the integer overlap kernel that `fidelity`
-        # shares, and |<x|z>|^2 is the same reduced Fraction either way, so
-        # the draws are those of the Fraction sum over amps.  With the kernel
-        # the sampled benchmark (40 s runs, 2 cores) went from 1.07 to 9.71
-        # targets/s and its peak_rss_mb from 25.55 to 28.05 MB (+9.8%).  A
-        # `fidelity` oracle or a per-output memo is faster still, past 27
-        # targets/s, but the benchmark retains every op's report, so the
-        # extra ops would raise peak_rss_mb past its 0.2 bound; both wait
-        # for that to end (ROADMAP items 1, 5).
-        return bernoulli(inner_product(target, output).abs2(), rng)
+        # fidelity is the integer overlap kernel's reduced Fraction, the
+        # same |<x|z>|^2 that the Fraction sum over amps gives, so the draws
+        # are unchanged.  It took the sampled benchmark (40 s runs, 2 cores)
+        # from 10.5 to 33.8 targets/s at peak_rss_mb +16.5%.  A per-output
+        # memo was faster still, but a prototype raised peak_rss_mb 48%,
+        # past its 0.2 bound, because the benchmark keeps every op's
+        # report; the memo waits for that to end (ROADMAP item 1).
+        return bernoulli(fidelity(target, output), rng)
 
     return measure
 

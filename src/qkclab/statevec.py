@@ -15,8 +15,8 @@ one overlap kernel behind `inner_product`, `fidelity` and the `Basis`
 orthogonality check run on that form in plain ints.  The Fraction-valued
 `amps` is kept when a state is built from amplitudes (`StateVector(n, amps)`,
 so state files) and is otherwise built on first read, which in this package
-only `repr` does.  `GaussianRational` is the value type of `amps` and of
-`inner_product`; the library does no arithmetic in it but `abs2`.
+only `repr` does.  `GaussianRational` is only the value type of `amps` and of
+`inner_product`: the library does no arithmetic in it.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class GaussianRational:
 
     re: Fraction
     im: Fraction
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __str__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"

@@ -16,7 +16,8 @@ overlap kernel behind `inner_product` and `fidelity` replaced,
 reference_random_state the Fraction Givens chain that the integer one in
 `random_state` replaced, and reference_penalty_bits the count-up search that
 the closed form in `penalty_bits` must match.
-reference_fidelity is its squared modulus; every scan here scores with it.
+reference_fidelity is its squared modulus; every scan here scores with it,
+and reference_projection_oracle draws its trials on it.
 The Fraction references do their complex arithmetic with the c_* helpers on
 (re, im) pairs of Fractions, and ROT_COS, ROT_SIN are the ROT gate's entries:
 the library itself keeps no such arithmetic.
@@ -122,6 +123,17 @@ def reference_fidelity(x, z):
     integer kernel."""
     p = reference_inner_product(x, z)
     return c_abs2((p.re, p.im))
+
+
+def reference_projection_oracle(target):
+    """`projection_oracle` on reference_fidelity: each trial draws
+    randrange(den) < num on the Fraction-path |<target|output>|^2."""
+
+    def measure(program, output, rng):
+        q = reference_fidelity(target, output)
+        return rng.randrange(q.denominator) < q.numerator
+
+    return measure
 
 
 def brute_force_decodables(max_len, n):

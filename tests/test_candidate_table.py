@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qkclab.census as census
 import qkclab.estimator as estimator
+import qkclab.statevec as statevec
 from qkclab import (
     CNOT,
     PHASE,
@@ -32,6 +33,7 @@ from qkclab import (
     gr,
     ideal_value,
     incompressibility_census,
+    inner_product,
     projection_oracle,
     random_state,
     rotated_basis,
@@ -132,9 +134,10 @@ def test_exact_scans_build_no_output_amplitudes():
 
 
 def test_census_and_sampled_build_no_amplitudes(monkeypatch):
-    # the Basis check and the sampled oracle take inner products on the
-    # integer forms, so a cold census and a cold sampled estimate leave the
-    # Fraction amplitudes of every output, basis vector and target unbuilt
+    # the Basis check, the census scores and the sampled oracle all run on
+    # the integer forms, so a cold census and a cold sampled estimate leave
+    # the Fraction amplitudes of every output, basis vector and target
+    # unbuilt, and construct no GaussianRational at all
     tables = []
 
     def keep(build):
@@ -146,6 +149,8 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
 
     monkeypatch.setattr(census, "candidate_table", keep(census.candidate_table))
     monkeypatch.setattr(estimator, "candidate_table", keep(estimator.candidate_table))
+    constructed = Counted(statevec.GaussianRational)
+    monkeypatch.setattr(statevec, "GaussianRational", constructed)
     basis = rotated_basis(3)
     incompressibility_census(3, 1, 12, basis=basis)
     plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
@@ -153,9 +158,12 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
     targets += rotated_basis(2).vectors
     for target in targets:
         sampled_estimate(projection_oracle(target), 2, plan, 8, seed=0)
+    assert constructed.calls == 0
     assert len(tables) == 1 + len(targets)
     outputs = [out for table in tables for _idx, _prog, out in table.rows]
     assert all(state._amps is None for state in outputs + list(basis.vectors) + targets)
+    inner_product(targets[0], targets[-1])  # the count does see a construction
+    assert constructed.calls == 1
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])

@@ -1,14 +1,17 @@
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from qkclab import encode, state_to_json, zero_state
+from qkclab import encode, random_state, rotated_basis, state_to_json, zero_state
 from qkclab import cli
 from qkclab.cli import main
 from qkclab.proglang import OPS, _op_alphabet
 from qkclab.statevec import ROT, X, apply_gate
+
+from oracles import Counted, reference_projection_oracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -96,6 +99,37 @@ class TestEstimate:
         assert record["plan"]["k"] >= 554
         assert 1.0 <= record["best"]["estimate"] <= 2.0
         validate(record)
+
+    def test_sampled_records_match_the_fraction_oracle(self, capsys, tmp_path, monkeypatch):
+        # the sampled command writes the same bytes when its oracle draws on
+        # the Fraction-path fidelity, for classical targets and state files.
+        # Only the random state's scanned rows have fidelities that reduce,
+        # so only it would show a draw on an unreduced denominator.
+        targets = [("--classical", bits) for bits in ("00", "01", "10", "11")]
+        for name, state in (("rotated", rotated_basis(2).vectors[1]),
+                            ("random", random_state(2, Random(1)))):
+            statefile = tmp_path / f"{name}.json"
+            statefile.write_text(json.dumps(state_to_json(state)))
+            targets.append(("--statefile", str(statefile)))
+
+        def records():
+            found = []
+            for flag, value in targets:
+                for seed in range(4):
+                    out = tmp_path / "record.json"
+                    rc, _ = run_cli(
+                        capsys, "estimate", flag, value, "--n", "2", "--max-len", "12",
+                        "--sampled", "--seed", str(seed), "--out", str(out),
+                    )
+                    assert rc == 0
+                    found.append(out.read_bytes())
+            return found
+
+        kernel = records()
+        built = Counted(reference_projection_oracle)
+        monkeypatch.setattr(cli, "projection_oracle", built)
+        assert records() == kernel
+        assert built.calls == len(kernel)
 
     def test_statefile_round_trip(self, capsys, tmp_path):
         state = apply_gate(zero_state(1), ROT(0))

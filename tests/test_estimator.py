@@ -27,6 +27,7 @@ from qkclab import (
     k_from_bound,
     projection_oracle,
     random_state,
+    rotated_basis,
     run,
     run_trials,
     sampled_estimate,
@@ -239,11 +240,17 @@ class TestProjectionOracle:
     def test_draw_stream_matches_the_fraction_fidelity(self):
         # each row's trial stream gives the same outcomes as Bernoulli draws
         # on the Fraction-path fidelity, so sampled records do not depend on
-        # how the oracle computes the overlap
+        # how the oracle computes the overlap.  The classical targets have
+        # D = 1, and no row's fidelity on them reduces; on the rotated and
+        # random targets, 7 to 69 of the 69 rows' fidelities reduce, so the
+        # reduced denominator that bounds each randrange is checked too.
         k = k_from_bound(2, 0.05, 0.25)  # 554: the sampled command's default plan
         table = candidate_table(2, 12)
-        for bits in ("00", "01", "10", "11"):
-            target = classical_state(bits)
+        targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
+        targets += rotated_basis(2).vectors
+        targets.append(apply_gate(zero_state(2), ROT(1)))
+        targets += [random_state(2, Random(s)) for s in (1, 2, 3)]
+        for target in targets:
             measure = projection_oracle(target)
             for idx, prog, out in table.rows:
                 q = reference_fidelity(target, out)
@@ -251,6 +258,7 @@ class TestProjectionOracle:
                     rng, ref = trial_rng(seed, idx), trial_rng(seed, idx)
                     drawn = [measure(prog, out, rng) for _ in range(k)]
                     assert drawn == [bernoulli(q, ref) for _ in range(k)]
+                    assert rng.getstate() == ref.getstate()
 
 
 class TestRunTrials:
