@@ -83,6 +83,7 @@ from .statevec import (
     basis_state,
     classical_state,
     fidelity,
+    fidelity_pair,
     gr,
     inner_product,
     penalty_bits,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .executor import CandidateTable, candidate_table
 from .proglang import DecodedProgram, Program, encode
-from .statevec import StateVector, X, fidelity, penalty_bits
+from .statevec import StateVector, X, fidelity, fidelity_pair, penalty_bits
 
 LOG2_E = math.log2(math.e)
 
@@ -261,24 +261,30 @@ class TrialResult:
     estimate: float  # length - log2(m / ((1 + epsilon) k)); needs m > 0
 
 
-def bernoulli(q: Fraction, rng: Random) -> bool:
-    """Exact Bernoulli(q): no float round-off in the success probability."""
-    return rng.randrange(q.denominator) < q.numerator
+def bernoulli(num: int, den: int, rng: Random) -> bool:
+    """Exact Bernoulli(num / den): one draw of randrange(den) < num, with no
+    float round-off in the success probability.  Raises ValueError unless
+    den >= 1 and 0 <= num <= den: any other pair is no probability, and its
+    draws would be always true or always false."""
+    if den < 1 or not 0 <= num <= den:
+        raise ValueError(f"not a probability: {num}/{den}")
+    return rng.randrange(den) < num
 
 
 def projection_oracle(target: StateVector) -> Callable:
     """Simulated projection measurement onto the target: each trial succeeds
-    with probability fidelity(target, output), exactly."""
+    with probability fidelity(target, output), exactly.  It draws on
+    `fidelity_pair`'s reduced integer pair, so no trial builds a Fraction."""
 
     def measure(program: Program, output: StateVector, rng: Random) -> bool:
-        # fidelity is the integer overlap kernel's reduced Fraction, the
-        # same |<x|z>|^2 that the Fraction sum over amps gives, so the draws
-        # are unchanged.  It took the sampled benchmark (40 s runs, 2 cores)
-        # from 10.5 to 33.8 targets/s at peak_rss_mb +16.5%.  A per-output
-        # memo was faster still, but a prototype raised peak_rss_mb 48%,
-        # past its 0.2 bound, because the benchmark keeps every op's
-        # report; the memo waits for that to end (ROADMAP item 1).
-        return bernoulli(fidelity(target, output), rng)
+        # den is the reduced Fraction's denominator, so every randrange
+        # call, and so every draw, is the one that Fraction gave.  A
+        # per-output memo would be faster still, but the sampled benchmark
+        # keeps every op's report (about 5 KB each), so its peak_rss_mb
+        # rises with throughput alone: from this oracle's 52.7 targets/s
+        # (40 s runs, 2 cores, 36.9 MB) the 0.2 bound is crossed near 1.7x
+        # that rate.  The memo waits for that to end (ROADMAP item 1).
+        return bernoulli(*fidelity_pair(target, output), rng)
 
     return measure
 

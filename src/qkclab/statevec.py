@@ -11,12 +11,13 @@ common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
 place of powers of sqrt2.  Gate steps, tensor products, `random_state`'s
 rotations, the unit-norm check, equality, hashing, the JSON writer and the
-one overlap kernel behind `inner_product`, `fidelity` and the `Basis`
-orthogonality check run on that form in plain ints.  The Fraction-valued
-`amps` is kept when a state is built from amplitudes (`StateVector(n, amps)`,
-so state files) and is otherwise built on first read, which in this package
-only `repr` does.  `GaussianRational` is only the value type of `amps` and of
-`inner_product`: the library does no arithmetic in it.
+one overlap kernel behind `inner_product`, `fidelity_pair`, `fidelity` and
+the `Basis` orthogonality check run on that form in plain ints.  The
+Fraction-valued `amps` is kept when a state is built from amplitudes
+(`StateVector(n, amps)`, so state files) and is otherwise built on first
+read, which in this package only `repr` does.  `GaussianRational` is only
+the value type of `amps` and of `inner_product`: the library does no
+arithmetic in it.
 """
 
 from __future__ import annotations
@@ -62,9 +63,20 @@ def gr(re=0, im=0) -> GaussianRational:
 # Gates
 # ---------------------------------------------------------------------------
 
+def _target_hash(gate) -> int:
+    """The hash of a one-qubit gate: its class and its target.  The hash a
+    frozen dataclass generates covers the fields alone, so X(q), ROT(q) and
+    PHASE(q) would share hash((q,)), and a tuple of k such gates would share
+    its hash with 3^k - 1 others in every dict keyed by gate tuples.  CNOT
+    (two operands) and CALLC (none) collide with no other op."""
+    return hash((gate.__class__, gate.target))
+
+
 @dataclass(frozen=True)
 class X:
     target: int
+
+    __hash__ = _target_hash
 
 
 @dataclass(frozen=True)
@@ -83,12 +95,16 @@ class ROT:
 
     target: int
 
+    __hash__ = _target_hash
+
 
 @dataclass(frozen=True)
 class PHASE:
     """diag(1, i) on the target qubit."""
 
     target: int
+
+    __hash__ = _target_hash
 
 
 Gate = Union[X, CNOT, ROT, PHASE]
@@ -304,14 +320,23 @@ def inner_product(x: StateVector, z: StateVector) -> GaussianRational:
     return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
-def fidelity(x: StateVector, z: StateVector) -> Fraction:
-    """|<x|z>|^2: the probability that z passes a test for x, exactly.
+def fidelity_pair(x: StateVector, z: StateVector) -> tuple[int, int]:
+    """|<x|z>|^2 as the reduced pair (num, den), in plain ints.
 
-    (re^2 + im^2) / (Dx Dz)^2 from the integer overlap, the same reduced
-    Fraction that |<x|z>|^2 gives on `amps`.
+    (re^2 + im^2) / (Dx Dz)^2 from the integer overlap, with one gcd divided
+    out: the numerator and denominator of the reduced Fraction that
+    |<x|z>|^2 gives on `amps`, and (0, 1) for orthogonal states.
     """
     re, im = _overlap(x, z)
-    return Fraction(re * re + im * im, (x._d * z._d) ** 2)
+    num, den = re * re + im * im, (x._d * z._d) ** 2
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def fidelity(x: StateVector, z: StateVector) -> Fraction:
+    """|<x|z>|^2: the probability that z passes a test for x, exactly: the
+    Fraction of `fidelity_pair`."""
+    return Fraction(*fidelity_pair(x, z))
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:

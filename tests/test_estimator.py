@@ -36,9 +36,11 @@ from qkclab import (
     upper_bound_witness,
     zero_state,
 )
+import qkclab.estimator as estimator
+import qkclab.statevec as statevec
 from qkclab.estimator import trial_rng
 
-from oracles import brute_force_best, random_gate_list, reference_fidelity
+from oracles import Counted, brute_force_best, random_gate_list, reference_fidelity
 
 F = Fraction
 
@@ -226,14 +228,23 @@ class TestUpperBoundWitness:
 class TestBernoulli:
     def test_degenerate_probabilities(self):
         rng = Random(36)
-        assert all(bernoulli(F(1), rng) for _ in range(50))
-        assert not any(bernoulli(F(0, 1), rng) for _ in range(50))
+        assert all(bernoulli(1, 1, rng) for _ in range(50))
+        assert not any(bernoulli(0, 1, rng) for _ in range(50))
 
     def test_frequency_tracks_probability(self):
         rng = Random(37)
-        q = F(9, 25)
-        hits = sum(bernoulli(q, rng) for _ in range(20000))
+        hits = sum(bernoulli(9, 25, rng) for _ in range(20000))
         assert abs(hits / 20000 - 9 / 25) < 0.01
+
+    @pytest.mark.parametrize("num, den", [(3, 2), (-1, 4), (1, 0), (0, 0), (0, -1), (-2, -1)])
+    def test_rejects_a_pair_that_is_no_probability(self, num, den):
+        # 3/2 would succeed and -1/4 fail on every draw; a zero or negative
+        # denominator has no draw at all.  Nothing is drawn before the check.
+        rng = Random(38)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="not a probability"):
+            bernoulli(num, den, rng)
+        assert rng.getstate() == state
 
 
 class TestProjectionOracle:
@@ -257,8 +268,27 @@ class TestProjectionOracle:
                 for seed in (7, 2024):
                     rng, ref = trial_rng(seed, idx), trial_rng(seed, idx)
                     drawn = [measure(prog, out, rng) for _ in range(k)]
-                    assert drawn == [bernoulli(q, ref) for _ in range(k)]
+                    num, den = q.numerator, q.denominator
+                    assert drawn == [bernoulli(num, den, ref) for _ in range(k)]
                     assert rng.getstate() == ref.getstate()
+
+    def test_no_trial_builds_a_fraction(self, monkeypatch):
+        # each trial draws on fidelity_pair's ints: cold sampled estimates
+        # at the sampled command's default plan run every trial without one
+        # Fraction construction in statevec or estimator
+        plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
+        targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
+        targets += rotated_basis(2).vectors
+        built = Counted(Fraction)
+        monkeypatch.setattr(statevec, "Fraction", built)
+        monkeypatch.setattr(estimator, "Fraction", built)
+        trials = Counted(projection_oracle(targets[0]))
+        sampled_estimate(trials, 2, plan, 12, seed=0)
+        for target in targets[1:]:
+            sampled_estimate(projection_oracle(target), 2, plan, 12, seed=0)
+        assert trials.calls >= plan.k and built.calls == 0
+        fidelity(targets[0], targets[-1])  # the count does see a construction
+        assert built.calls == 1
 
 
 class TestRunTrials:
@@ -274,8 +304,7 @@ class TestRunTrials:
     def test_law_of_large_numbers_at_half(self):
         # two candidates, both with success probability 1/2: the estimate
         # converges to length + 1 and the shorter program wins
-        half = F(1, 2)
-        measure = lambda prog, out, rng: bernoulli(half, rng)
+        measure = lambda prog, out, rng: bernoulli(1, 2, rng)
         pa, pb = Program("1"), Program("010100")
         best, _ = run_trials(
             [(0, pa, None), (1, pb, None)], measure, k=10**5, epsilon=0.001, seed=9
@@ -291,14 +320,13 @@ class TestRunTrials:
     def test_seeding_is_per_candidate_position(self):
         # candidate 1 draws the same trials whether or not candidate 0 runs
         # before it; candidate 0 always fails, so the scan reaches candidate 1
-        q = F(1, 2)
         pa, pb = Program("1"), Program("010100")
 
         def measure_into(outcomes):
             def measure(prog, out, rng):
                 if prog == pa:
                     return False
-                outcomes.append(bernoulli(q, rng))
+                outcomes.append(bernoulli(1, 2, rng))
                 return outcomes[-1]
 
             return measure

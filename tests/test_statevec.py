@@ -24,6 +24,7 @@ from qkclab import (
     candidate_table,
     classical_state,
     fidelity,
+    fidelity_pair,
     gr,
     inner_product,
     penalty_bits,
@@ -194,6 +195,15 @@ class TestApplyGate:
                 c = (t + 1) % n
                 assert apply_gate(apply_gate(s, CNOT(c, t)), CNOT(c, t)) == s
 
+    def test_every_op_hashes_apart(self):
+        # the candidate-table build keys dicts by gate tuples and by
+        # (output id, op); ops that hash alike walk one collision chain
+        # through dataclass __eq__.  Equal ops still hash equal.
+        for n in range(1, 6):
+            ops = [op for _bits, op in _op_alphabet(n)]
+            assert len({hash(op) for op in ops}) == len(ops)
+            assert all(hash(op) == hash(type(op)(*statevec.operands(op))) for op in ops)
+
     def test_every_gate_maps_the_standard_basis_to_an_orthonormal_basis(self):
         # Basis checks exact orthonormality, so each simulated gate is unitary
         for n in (1, 2, 3):
@@ -297,6 +307,29 @@ class TestFidelity:
         for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), x)]:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 fidelity(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pair_kernel_matches_the_fraction_fidelity(self, n):
+        # every row of the table the sampled oracle reads, against classical,
+        # rotated-basis, random and gate-built targets: the pair is the
+        # reduced Fraction's numerator and denominator, so a draw of
+        # randrange(den) < num is the draw the Fraction gave
+        rng = Random(4200 + n)
+        targets = [basis_state(n, i) for i in range(1 << n)]
+        targets += rotated_basis(n).vectors
+        targets += [random_state(n, rng) for _ in range(3)]
+        targets += [apply_circuit(zero_state(n), [random_gate(rng, n) for _ in range(6)])
+                    for _ in range(3)]
+        rows = candidate_table(n, 12).rows
+        pairs = set()
+        for target in targets:
+            for _idx, _prog, out in rows:
+                num, den = fidelity_pair(target, out)
+                q = reference_fidelity(target, out)
+                assert type(num) is int and type(den) is int
+                assert (num, den) == (q.numerator, q.denominator)
+                pairs.add((num, den))
+        assert {(0, 1), (1, 1)} <= pairs
 
 
 @lru_cache(maxsize=None)
