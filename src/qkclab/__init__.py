@@ -17,11 +17,9 @@ from .census import (
     JointBoundReport,
     SubadditivityReport,
     SuperposedBitReport,
-    consistency_report,
     consistency_sweep,
     incompressibility_census,
     joint_bound_from,
-    joint_bound_report,
     product_witness,
     rotated_basis,
     rotation_circuit,
@@ -59,7 +57,6 @@ from .proglang import (
     DecodedProgram,
     Program,
     decode,
-    decode_prefix,
     encode,
     enumerate_decoded,
     enumerate_programs,
@@ -84,8 +81,6 @@ from .statevec import (
     classical_state,
     fidelity,
     fidelity_pair,
-    gr,
-    inner_product,
     penalty_bits,
     random_state,
     shannon_fano_code,

@@ -224,11 +224,6 @@ class ConsistencyRecord:
         }
 
 
-def consistency_report(bits: str, max_len: int, cache_dir=None) -> ConsistencyRecord:
-    table = candidate_table(len(bits), max_len, cache_dir=cache_dir)
-    return _consistency_record(bits, table)
-
-
 def _consistency_record(bits: str, table: CandidateTable) -> ConsistencyRecord:
     n, max_len = len(bits), table.max_len
     target = classical_state(bits)
@@ -418,17 +413,6 @@ class JointBoundReport:
             "rhs": self.rhs,
             "slack": self.slack,
         }
-
-
-def joint_bound_report(
-    p_x: Program,
-    p_y: Program,
-    max_len: int,
-    n_x: int = 1,
-    n_y: int = 1,
-    cache_dir=None,
-) -> JointBoundReport:
-    return joint_bound_from(subadditivity_report(p_x, p_y, max_len, n_x, n_y, cache_dir))
 
 
 def joint_bound_from(report: SubadditivityReport) -> JointBoundReport:

@@ -114,6 +114,9 @@ def effective_config(args: argparse.Namespace) -> Config:
         flag = getattr(args, key, None)
         if flag is not None:
             config = _coerce(config, key, flag)
+    if not config.cache_dir:
+        # an empty path means no cache, from any source, as the env var does
+        config = replace(config, cache_dir=None)
     # every value is checked once here, so no record echoes an invalid config
     if config.n < 1 or config.max_len < 1:
         raise UsageError(f"n and max_len must be positive, got {config.n}, {config.max_len}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
@@ -126,76 +127,66 @@ def encode(gates, n: int) -> Program:
     return Program(gamma_encode(len(gates) + 1) + "".join(_op_bits(g, n) for g in gates))
 
 
-def decode_prefix(
-    bits: str, n: int, allow_callc: bool = True
-) -> Optional[tuple[DecodedProgram, int]]:
-    """Parse one program from the front of a bit stream.
+def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
+    """Parse a whole program; None means "non-halting" for the executor.
 
-    Returns (program, bits consumed), or None if the stream does not start
-    with a decodable program (invalid opcode, truncated field, out-of-range
-    qubit index, CNOT with control == target, or a forbidden CALLC).
+    The gamma header gives the gate count, and each gate field is looked up
+    in the width-n table of `_op_alphabet`, which alone says which ops are
+    valid.  A field that is no entry (an invalid opcode, an out-of-range or
+    repeated qubit index, a truncated field), a CALLC when `allow_callc` is
+    false, or bits left over after the last field make the string
+    undecodable: the last is what keeps the decodable set prefix-free.
     """
     header = _gamma_decode(bits, 0)
     if header is None:
         return None
     count, pos = header
-    count -= 1
-    w = index_width(n)
+    table, widths = _field_table(n)
     gates: list[Op] = []
-    for _ in range(count):
-        start = pos + OPCODE_WIDTH
-        if start > len(bits):
+    for _ in range(count - 1):
+        # the fields are prefix-free, so at most one width matches; a slice
+        # cut short by the end of `bits` equals a narrower one, already tried
+        for width in widths:
+            op = table.get(bits[pos : pos + width])
+            if op is not None:
+                break
+        else:
             return None
-        opcode = int(bits[pos:start], 2)
-        if opcode >= len(OPS):
-            return None
-        pos = start + _ARITY[opcode] * w
-        if pos > len(bits):
-            return None
-        args = [int(bits[i : i + w], 2) for i in range(start, pos, w)]
-        # one rule for every op; it also keeps CNOT's control and target apart
-        if args and (max(args) >= n or len(set(args)) < len(args)):
-            return None
-        gates.append(OPS[opcode](*args))
+        gates.append(op)
+        pos += width
     program = DecodedProgram(n, tuple(gates))
-    if program.has_call and not allow_callc:
-        return None
-    return program, pos
-
-
-def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
-    """Parse a whole program; None means "non-halting" for the executor.
-
-    Trailing bits beyond the parsed program also make the string
-    undecodable -- that is what keeps the decodable set prefix-free.
-    """
-    parsed = decode_prefix(bits, n, allow_callc=allow_callc)
-    if parsed is None:
-        return None
-    program, consumed = parsed
-    if consumed != len(bits):
+    if pos != len(bits) or (program.has_call and not allow_callc):
         return None
     return program
 
 
 def _op_alphabet(n: int) -> list[tuple[str, Op]]:
     """Every op valid at width n with its bit field, in opcode order, then
-    operand order."""
+    operand order, which is the order of the fields' bits."""
     ops = [op(*args) for op, k in zip(OPS, _ARITY) for args in permutations(range(n), k)]
     return [(_op_bits(op, n), op) for op in ops]
 
 
-def _sequences(alphabet, k: int, budget: int) -> Iterator[tuple[str, tuple[Op, ...]]]:
-    # Narrowest field is a bare opcode, which prunes the recursion early.
+@cache
+def _field_table(n: int) -> tuple[dict[str, Op], tuple[int, ...]]:
+    """The alphabet at width n as {field bits: op}, with its field widths in
+    increasing order: (n + 1)^2 entries, built once per width."""
+    table = dict(_op_alphabet(n))
+    return table, tuple(sorted({len(bits) for bits in table}))
+
+
+def _sequences(alphabet, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
+    """Every sequence of k fields whose bits total exactly `size`, in the
+    order of its bits.  sizes[j] is the set of totals that j fields reach,
+    so no branch is entered that yields nothing."""
     if k == 0:
         yield "", ()
         return
     for bits, op in alphabet:
-        rest = budget - len(bits)
-        if rest < OPCODE_WIDTH * (k - 1):
-            continue
-        for tail, ops in _sequences(alphabet, k - 1, rest):
-            yield bits + tail, (op,) + ops
+        rest = size - len(bits)
+        if rest in sizes[k - 1]:
+            for tail, ops in _sequences(alphabet, k - 1, rest, sizes):
+                yield bits + tail, (op,) + ops
 
 
 def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op, ...]]]:
@@ -203,21 +194,29 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
     numeric value of the bits), each with its gate tuple: the gates
     `decode(program.bits, n)` would return, kept from building the bits, so
     nothing is decoded.  Deterministic and platform-independent.
+
+    A lazy generator, one length at a time.  Within a length the order is
+    that of the bits: headers are prefix-free, so programs order by header
+    bits first, and bodies by their fields' bits in turn.
     """
-    if max_len < 1:
-        return
-    alphabet = _op_alphabet(n)
-    programs: list[tuple[Program, tuple[Op, ...]]] = []
-    k = 0
-    while True:
-        header = gamma_encode(k + 1)
-        if len(header) + OPCODE_WIDTH * k > max_len:
-            break  # header length and minimum body both grow with k
-        for body, gates in _sequences(alphabet, k, max_len - len(header)):
-            programs.append((Program(header + body), gates))
-        k += 1
-    programs.sort(key=lambda pg: (pg[0].length, pg[0].value))
-    yield from programs
+    table, widths = _field_table(n)
+    alphabet = tuple(table.items())  # in the alphabet's order
+    sizes = [{0}]  # sizes[k]: the body sizes that k fields reach
+    for length in range(1, max_len + 1):
+        headers = []
+        k = 0
+        while True:
+            header = gamma_encode(k + 1)
+            if len(header) + OPCODE_WIDTH * k > length:
+                break  # header length and minimum body both grow with k
+            if k == len(sizes):
+                sizes.append({s + w for s in sizes[-1] for w in widths})
+            if length - len(header) in sizes[k]:
+                headers.append((header, k))
+            k += 1
+        for header, k in sorted(headers):
+            for body, gates in _sequences(alphabet, k, length - len(header), sizes):
+                yield Program(header + body), gates
 
 
 def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:

@@ -11,13 +11,13 @@ common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
 place of powers of sqrt2.  Gate steps, tensor products, `random_state`'s
 rotations, the unit-norm check, equality, hashing, the JSON writer and the
-one overlap kernel behind `inner_product`, `fidelity_pair`, `fidelity` and
-the `Basis` orthogonality check run on that form in plain ints.  The
-Fraction-valued `amps` is kept when a state is built from amplitudes
-(`StateVector(n, amps)`, so state files) and is otherwise built on first
-read, which in this package only `repr` does.  `GaussianRational` is only
-the value type of `amps` and of `inner_product`: the library does no
-arithmetic in it.
+one overlap kernel behind `fidelity_pair`, `fidelity` and the `Basis`
+orthogonality check run on that form in plain ints.  State files are read
+from their reduced Fraction parts straight into it.  The Fraction-valued
+`amps` is kept when a state is built from amplitudes (`StateVector(n,
+amps)`) and is otherwise built on first read, which in this package only
+`repr` does.  `GaussianRational` is only the value type of `amps`: the
+library does no arithmetic in it.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-def gr(re=0, im=0) -> GaussianRational:
-    """Build a GaussianRational from ints, Fractions or rational strings."""
-    return GaussianRational(_frac(re), _frac(im))
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +123,15 @@ def _reduced(v, d: int) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in v), d // g
 
 
-def _lattice(amps) -> tuple[tuple[int, ...], int]:
-    """The integer form (v, D) of `amps`: D is the lcm of every amplitude
-    part's denominator, and each part num/den is v[k] = num * (D/den) over D,
-    parts listed re, im for each amplitude in turn.  The form is reduced:
-    each prime power p^e of D is the p-part of some den, whose num p does not
-    divide, and p does not divide D/den either."""
-    try:
-        parts = [(x.numerator, x.denominator) for a in amps for x in (a.re, a.im)]
-    except AttributeError:
-        raise TypeError(f"amplitude parts must be exact rationals, got {amps!r}") from None
-    d = math.lcm(*[den for _num, den in parts])
-    return tuple(num * (d // den) for num, den in parts), d
+def _lattice(parts) -> tuple[tuple[int, ...], int]:
+    """The integer form (v, D) of the reduced rationals `parts`, the
+    amplitude parts re, im for each amplitude in turn: D is the lcm of every
+    part's denominator, and each part num/den is v[k] = num * (D/den) over D.
+    The form is reduced: each prime power p^e of D is the p-part of some den,
+    whose num p does not divide, and p does not divide D/den either."""
+    pairs = [(x.numerator, x.denominator) for x in parts]
+    d = math.lcm(*[den for _num, den in pairs])
+    return tuple(num * (d // den) for num, den in pairs), d
 
 
 _set = object.__setattr__
@@ -162,14 +154,11 @@ class StateVector:
     __slots__ = ("n_qubits", "_v", "_d", "_amps")
 
     def __new__(cls, n_qubits: int, amps):
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be a positive integer")
         amps = tuple(amps)
-        # compare exponents: a huge n_qubits from a file builds no 1 << n_qubits
-        size = len(amps)
-        if size & (size - 1) or size.bit_length() - 1 != n_qubits:
-            raise ValueError(f"expected 2**{n_qubits} amplitudes, got {size}")
-        return _from_lattice(n_qubits, *_lattice(amps), amps)
+        try:
+            return _from_parts(n_qubits, [x for a in amps for x in (a.re, a.im)], amps)
+        except AttributeError:
+            raise TypeError(f"amplitude parts must be exact rationals, got {amps!r}") from None
 
     @property
     def amps(self) -> tuple[GaussianRational, ...]:
@@ -209,6 +198,19 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits!r}, amps={self.amps!r})"
+
+
+def _from_parts(n: int, parts: list, amps=None) -> StateVector:
+    """The state on n qubits whose amplitude parts, re and im for each
+    amplitude in turn, are the reduced rationals `parts`: the size check,
+    the lattice form, then `_from_lattice`."""
+    if n < 1:
+        raise ValueError("n_qubits must be a positive integer")
+    # compare exponents: a huge n from a file builds no 1 << n
+    size = len(parts) // 2
+    if size & (size - 1) or size.bit_length() - 1 != n:
+        raise ValueError(f"expected 2**{n} amplitudes, got {size}")
+    return _from_lattice(n, *_lattice(parts), amps)
 
 
 def _from_lattice(n: int, v: tuple, d: int, amps=None) -> StateVector:
@@ -310,14 +312,6 @@ def _overlap(x: StateVector, z: StateVector) -> tuple[int, int]:
             re += a * c + b * e
             im += a * e - b * c
     return re, im
-
-
-def inner_product(x: StateVector, z: StateVector) -> GaussianRational:
-    """<x|z>, exactly: (re + im i) / (Dx Dz) from the integer overlap, with
-    each part the reduced Fraction that the sum over `amps` gives."""
-    re, im = _overlap(x, z)
-    d = x._d * z._d
-    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
 def fidelity_pair(x: StateVector, z: StateVector) -> tuple[int, int]:
@@ -511,15 +505,15 @@ def state_to_json(state: StateVector) -> dict:
 
 
 def state_from_json(obj) -> StateVector:
+    """The state of a wire record, read from its parts' reduced Fractions
+    into the integer form; `amps` is not built."""
     try:
         n = json_int(obj["n"])
-        amps = tuple(
-            GaussianRational(
-                Fraction(json_int(rn), json_int(rd)),
-                Fraction(json_int(imn), json_int(imd)),
-            )
+        parts = [
+            Fraction(json_int(num), json_int(den))
             for rn, rd, imn, imd in obj["amps"]
-        )
+            for num, den in ((rn, rd), (imn, imd))
+        ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
-    return StateVector(n, amps)
+    return _from_parts(n, parts)

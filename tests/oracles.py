@@ -7,9 +7,11 @@ enumerate-then-simulate path every estimator ran on its own before the
 candidate table, as the reference the table path must reproduce exactly.
 They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
-per-opcode decoder that the table-driven one replaced, reference_firsts the
-value-keyed scan that `CandidateTable.firsts` replaced, reference_norm_sq
-the Fraction sum that the integer unit-norm check replaced,
+per-opcode decoder that the alphabet lookup in `decode` replaced,
+reference_enumerate the build-then-sort enumerator that the streaming one
+replaced, reference_firsts the value-keyed scan that `CandidateTable.firsts`
+replaced, reference_norm_sq the Fraction sum that the integer unit-norm
+check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
 replaced, reference_inner_product the Fraction overlap that the integer
 overlap kernel behind `inner_product` and `fidelity` replaced,
@@ -21,6 +23,9 @@ and reference_projection_oracle draws its trials on it.
 The Fraction references do their complex arithmetic with the c_* helpers on
 (re, im) pairs of Fractions, and ROT_COS, ROT_SIN are the ROT gate's entries:
 the library itself keeps no such arithmetic.
+gr builds a GaussianRational from exact values, and inner_product is <x|z>
+from the library's integer overlap kernel as a GaussianRational: the
+library itself builds that type only for `amps`.
 Counted wraps a function to count its calls, for the tests that check how
 much work a path does.
 """
@@ -41,14 +46,13 @@ from qkclab import (
     Program,
     StateVector,
     TrialResult,
-    decode,
     enumerate_programs,
     penalty_bits,
     run,
 )
 from qkclab.estimator import trial_rng
-from qkclab.proglang import index_width
-from qkclab.statevec import _mask
+from qkclab.proglang import OPCODE_WIDTH, gamma_encode, index_width
+from qkclab.statevec import _frac, _mask, _overlap
 
 ROT_COS = Fraction(3, 5)
 ROT_SIN = Fraction(4, 5)
@@ -86,6 +90,20 @@ def c_times_i(x):
 
 def c_abs2(x):
     return x[0] * x[0] + x[1] * x[1]
+
+
+def gr(re=0, im=0):
+    """A GaussianRational from ints, Fractions or rational strings; a float
+    is refused with TypeError."""
+    return GaussianRational(_frac(re), _frac(im))
+
+
+def inner_product(x, z):
+    """<x|z> from the library's integer overlap kernel: (re + im i) / (Dx Dz),
+    each part a reduced Fraction."""
+    re, im = _overlap(x, z)
+    d = x._d * z._d
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
 def parts(state):
@@ -137,14 +155,47 @@ def reference_projection_oracle(target):
 
 
 def brute_force_decodables(max_len, n):
-    """Every decodable bit string up to max_len, by exhaustive scan."""
+    """Every decodable bit string up to max_len, by exhaustive scan with
+    reference_decode_prefix, so it shares no code with `decode`."""
     found = []
     for length in range(1, max_len + 1):
         for v in range(1 << length):
             bits = format(v, f"0{length}b")
-            if decode(bits, n) is not None:
+            parsed = reference_decode_prefix(bits, n)
+            if parsed is not None and parsed[1] == length:
                 found.append(bits)
     return found
+
+
+def reference_enumerate(max_len, n):
+    """(program, gates) for every decodable program up to max_len: every
+    gate sequence that fits, built one gate count at a time, then the whole
+    list sorted by (length, value).  The enumerator that the streaming
+    `enumerate_decoded` replaced."""
+    alphabet = reference_op_fields(n)
+
+    def sequences(k, budget):
+        if k == 0:
+            yield "", ()
+            return
+        for bits, op in alphabet:
+            rest = budget - len(bits)
+            if rest < OPCODE_WIDTH * (k - 1):
+                continue
+            for tail, ops in sequences(k - 1, rest):
+                yield bits + tail, (op,) + ops
+
+    programs = []
+    k = 0
+    while True:
+        header = gamma_encode(k + 1)
+        if len(header) + OPCODE_WIDTH * k > max_len:
+            break
+        for body, gates in sequences(k, max_len - len(header)):
+            programs.append((Program(header + body), gates))
+        k += 1
+    programs.sort(key=lambda pg: (pg[0].length, pg[0].value))
+    return programs
 
 
 def brute_force_best(target, n, max_len, conditional=None):

@@ -27,7 +27,6 @@ from qkclab import (
     enumerate_programs,
     exact_estimate,
     fidelity,
-    gr,
     ideal_value,
     incompressibility_census,
     k_from_bound,
@@ -45,7 +44,7 @@ from qkclab import (
 from qkclab.cli import main
 from qkclab.statevec import INFINITE
 
-from oracles import random_gate_list
+from oracles import gr, random_gate_list
 
 F = Fraction
 

@@ -4,19 +4,21 @@ from random import Random
 
 import pytest
 
+import qkclab.census as census
+import qkclab.estimator as estimator
+import qkclab.statevec as statevec
 from qkclab import (
     CALLC,
     INFINITE,
     ROT,
     X,
     Program,
-    consistency_report,
     consistency_sweep,
     encode,
     enumerate_programs,
     fidelity,
     incompressibility_census,
-    joint_bound_report,
+    joint_bound_from,
     penalty_bits,
     product_witness,
     rotated_basis,
@@ -28,6 +30,8 @@ from qkclab import (
     uniform_sweep,
 )
 from qkclab.proglang import decode
+
+from oracles import Counted
 
 F = Fraction
 
@@ -58,6 +62,23 @@ class TestCountingBound:
         report = incompressibility_census(3, 3, 10)
         assert report.count_below == 0
         assert report.verdict
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+    def test_cold_census_builds_one_fraction_per_score(self, rotated, monkeypatch):
+        # the states, steps and overlaps run on the integer form: the only
+        # Fractions are each scored first's fidelity and each record's penalty
+        basis = rotated_basis(3) if rotated else None
+        built = Counted(Fraction)
+        monkeypatch.setattr(statevec, "Fraction", built)
+        monkeypatch.setattr(estimator, "Fraction", built)
+        scored = Counted(statevec.fidelity)
+        penalties = Counted(statevec.penalty_bits)
+        monkeypatch.setattr(estimator, "fidelity", scored)
+        monkeypatch.setattr(census, "fidelity", scored)
+        monkeypatch.setattr(estimator, "penalty_bits", penalties)
+        incompressibility_census(3, 1, 20, basis=basis)
+        assert scored.calls > 0 and penalties.calls == 8
+        assert built.calls == scored.calls + penalties.calls
 
     def test_census_with_cache_matches(self, tmp_path):
         plain = incompressibility_census(2, 1, 10)
@@ -107,13 +128,15 @@ class TestUniformSweep:
 
 class TestConsistency:
     def test_all_zeros(self):
-        record = consistency_report("00", 12)
+        record = consistency_sweep(2, 12).records[0]
+        assert record.bits == "00"
         assert record.estimate.best.total == 1
         assert record.exact_program == Program("1")
         assert record.gap == 0
 
     def test_all_ones(self):
-        record = consistency_report("11", 12)
+        record = consistency_sweep(2, 12).records[3]
+        assert record.bits == "11"
         assert record.exact_program == encode([X(0), X(1)], 2)
         assert record.exact_program.length == 11
         assert record.estimate.best.total == 11
@@ -193,7 +216,7 @@ class TestSubadditivity:
 
 class TestJointBound:
     def test_identical_zero_states(self):
-        report = joint_bound_report(Program("1"), Program("1"), 12)
+        report = joint_bound_from(subadditivity_report(Program("1"), Program("1"), 12))
         assert report.applicable
         assert report.fidelity_xy == 1
         assert report.lhs_total == 1
@@ -201,7 +224,7 @@ class TestJointBound:
         assert report.slack == pytest.approx(0.0)
 
     def test_rot_against_zero(self):
-        report = joint_bound_report(encode([ROT(0)], 1), Program("1"), 12)
+        report = joint_bound_from(subadditivity_report(encode([ROT(0)], 1), Program("1"), 12))
         assert report.fidelity_xy == F(9, 25)
         assert report.rhs == pytest.approx(1 + math.log2(25 / 9))
         assert report.lhs_total == 3
@@ -209,7 +232,7 @@ class TestJointBound:
         assert report.slack == pytest.approx(1 + math.log2(25 / 9) - 3)
 
     def test_orthogonal_pair_is_inapplicable(self):
-        report = joint_bound_report(encode([X(0)], 1), Program("1"), 12)
+        report = joint_bound_from(subadditivity_report(encode([X(0)], 1), Program("1"), 12))
         assert not report.applicable
         assert report.rhs is None and report.slack is None
 

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 from random import Random
 
@@ -173,6 +174,14 @@ class TestProgramTools:
         assert len(lines) == 1
         assert json.loads(lines[0])["bits"] == "1"
 
+    def test_limit_stops_the_enumeration(self, capsys):
+        # the listing streams: a bound of 60 bits costs what a bound of 8 does
+        _, short = run_cli(capsys, "enumerate", "--max-len", "8", "--n", "4", "--limit", "3")
+        start = time.perf_counter()
+        rc, out = run_cli(capsys, "enumerate", "--max-len", "60", "--n", "4", "--limit", "3")
+        assert time.perf_counter() - start < 1
+        assert rc == 0 and out == short and len(out.splitlines()) == 3
+
     def test_negative_limit_is_usage_error(self, capsys):
         rc = main(["enumerate", "--max-len", "6", "--n", "1", "--limit", "-3"])
         captured = capsys.readouterr()
@@ -332,6 +341,19 @@ class TestConfig:
         record = json.loads(out)
         assert record["config"]["cache_dir"] == str(tmp_path / "envcache")
         assert (tmp_path / "envcache").exists()
+
+    def test_empty_cache_dir_means_no_cache(self, capsys, tmp_path, monkeypatch):
+        # the flag turns an env-var cache off, and an empty config value is none
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lab.cfg").write_text("cache_dir =\n")
+        args = ("estimate", "--classical", "00", "--n", "2", "--max-len", "8")
+        monkeypatch.setenv("QKCLAB_CACHE_DIR", str(tmp_path / "envcache"))
+        runs = [run_cli(capsys, *args, "--cache-dir", "")]
+        monkeypatch.delenv("QKCLAB_CACHE_DIR")
+        runs.append(run_cli(capsys, *args, "--config", "lab.cfg"))
+        for rc, out in runs:
+            assert rc == 0 and json.loads(out)["config"]["cache_dir"] is None
+        assert [p.name for p in tmp_path.rglob("*")] == ["lab.cfg"]
 
     def test_estimate_reruns_identical(self, capsys):
         args = ("estimate", "--classical", "00", "--n", "2", "--max-len", "10",

@@ -22,7 +22,6 @@ from qkclab import (
     directly_computable,
     exact_estimate,
     fidelity,
-    gr,
     ideal_value,
     k_from_bound,
     projection_oracle,
@@ -40,7 +39,7 @@ import qkclab.estimator as estimator
 import qkclab.statevec as statevec
 from qkclab.estimator import trial_rng
 
-from oracles import Counted, brute_force_best, random_gate_list, reference_fidelity
+from oracles import Counted, brute_force_best, gr, random_gate_list, reference_fidelity
 
 F = Fraction
 

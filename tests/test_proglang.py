@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,6 @@ from qkclab import (
     X,
     Program,
     decode,
-    decode_prefix,
     encode,
     enumerate_decoded,
     enumerate_programs,
@@ -25,6 +25,7 @@ from oracles import (
     brute_force_decodables,
     random_gate_list,
     reference_decode_prefix,
+    reference_enumerate,
     reference_op_fields,
 )
 
@@ -63,10 +64,7 @@ class TestEncode:
 
 class TestDecode:
     def test_header_only(self):
-        parsed = decode_prefix("1", 2)
-        assert parsed is not None
-        program, consumed = parsed
-        assert program.gates == () and consumed == 1
+        assert decode("1", 2).gates == ()
 
     def test_invalid_opcode(self):
         assert decode("0101010", 2) is None  # opcode 101
@@ -79,7 +77,7 @@ class TestDecode:
     def test_trailing_bits_rejected_by_default(self):
         p = encode([X(0)], 2)
         assert decode(p.bits + "0", 2) is None
-        assert decode_prefix(p.bits + "0", 2)[1] == p.length
+        assert reference_decode_prefix(p.bits + "0", 2)[1] == p.length
 
     def test_truncated_stream(self):
         p = encode([X(0)], 2)
@@ -110,22 +108,26 @@ class TestDecode:
 
 
 class TestAgainstLadderDecoder:
-    """The OPS-driven decoder and alphabet against the per-opcode ladder
-    they replaced (oracles.py), exhaustively."""
+    """The alphabet-driven decoder and the alphabet against the per-opcode
+    ladder (oracles.py), exhaustively."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_decode_prefix_matches_on_every_short_string(self, n):
+    def test_decode_matches_on_every_short_string(self, n):
+        # a whole string decodes exactly when the ladder parses all of it
         for length in range(13):
             for v in range(1 << length):
                 bits = format(v, f"0{length}b") if length else ""
                 for allow_callc in (True, False):
-                    assert decode_prefix(bits, n, allow_callc) == reference_decode_prefix(
-                        bits, n, allow_callc
-                    ), (bits, allow_callc)
+                    parsed = reference_decode_prefix(bits, n, allow_callc)
+                    whole = parsed[0] if parsed and parsed[1] == length else None
+                    assert decode(bits, n, allow_callc) == whole, (bits, allow_callc)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_alphabet_matches(self, n):
-        assert _op_alphabet(n) == reference_op_fields(n)
+        # in the order of the fields' bits, which the enumeration order needs
+        alphabet = _op_alphabet(n)
+        assert alphabet == reference_op_fields(n)
+        assert [bits for bits, _op in alphabet] == sorted(bits for bits, _op in alphabet)
 
 
 class TestEnumerate:
@@ -155,6 +157,17 @@ class TestEnumerate:
         assert all(decode(prog.bits, n).gates == gates for prog, gates in pairs)
         assert [prog for prog, _gates in pairs] == list(enumerate_programs(max_len, n))
 
+    @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 24)])
+    def test_stream_matches_the_sorted_build(self, n, max_len):
+        assert list(enumerate_decoded(max_len, n)) == reference_enumerate(max_len, n)
+
+    def test_stream_is_lazy(self):
+        # the first program comes before any longer one is built
+        start = time.perf_counter()
+        program, gates = next(enumerate_decoded(10**4, 5))
+        assert (program, gates) == (Program("1"), ())
+        assert time.perf_counter() - start < 1
+
     def test_enumeration_is_reproducible(self):
         a = [p.bits for p in enumerate_programs(13, 3)]
         b = [p.bits for p in enumerate_programs(13, 3)]
@@ -175,7 +188,7 @@ class TestPrefixFreedom:
 
     def test_corrupted_decoder_is_caught(self):
         # negative control: accepting trailing bits breaks prefix-freedom
-        lenient = lambda bits: decode_prefix(bits, 2) is not None
+        lenient = lambda bits: reference_decode_prefix(bits, 2) is not None
         assert not verify_prefix_free(8, 2, decodes=lenient)
 
 

@@ -25,8 +25,6 @@ from qkclab import (
     classical_state,
     fidelity,
     fidelity_pair,
-    gr,
-    inner_product,
     penalty_bits,
     random_state,
     rotated_basis,
@@ -54,6 +52,8 @@ from oracles import (
     c_scale,
     c_sub,
     c_times_i,
+    gr,
+    inner_product,
     mat2_mul,
     random_fraction,
     random_gate,
@@ -577,7 +577,7 @@ def assert_accepted_exactly_when_unit(n, amps):
     """The integer sum equals the Fraction sum, and StateVector takes the
     amplitudes exactly when that sum is 1."""
     reference = reference_norm_sq(amps)
-    v, d = _lattice(amps)
+    v, d = _lattice([x for a in amps for x in (a.re, a.im)])
     assert Fraction(sum(x * x for x in v), d * d) == reference
     if reference == 1:
         assert StateVector(n, amps).norm_sq() == 1
