@@ -1,5 +1,5 @@
 """Running programs: single runs, the enumeration as an approximation from
-above, and the candidate table with its cache.
+above, the candidate rows, and the candidate table with its cache.
 
 Every decodable program halts, so running the enumeration in order is the
 whole search: each new halting program can only lower the running minimum,
@@ -14,6 +14,7 @@ from qkclab import (
     CALLC,
     X,
     cached_outputs,
+    candidate_rows,
     decode,
     encode,
     enumerate_programs,
@@ -46,21 +47,23 @@ def main():
     print("(the minimum never rises; every bound at a prefix is a valid upper bound)")
 
     print()
-    print("== candidate table and its persistent cache ==")
+    print("== candidate rows, the candidate table and its persistent cache ==")
+    rows = candidate_rows(2, 12)
+    outputs = {decode(p.bits, 2).gates: out for _i, p, out in rows}
+    steps = {(id(outputs[gates[:-1]]), gates[-1]) for gates in outputs if gates}
+    print(f"{len(rows)} halting programs; each row is its parent row (the program "
+          f"minus its last op) plus one gate, and equal outputs are one object, "
+          f"so the {len(rows) - 1} rows after the empty program take {len(steps)} "
+          f"distinct steps")
     with tempfile.TemporaryDirectory() as cache_dir:
         table = cached_outputs(2, 12, cache_dir)
-        outputs = {decode(p.bits, 2).gates: out for _i, p, out in table.rows}
-        steps = {(id(outputs[gates[:-1]]), gates[-1]) for gates in outputs if gates}
-        print(f"{len(table.rows)} halting programs cached; each row is its parent row "
-              f"(the program minus its last op) plus one gate, and equal outputs are "
-              f"one object, so the {len(table.rows) - 1} rows after the empty program "
-              f"take {len(steps)} distinct steps")
-        print(f"{len(table.firsts)} distinct outputs: only the first program of each can win a scan")
+        print(f"{len(table.firsts)} distinct outputs: only the first program of each "
+              f"can win an exact scan, so the table holds just those, and "
+              f"scanned = {table.scanned}")
         header = json.loads(cache_path(cache_dir, 2, 12).read_text().splitlines()[0])
-        print(f"cache file: {header['rows']} rows pointing to {header['outputs']} distinct "
-              f"outputs, each stored once")
+        print(f"cache file: {header['firsts']} first rows, each with its index, "
+              f"program and output")
         print("warm read equals the cold build:", cached_outputs(2, 12, cache_dir) == table)
-
 
 if __name__ == "__main__":
     main()

@@ -10,7 +10,6 @@ from qkclab import (
     ROT,
     SamplingPlan,
     apply_gate,
-    candidate_table,
     classical_state,
     ideal_value,
     k_from_bound,
@@ -31,13 +30,12 @@ def main():
     n, max_len = 2, 10
     plan = SamplingPlan.for_dimension(n, alpha=0.05, epsilon=0.25)
     target = classical_state("00")
-    table = candidate_table(n, max_len)  # every scan below reads these rows
-    ideal = ideal_value(target, n, max_len, outputs=table)
+    ideal = ideal_value(target, n, max_len)
+
     print(f"  plan: k={plan.k}; exact ideal value = {ideal}")
     for seed in range(5):
-        result = sampled_estimate(
-            projection_oracle(target), n, plan, max_len, seed, outputs=table
-        )
+        # each estimate trials every halting program's row, repeats included
+        result = sampled_estimate(projection_oracle(target), n, plan, max_len, seed)
         b = result.best
         print(
             f"  seed {seed}: winner {b.program.bits} with m={b.m}/{b.k},"
@@ -48,11 +46,10 @@ def main():
     print("== a genuinely fuzzy target ==")
     target = apply_gate(zero_state(1), ROT(0))
     plan = SamplingPlan.for_dimension(1, alpha=0.05, epsilon=0.25)
-    table = candidate_table(1, 8)
-    ideal = ideal_value(target, 1, 8, outputs=table)
+    ideal = ideal_value(target, 1, 8)
     print(f"  target ROT|0>; ideal value = {ideal:.4f}")
     for seed in range(5):
-        result = sampled_estimate(projection_oracle(target), 1, plan, 8, seed, outputs=table)
+        result = sampled_estimate(projection_oracle(target), 1, plan, 8, seed)
         b = result.best
         print(f"  seed {seed}: estimate {b.estimate:.4f} via {b.program.bits} (m={b.m})")
 

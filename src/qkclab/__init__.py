@@ -47,6 +47,7 @@ from .estimator import (
 from .executor import (
     CandidateTable,
     cached_outputs,
+    candidate_rows,
     candidate_table,
     run,
 )

@@ -355,11 +355,7 @@ def subadditivity_report(
     dx = _decode_generator(p_x, n_x, "p_x")
     dy = _decode_generator(p_y, n_y, "p_y")
     y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
-    # a generator that fits in max_len is a row of y's table: read, not run
-    y_rows = {prog: out for _idx, prog, out in y_table.rows}
-    x, y = (
-        y_rows[p] if p.length <= max_len else run(p, n_y) for p in (p_x, p_y)
-    )
+    x, y = run(p_x, n_x), run(p_y, n_y)
     n = n_x + n_y
     joint_target = tensor(x, y)
     x_table = candidate_table(n_x, max_len, dy)

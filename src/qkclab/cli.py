@@ -271,7 +271,6 @@ def cmd_estimate(args) -> int:
             plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
     record = {
         "kind": "estimate",
         "schema": SCHEMA_VERSION,
@@ -286,8 +285,7 @@ def cmd_estimate(args) -> int:
     }
     if args.sampled:
         result = sampled_estimate(
-            projection_oracle(target), config.n, plan, config.max_len,
-            config.seed, outputs=table,
+            projection_oracle(target), config.n, plan, config.max_len, config.seed
         )
         record.update(
             {
@@ -307,6 +305,7 @@ def cmd_estimate(args) -> int:
         )
         empty = result.best is None
     else:
+        table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
         result = exact_estimate(
             target, config.n, config.max_len, conditional=conditional, outputs=table
         )

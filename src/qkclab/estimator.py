@@ -17,7 +17,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from .executor import CandidateTable, candidate_table
+from .executor import CandidateTable, candidate_rows, candidate_table
 from .proglang import DecodedProgram, Program, encode
 from .statevec import StateVector, X, fidelity, fidelity_pair, penalty_bits
 
@@ -304,9 +304,9 @@ def run_trials(
     """k Bernoulli trials per candidate; running minimum of
     length - log2(m / ((1+epsilon) k)).
 
-    Candidates must come in (length, value) order, as candidate table rows
-    do; the whole input is checked before the first trial, and any other
-    order raises ValueError.  Each candidate's randomness is seeded from
+    Candidates must come in (length, value) order, as `candidate_rows`
+    gives them; the whole input is checked before the first trial, and any
+    other order raises ValueError.  Each candidate's randomness is seeded from
     (seed, its enumeration index), so its outcome does not depend on which
     other candidates run, and the early stop of `_running_min` leaves every
     evaluated candidate's draws unchanged.  Candidates with m == 0 are
@@ -351,11 +351,10 @@ def sampled_estimate(
     plan: SamplingPlan,
     max_len: int,
     seed: int,
-    outputs: Optional[CandidateTable] = None,
 ) -> SampledEstimate:
     """Approximation from above driven only by a Bernoulli oracle per program.
 
-    Runs plan.k measurement trials against each row of the candidate table,
+    Runs plan.k measurement trials against each row of `candidate_rows`,
     equal outputs included (each row has its own trial stream), and keeps the
     candidate with the smallest estimate (shorter program on ties).  Like
     run_trials, it stops at the first row whose length reaches the best
@@ -367,6 +366,5 @@ def sampled_estimate(
             f"plan.k={plan.k} is below k_from_bound(n={n}, alpha={plan.alpha}, "
             f"epsilon={plan.epsilon})={k_from_bound(n, plan.alpha, plan.epsilon)}"
         )
-    candidates = _table(outputs, n, max_len).rows
-    best, trace = run_trials(candidates, measure, plan.k, plan.epsilon, seed)
+    best, trace = run_trials(candidate_rows(n, max_len), measure, plan.k, plan.epsilon, seed)
     return SampledEstimate(best, trace, plan, seed, n, max_len)

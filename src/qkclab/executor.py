@@ -1,7 +1,9 @@
-"""Runs decoded programs from |0...0>, and builds the candidate table every
-estimator scans, one gate step per distinct (parent output, last op) pair,
-with its persistent cache: the file stores the table's rows as they are, so
-a warm read neither enumerates nor applies a gate.
+"""Runs decoded programs from |0...0>, and builds every halting program's
+output in one pass, one gate step per distinct (parent output, last op) pair:
+as full rows for the sampled mode, or as the candidate table every exact scan
+reads, the first program of each distinct output.  The table's persistent
+cache stores those firsts as they are, so a warm read neither enumerates nor
+applies a gate.
 
 Every decodable program here is straight-line and halts; decode failures play
 the role of non-halting computations.  Scanning the table in enumeration
@@ -17,7 +19,6 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -70,33 +71,24 @@ def run(
 # The candidate table and its persistent cache
 # ---------------------------------------------------------------------------
 
+Row = tuple[int, Program, StateVector]  # (enumeration index, program, output)
+
+
 @dataclass(frozen=True)
 class CandidateTable:
-    """Every halting program up to max_len on n qubits, run once: `rows`
-    holds (enumeration index, program, output) in enumeration order.  A table
-    answers only for the (n, max_len, conditional) it was built for."""
+    """What every exact scan reads: `firsts` holds (enumeration index,
+    program, output) of the first halting program of each distinct output, in
+    enumeration order, and `scanned` is the index of the last halting program
+    plus 1.  A later program with an equal output has the same fidelity to
+    every target and a larger (length, value), so no minimizing scan can
+    prefer it.  A table answers only for the (n, max_len, conditional) it was
+    built for."""
 
     n: int
     max_len: int
     conditional: Optional[DecodedProgram]
-    rows: tuple[tuple[int, Program, StateVector], ...]
-
-    @property
-    def scanned(self) -> int:
-        """Index of the last halting program plus 1; 0 if none halts."""
-        return self.rows[-1][0] + 1 if self.rows else 0
-
-    @cached_property
-    def firsts(self) -> tuple[tuple[int, Program, StateVector], ...]:
-        """The first row of each distinct output.  A later program with an
-        equal output has the same fidelity to every target and a larger
-        (length, value), so no minimizing scan can prefer it.  Rows of equal
-        output share one StateVector, so they are told apart by identity
-        and no state is hashed."""
-        first: dict = {}
-        for row in self.rows:
-            first.setdefault(id(row[2]), row)
-        return tuple(first.values())
+    firsts: tuple[Row, ...]
+    scanned: int
 
     def check(self, n: int, max_len: int, conditional=None) -> "CandidateTable":
         """This table, if it was built for (n, max_len, conditional)."""
@@ -108,9 +100,10 @@ class CandidateTable:
         return self
 
 
-def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
-    """Every halting program's output, one step per distinct (parent output,
-    last op) pair.
+def _build(n: int, max_len: int, conditional=None) -> tuple[list[Row], list[Row]]:
+    """The (index, program, output) row of every halting program up to
+    max_len, in enumeration order, one step per distinct (parent output, last
+    op) pair, and the first row of each distinct output.
 
     Each program's gates come with it from `enumerate_decoded`, so the build
     decodes nothing.  Dropping a program's last op leaves a shorter decodable
@@ -122,34 +115,49 @@ def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
 
     Equal outputs are one object: every new state is interned, so a step is
     memoized by (id of the parent output, last op), and rows that reach one
-    state by different routes share it.  Programs collapse onto few states,
-    so most rows reuse a step (969 rows take 348 steps at n=3, max_len=20).
+    state by different routes share it.  A row is a first exactly when its
+    step makes a state not interned before.  Programs collapse onto few
+    states, so most rows reuse a step (969 rows take 348 steps at n=3,
+    max_len=20).
     """
     _check_conditional(conditional, n)
     interned: dict = {}  # state -> its one object
-    outputs: dict = {}  # gate tuple -> output
-    steps: dict = {}  # (id(parent output), last op) -> output
-    rows = []
+    outputs: dict = {(): zero_state(n)}  # gate tuple -> output
+    steps: dict = {}  # (id(parent output), last op or None) -> output
+    rows, firsts = [], []
     for idx, (prog, gates) in enumerate(enumerate_decoded(max_len, n)):
         if conditional is None and CALLC in map(type, gates):
             continue
-        if not gates:
-            out = zero_state(n)
-            out = interned.setdefault(out, out)
-        else:
-            parent = outputs.get(gates[:-1])
-            if parent is None:
-                raise AssertionError(f"program {prog} has no earlier parent row")
-            last = gates[-1]
-            out = steps.get((id(parent), last))
-            if out is None:
-                out = parent
+        parent = outputs.get(gates[:-1])  # the empty program is its own parent
+        if parent is None:
+            raise AssertionError(f"program {prog} has no earlier parent row")
+        last = gates[-1] if gates else None
+        key = (id(parent), last)
+        out, first = steps.get(key), False
+        if out is None:
+            out = parent
+            if last is not None:
                 for g in conditional.gates if isinstance(last, CALLC) else (last,):
                     out = apply_gate(out, g)
-                out = steps[id(parent), last] = interned.setdefault(out, out)
+            first = out not in interned
+            out = steps[key] = interned.setdefault(out, out)
         outputs[gates] = out
         rows.append((idx, prog, out))
-    return CandidateTable(n, max_len, conditional, tuple(rows))
+        if first:
+            firsts.append(rows[-1])
+    return rows, firsts
+
+
+def candidate_rows(n: int, max_len: int, conditional=None) -> list[Row]:
+    """Every row of `_build`, repeated outputs included: the rows the sampled
+    mode runs its trials on."""
+    return _build(n, max_len, conditional)[0]
+
+
+def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
+    """The table of `_build`'s first rows."""
+    rows, firsts = _build(n, max_len, conditional)
+    return CandidateTable(n, max_len, conditional, tuple(firsts), rows[-1][0] + 1 if rows else 0)
 
 
 def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:
@@ -169,14 +177,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _header(n: int, max_len: int, rows: int, outputs: int, sha: str) -> dict:
+def _header(n: int, max_len: int, firsts: int, sha: str) -> dict:
     return {
-        "format": "outputs+indexed-rows",
+        "format": "indexed-firsts",
         "version": ENCODING_VERSION,
         "n": n,
         "max_len": max_len,
-        "rows": rows,
-        "outputs": outputs,
+        "firsts": firsts,
         "sha256": sha,
     }
 
@@ -190,46 +197,44 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
 
     The file is a header line and a body line.  The header must equal
     `_header` for this (n, max_len), with the sha256 of the body text; the
-    body is {"outputs": [state, ...], "rows": [[index, program, output id],
-    ...]}, each distinct output stored once.  Each state is parsed once,
-    which runs the exact unit-norm check, and must be on n qubits; every
-    output id must index `outputs`, so rows of equal output share one
-    StateVector, and no state may repeat, so rows of unequal id have unequal
-    outputs.  Each output id must be an int, and so must each index, at least
-    0 and larger than the one before.  The programs must come in strictly
-    increasing (length, value) order, the order every scan relies on, and
-    none may be longer than max_len.  The header's row and output counts
-    must match the body.  A file in any other layout, the older ones
-    included, is stale.
+    body is {"firsts": [[index, program, state], ...], "scanned": int}, and
+    the header's count must match the firsts.  Each index must be an int, at
+    least 0 and larger than the one before, and `scanned` an int past the
+    last.  The programs must come in strictly increasing (length, value)
+    order, the order every scan relies on, and none may be longer than
+    max_len.  Each state is parsed once, which runs the exact unit-norm
+    check, and must be on n qubits, and no state may be stored twice.  A file
+    in any other layout, the older ones included, is stale.
 
     Only I/O and parse errors mean a bad file; any other exception is a bug
     and propagates."""
     try:
         header, body = path.read_text().splitlines()
         head = json.loads(header)
-        if head != _header(n, max_len, head["rows"], head["outputs"], _sha(body)):
+        if head != _header(n, max_len, head["firsts"], _sha(body)):
             return None
         data = json.loads(body)
-        outputs = [state_from_json(obj) for obj in data["outputs"]]
-        if (len(data["rows"]), len(outputs)) != (head["rows"], head["outputs"]):
+        if len(data["firsts"]) != head["firsts"]:
             return None
-        if any(out.n_qubits != n for out in outputs) or len(set(outputs)) != len(outputs):
-            return None
-        rows = []
+        firsts = []
         last, last_key = -1, (-1, "")
-        for idx, prog, out_id in data["rows"]:
+        for idx, prog, state in data["firsts"]:
             if type(idx) is not int or idx <= last:
-                return None
-            if type(out_id) is not int or not 0 <= out_id < len(outputs):
                 return None
             program = program_from_json(prog)
             bits = program.bits  # equal-length bit strings sort as their values
             key = (len(bits), bits)
             if key <= last_key or key[0] > max_len:
                 return None
-            rows.append((idx, program, outputs[out_id]))
+            firsts.append((idx, program, state_from_json(state)))
             last, last_key = idx, key
-        return CandidateTable(n, max_len, None, tuple(rows))
+        scanned = data["scanned"]
+        if type(scanned) is not int or scanned <= last:
+            return None
+        outputs = {out for _idx, _prog, out in firsts}
+        if len(outputs) != len(firsts) or any(out.n_qubits != n for out in outputs):
+            return None
+        return CandidateTable(n, max_len, None, tuple(firsts), scanned)
     except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
 
@@ -237,13 +242,13 @@ def _read_cache(path: Path, n: int, max_len: int) -> Optional[CandidateTable]:
 def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
     """The candidate table with no conditional, persisted as one file per
     (encoding version, n, max_len): a header line with the body's sha256,
-    and a body that stores each distinct output once and one row per halting
-    program, in enumeration order, with its enumeration index and a pointer
-    to its output.  A warm read returns the table as stored: it neither
-    enumerates nor applies a gate.  A file that fails any check of
-    `_read_cache` (layout, version, bound, counts, hash, exact unit norm, n,
-    indices, output ids, program order and lengths) is recomputed with a
-    warning and rewritten."""
+    and a body that stores each first row, in enumeration order, with its
+    enumeration index, program and output, and the table's `scanned`.  A
+    warm read returns the table as stored: it neither enumerates nor applies
+    a gate.  A file that fails any check of `_read_cache` (layout, version,
+    bound, count, hash, exact unit norm, n, a state stored twice, indices,
+    `scanned`, program order and lengths) is recomputed with a warning and
+    rewritten."""
     path = cache_path(cache_dir, n, max_len)
     if path.exists():
         table = _read_cache(path, n, max_len)
@@ -251,11 +256,9 @@ def cached_outputs(n: int, max_len: int, cache_dir) -> CandidateTable:
             return table
         warnings.warn(f"cache file {path} is stale or corrupt; recomputing")
     table = _build_table(n, max_len)
-    outputs = [out for _i, _p, out in table.firsts]
-    ids = {id(out): k for k, out in enumerate(outputs)}  # in first-occurrence order
-    rows = [[idx, program_to_json(prog), ids[id(out)]] for idx, prog, out in table.rows]
-    body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": rows})
-    header = _canonical(_header(n, max_len, len(rows), len(outputs), _sha(body)))
+    firsts = [[idx, program_to_json(prog), state_to_json(out)] for idx, prog, out in table.firsts]
+    body = _canonical({"firsts": firsts, "scanned": table.scanned})
+    header = _canonical(_header(n, max_len, len(firsts), _sha(body)))
     path.parent.mkdir(parents=True, exist_ok=True)
     # each writer has a temp file of its own, so concurrent builders of one
     # cache never truncate each other's; readers only see complete files

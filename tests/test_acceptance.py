@@ -179,7 +179,7 @@ def criterion6_runs(cache_dir):
     outputs = cached_outputs(n, 12, cache_dir)
     ideal = ideal_value(target, n, 12, outputs=outputs)
     results = [
-        sampled_estimate(projection_oracle(target), n, plan, 12, seed, outputs=outputs)
+        sampled_estimate(projection_oracle(target), n, plan, 12, seed)
         for seed in range(40)
     ]
     return plan, ideal, results

@@ -1,9 +1,10 @@
-"""The candidate table against the enumerate-then-simulate scan it replaced
-(the reference_* functions in oracles.py): every scan must return the same
-best record, the same trace and the same scanned count, with and without a
-cache.  The references read every row, so they also check the scans'
+"""The candidate table, and the rows the sampled mode builds, against the
+enumerate-then-simulate scan they replaced (the reference_* functions in
+oracles.py): every scan must return the same best record, the same trace and
+the same scanned count, with and without a cache.  The references read every row, so they also check the scans'
 stopping rule; counting oracle calls shows where each scan stopped."""
 
+import json
 from fractions import Fraction as F
 from functools import lru_cache
 from random import Random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qkclab.census as census
+import qkclab.cli as cli
 import qkclab.estimator as estimator
 import qkclab.statevec as statevec
 from qkclab import (
@@ -23,6 +25,7 @@ from qkclab import (
     StateVector,
     apply_gate,
     cached_outputs,
+    candidate_rows,
     candidate_table,
     classical_state,
     consistency_sweep,
@@ -32,6 +35,7 @@ from qkclab import (
     exact_estimate,
     ideal_value,
     incompressibility_census,
+    program_to_json,
     projection_oracle,
     random_state,
     rotated_basis,
@@ -39,6 +43,7 @@ from qkclab import (
     sampled_estimate,
     shortest_exact_program,
     standard_basis,
+    state_to_json,
     subadditivity_report,
     tensor,
     zero_state,
@@ -116,7 +121,7 @@ def test_fixtures_exercise_every_branch():
     found = [shortest_exact_program(t, n, max_len) for t in targets]
     assert any(p is not None for p in found) and any(p is None for p in found)
     table = candidate_table(n, max_len)
-    assert len(table.firsts) < len(table.rows)
+    assert len(table.firsts) < len(candidate_rows(n, max_len))
 
 
 def test_exact_scans_build_no_output_amplitudes():
@@ -129,7 +134,7 @@ def test_exact_scans_build_no_output_amplitudes():
         ideal_value(target, n, max_len, outputs=table)
         directly_computable(target, n, max_len, outputs=table)
         shortest_exact_program(target, n, max_len, outputs=table)
-    assert all(out._amps is None for _idx, _prog, out in table.rows)
+    assert all(out._amps is None for _idx, _prog, out in table.firsts)
 
 
 def test_census_and_sampled_build_no_amplitudes(monkeypatch):
@@ -137,17 +142,22 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
     # the integer forms, so a cold census and a cold sampled estimate leave
     # the Fraction amplitudes of every output, basis vector and target
     # unbuilt, and construct no GaussianRational at all
-    tables = []
+    outputs = []
 
-    def keep(build):
+    def keep(build, rows_of):
         def wrapped(*args, **kwargs):
-            tables.append(build(*args, **kwargs))
-            return tables[-1]
+            built = build(*args, **kwargs)
+            outputs.append([out for _idx, _prog, out in rows_of(built)])
+            return built
 
         return wrapped
 
-    monkeypatch.setattr(census, "candidate_table", keep(census.candidate_table))
-    monkeypatch.setattr(estimator, "candidate_table", keep(estimator.candidate_table))
+    monkeypatch.setattr(
+        census, "candidate_table", keep(census.candidate_table, lambda t: t.firsts)
+    )
+    monkeypatch.setattr(
+        estimator, "candidate_rows", keep(estimator.candidate_rows, lambda rows: rows)
+    )
     constructed = Counted(statevec.GaussianRational)
     monkeypatch.setattr(statevec, "GaussianRational", constructed)
     basis = rotated_basis(3)
@@ -158,8 +168,8 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
     for target in targets:
         sampled_estimate(projection_oracle(target), 2, plan, 8, seed=0)
     assert constructed.calls == 0
-    assert len(tables) == 1 + len(targets)
-    outputs = [out for table in tables for _idx, _prog, out in table.rows]
+    assert len(outputs) == 1 + len(targets)
+    outputs = [out for built in outputs for out in built]
     assert all(state._amps is None for state in outputs + list(basis.vectors) + targets)
     assert len(zero_state(1).amps) == 2  # the count does see a construction
     assert constructed.calls == 2
@@ -203,17 +213,40 @@ def test_conditional_subadditivity_matches_reference(cached, tmp_path):
             assert (est.best, est.trace, est.scanned) == reference, term
 
 
+def sampled_report(target, seed, tmp_path):
+    """(best, trace) of `estimate --sampled --cache-dir` on a warm cache, in
+    the report's JSON form."""
+    n, max_len = 2, 12
+    cached_outputs(n, max_len, tmp_path / "cache")
+    statefile, out = tmp_path / "target.json", tmp_path / "estimate.json"
+    statefile.write_text(json.dumps(state_to_json(target)))
+    argv = ["estimate", "--sampled", "--n", str(n), "--max-len", str(max_len),
+            "--alpha", str(CHEAP_PLAN.alpha), "--epsilon", str(CHEAP_PLAN.epsilon),
+            "--statefile", str(statefile), "--seed", str(seed), "--out", str(out),
+            "--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    return report["best"], report["trace"]
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 def test_sampled_estimate_matches_reference(cached, tmp_path):
+    # the sampled mode reads no cache: with one, the command must still
+    # build its rows and draw the reference's trials
     n, max_len = 2, 12
-    table, outputs = tables(n, max_len, cached, tmp_path)
     targets = [classical_state("01"), apply_gate(zero_state(2), ROT(1)), FAINT_10]
     for target in targets:
         for seed in range(4):
             measure = projection_oracle(target)
-            result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed, outputs=table)
-            assert (result.best, result.trace) == reference_sampled_estimate(
-                measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
+            best, trace = reference_sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+            if not cached:
+                result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+                assert (result.best, result.trace) == (best, trace)
+                continue
+            assert sampled_report(target, seed, tmp_path) == (
+                {"program": program_to_json(best.program), "m": best.m, "k": best.k,
+                 "estimate": best.estimate},
+                [[idx, est] for idx, est in trace],
             )
 
 
@@ -244,7 +277,7 @@ def test_exact_estimate_stops_at_the_first_row_that_cannot_win(n, max_len, monke
 
 def test_sampled_estimate_stops_at_the_first_row_that_cannot_win():
     n, max_len, k = 2, 12, CHEAP_PLAN.k
-    table = candidate_table(n, max_len)
+    rows = candidate_rows(n, max_len)
     targets = [classical_state(b) for b in ("00", "01", "10", "11")]
     targets.append(apply_gate(zero_state(2), ROT(1)))
     for seed, target in enumerate(targets):
@@ -252,9 +285,9 @@ def test_sampled_estimate_stops_at_the_first_row_that_cannot_win():
             projection_oracle(target), n, CHEAP_PLAN, max_len, seed
         )
         measure = Counted(projection_oracle(target))
-        result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed, outputs=table)
+        result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
         assert result.best == best
-        shorter = sum(1 for _idx, prog, _out in table.rows if prog.length < best.estimate)
+        shorter = sum(1 for _idx, prog, _out in rows if prog.length < best.estimate)
         assert measure.calls == k * shorter
         if target == classical_state("00"):
             assert shorter == 1  # won by the empty program, row 0
@@ -270,15 +303,14 @@ def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
     assert (est.best, est.trace, est.scanned) == reference_exact_estimate(target, 1, 1)
     assert est.best is None and fidelity.calls == len(table.firsts)
     measure = Counted(projection_oracle(target))
-    result = sampled_estimate(measure, 1, CHEAP_PLAN, 1, 0, outputs=table)
+    result = sampled_estimate(measure, 1, CHEAP_PLAN, 1, 0)
     assert result.best is None and result.trace == []
-    assert measure.calls == CHEAP_PLAN.k * len(table.rows)
-    # a larger table whose every trial fails
-    table = candidate_table(2, 12)
+    assert measure.calls == CHEAP_PLAN.k * len(candidate_rows(1, 1))
+    # more rows, and every trial fails
     never = Counted(lambda prog, out, rng: False)
-    result = sampled_estimate(never, 2, CHEAP_PLAN, 12, 0, outputs=table)
+    result = sampled_estimate(never, 2, CHEAP_PLAN, 12, 0)
     assert result.best is None and result.trace == []
-    assert never.calls == CHEAP_PLAN.k * len(table.rows)
+    assert never.calls == CHEAP_PLAN.k * len(candidate_rows(2, 12))
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +351,7 @@ def test_stopping_scans_match_the_full_scans(case):
         target, n, max_len, outputs=outputs
     )
     measure = projection_oracle(target)
-    result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed, outputs=table)
+    result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
     assert (result.best, result.trace) == reference_sampled_estimate(
         measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
     )
@@ -331,9 +363,6 @@ SCANS = {
     "directly_computable": lambda t, n, m, table: directly_computable(t, n, m, outputs=table),
     "shortest_exact_program": lambda t, n, m, table: shortest_exact_program(
         t, n, m, outputs=table
-    ),
-    "sampled_estimate": lambda t, n, m, table: sampled_estimate(
-        projection_oracle(t), n, CHEAP_PLAN, m, 0, outputs=table
     ),
 }
 

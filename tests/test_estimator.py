@@ -15,7 +15,7 @@ from qkclab import (
     apply_gate,
     bernoulli,
     cached_outputs,
-    candidate_table,
+    candidate_rows,
     classical_state,
     decode,
     encode,
@@ -147,7 +147,7 @@ class TestExactEstimate:
         targets += [classical_state("0"), classical_state("1")]
         for target in targets:
             flag = directly_computable(target, 1, 10, outputs=outputs)
-            oracle = any(fidelity(target, out) == 1 for _i, _p, out in outputs.rows)
+            oracle = any(fidelity(target, out) == 1 for _i, _p, out in candidate_rows(1, 10))
             assert flag == oracle
             est = exact_estimate(target, 1, 10, outputs=outputs)
             if est.best is not None and est.best.penalty == 0:
@@ -255,14 +255,14 @@ class TestProjectionOracle:
         # random targets, 7 to 69 of the 69 rows' fidelities reduce, so the
         # reduced denominator that bounds each randrange is checked too.
         k = k_from_bound(2, 0.05, 0.25)  # 554: the sampled command's default plan
-        table = candidate_table(2, 12)
+        rows = candidate_rows(2, 12)
         targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
         targets += rotated_basis(2).vectors
         targets.append(apply_gate(zero_state(2), ROT(1)))
         targets += [random_state(2, Random(s)) for s in (1, 2, 3)]
         for target in targets:
             measure = projection_oracle(target)
-            for idx, prog, out in table.rows:
+            for idx, prog, out in rows:
                 q = reference_fidelity(target, out)
                 for seed in (7, 2024):
                     rng, ref = trial_rng(seed, idx), trial_rng(seed, idx)

@@ -20,6 +20,7 @@ from qkclab import (
     Program,
     basis_state,
     cached_outputs,
+    candidate_rows,
     candidate_table,
     decode,
     encode,
@@ -31,10 +32,10 @@ from qkclab import (
     zero_state,
 )
 from qkclab import census, cli, executor, proglang
-from qkclab.cli import CACHE_ENV_VAR, main
+from qkclab.cli import CACHE_ENV_VAR, main, parse_program_arg
 from qkclab.executor import _build_table, _canonical, cache_path
 
-from oracles import Counted, reference_firsts, reference_op_fields
+from oracles import Counted, reference_candidates, reference_firsts, reference_op_fields
 
 
 def conditional_of(gates, n):
@@ -83,30 +84,35 @@ def write_with_hash(path, data):
 
 
 def old_layout_file(table, layout):
-    """The text of `table` in an older cache layout, valid in that layout."""
+    """The text of `table` in an older cache layout, valid in that layout:
+    each older layout stored every halting program's row."""
+    rows = candidate_rows(table.n, table.max_len)
     if layout == "per-record":
         # a header line, then one record per halting program with its full
         # output and a sha over the record
         header = {"version": ENCODING_VERSION, "n": table.n, "max_len": table.max_len,
-                  "records": len(table.rows)}
+                  "records": len(rows)}
         lines = [_canonical(header)]
-        for _idx, prog, out in table.rows:
+        for _idx, prog, out in rows:
             record = {"program": program_to_json(prog), "output": state_to_json(out)}
             record["sha"] = hashlib.sha256(_canonical(record).encode("ascii")).hexdigest()
             lines.append(_canonical(record))
-    elif layout == "outputs+rows":
-        # each distinct output once, and rows of [program, output id] with no
-        # index, which a read took from the enumeration
+    elif layout in ("outputs+rows", "outputs+indexed-rows"):
+        # each distinct output once, and rows of [program, output id], with
+        # no index in "outputs+rows", which a read took from the enumeration,
+        # or [index, program, output id] in "outputs+indexed-rows"
         outputs = [out for _i, _p, out in table.firsts]
-        ids = {id(out): k for k, out in enumerate(outputs)}
-        rows = [[program_to_json(prog), ids[id(out)]] for _i, prog, out in table.rows]
-        body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": rows})
+        ids = {out: k for k, out in enumerate(outputs)}
+        stored = [[idx, program_to_json(prog), ids[out]] for idx, prog, out in rows]
+        if layout == "outputs+rows":
+            stored = [row[1:] for row in stored]
+        body = _canonical({"outputs": [state_to_json(out) for out in outputs], "rows": stored})
         header = {
-            "format": "outputs+rows",
+            "format": layout,
             "version": ENCODING_VERSION,
             "n": table.n,
             "max_len": table.max_len,
-            "rows": len(rows),
+            "rows": len(stored),
             "outputs": len(outputs),
             "sha256": hashlib.sha256(body.encode("ascii")).hexdigest(),
         }
@@ -118,47 +124,47 @@ def old_layout_file(table, layout):
 
 def break_body(data, fault):
     """One fault in a parsed cache body that its hash cannot reveal."""
+    firsts = data["firsts"]
     if fault == "non-unit-norm":
-        data["outputs"][0]["amps"][0][0] = "2"
+        firsts[0][2]["amps"][0][0] = "2"
     elif fault == "wrong-n":
-        data["outputs"][0] = state_to_json(zero_state(2))
-    elif fault == "id-past-end":
-        data["rows"][-1][2] = len(data["outputs"])
-    elif fault == "negative-id":
-        data["rows"][-1][2] = -1
-    elif fault == "bool-id":
-        data["rows"][-1][2] = True  # an int subclass, and not an id
+        firsts[0][2] = state_to_json(zero_state(2))
+    elif fault == "scanned-at-last-index":
+        data["scanned"] = firsts[-1][0]
+    elif fault == "negative-scanned":
+        data["scanned"] = -1
+    elif fault == "float-scanned":
+        data["scanned"] += 0.5  # still past the last index
     elif fault == "index-not-increasing":
-        data["rows"][-1][0] = data["rows"][-2][0]
+        firsts[-1][0] = firsts[-2][0]
     elif fault == "negative-index":
-        data["rows"][0][0] = -1
+        firsts[0][0] = -1
     elif fault == "float-index":
-        data["rows"][-1][0] += 0.5
+        firsts[-1][0] += 0.5
     elif fault == "float-part":
-        data["outputs"][0]["amps"][0][0] = 1.0  # int() would read it as 1
+        firsts[0][2]["amps"][0][0] = 1.0  # int() would read it as 1
     elif fault == "float-n":
-        data["outputs"][0]["n"] = 1.0
+        firsts[0][2]["n"] = 1.0
     elif fault == "huge-n":
         # fails without allocating; an n near 10**9 would build a huge 1 << n
-        data["outputs"][0]["n"] = str(10**20)
+        firsts[0][2]["n"] = str(10**20)
     elif fault == "program-past-its-length":
-        data["rows"][0][1] = {"len": 0, "bits_hex": "1"}  # once read as the empty program
+        firsts[0][1] = {"len": 0, "bits_hex": "1"}  # once read as the empty program
     elif fault == "bool-program-length":
-        data["rows"][0][1]["len"] = True
+        firsts[0][1]["len"] = True
     elif fault == "float-program-length":
-        data["rows"][0][1]["len"] = 1.5
+        firsts[0][1]["len"] = 1.5
     elif fault == "rows-out-of-order":
-        rows = data["rows"]
-        rows[0][1], rows[-1][1] = rows[-1][1], rows[0][1]
+        firsts[0][1], firsts[-1][1] = firsts[-1][1], firsts[0][1]
     elif fault == "program-past-max-len":
         # the body is read at max_len=7; an 8-bit last program is still in order
-        data["rows"][-1][1] = {"len": 8, "bits_hex": "0"}
+        firsts[-1][1] = {"len": 8, "bits_hex": "0"}
     elif fault == "lost-row":
-        data["rows"].pop()
+        firsts.pop()
     elif fault == "duplicate-output":
-        # the counts still match, and the rows of the last output now read
-        # the first one's state
-        data["outputs"][-1] = data["outputs"][0]
+        # every index, program and count still checks, and the last first
+        # now stores the first one's state
+        firsts[-1][2] = firsts[0][2]
     else:
         raise ValueError(fault)
 
@@ -216,13 +222,14 @@ class TestRun:
 
 class TestBuildTable:
     """Each row is its parent row's output plus one step; every row must equal
-    running its program alone."""
+    running its program alone, and the table must hold the first row of each
+    distinct output."""
 
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 18)])
     def test_rows_equal_running_each_program(self, n, max_len, work):
-        table = _build_table(n, max_len)
+        rows = candidate_rows(n, max_len)
         assert work.runs.calls == 0  # the build runs no program
-        assert list(table.rows) == run_rows(n, max_len)
+        assert rows == run_rows(n, max_len)
 
     @pytest.mark.parametrize("n, max_len", [(1, 14), (2, 12)])
     def test_rows_equal_running_each_program_with_every_short_conditional(
@@ -230,8 +237,10 @@ class TestBuildTable:
     ):
         for conditional in short_conditionals(n):
             expected = run_rows(n, max_len, conditional)
-            assert list(_build_table(n, max_len, conditional).rows) == expected
-            assert list(candidate_table(n, max_len, conditional, tmp_path).rows) == expected
+            assert candidate_rows(n, max_len, conditional) == expected
+            table = candidate_table(n, max_len, conditional, tmp_path)
+            assert table.firsts == reference_firsts(expected)
+            assert table.scanned == expected[-1][0] + 1
         assert list(tmp_path.iterdir()) == []  # a conditional table is never cached
 
     @pytest.mark.parametrize(
@@ -242,24 +251,28 @@ class TestBuildTable:
     ):
         # cold build, warm read, and a table for every short conditional
         # (two gates would be 601 conditionals at n=4, so one there)
-        cold = cached_outputs(n, max_len, tmp_path)
-        warm = cached_outputs(n, max_len, tmp_path)
-        tables = [cold, warm] + [
-            candidate_table(n, max_len, conditional, tmp_path)
+        cases = [(None, cached_outputs(n, max_len, tmp_path)),
+                 (None, cached_outputs(n, max_len, tmp_path))]
+        cases += [
+            (conditional, candidate_table(n, max_len, conditional, tmp_path))
             for conditional in short_conditionals(n, depth)
         ]
-        assert any(len(t.firsts) < len(t.rows) for t in tables)
-        for table in tables:
+        repeats = False
+        for conditional, table in cases:
+            rows = candidate_rows(n, max_len, conditional)
             one = {}
-            assert all(one.setdefault(out, out) is out for _i, _p, out in table.rows)
-            assert table.firsts == reference_firsts(table.rows)
+            assert all(one.setdefault(out, out) is out for _i, _p, out in rows)
+            assert table.firsts == reference_firsts(rows)
+            assert table.scanned == rows[-1][0] + 1
+            repeats |= len(table.firsts) < len(rows)
+        assert repeats
 
     def test_gate_applications_are_one_step_per_distinct_parent_output_and_op(self, work):
         conditional = conditional_of([X(0), ROT(1)], 2)
         expected = build_steps(2, 14), build_steps(2, 14, conditional)
         before = work.gates.calls
-        table = _build_table(2, 14)
-        assert work.gates.calls - before == expected[0] < len(table.rows) - 1
+        rows = candidate_rows(2, 14)
+        assert work.gates.calls - before == expected[0] < len(rows) - 1
         before = work.gates.calls
         _build_table(2, 14, conditional)
         assert work.gates.calls - before == expected[1]
@@ -271,7 +284,8 @@ class TestBuildTable:
         for module in (proglang, executor):
             monkeypatch.setattr(module, "decode", decodes)
         table = _build_table(3, 20)
-        assert decodes.calls == 0 and len(table.rows) == 970
+        rows = candidate_rows(3, 20)
+        assert decodes.calls == 0 and (len(table.firsts), len(rows)) == (136, 970)
 
     def test_a_cold_build_creates_no_fraction(self, monkeypatch, work):
         # each step runs on the integer form of its states, and a state's
@@ -281,9 +295,10 @@ class TestBuildTable:
         monkeypatch.setattr(Fraction, "__new__", fractions)
         before = work.gates.calls
         table = _build_table(3, 20)
-        assert fractions.calls == 0
         assert work.gates.calls - before == 348
-        assert list(table.rows) == expected and len(table.rows) == 970
+        rows = candidate_rows(3, 20)
+        assert fractions.calls == 0
+        assert rows == expected and len(rows) == 970
         assert table.firsts == reference_firsts(expected) and len(table.firsts) == 136
         assert table.scanned == expected[-1][0] + 1 == 1538
 
@@ -311,7 +326,20 @@ class TestCache:
 
     def test_cache_agrees_with_fresh_runs(self, tmp_path):
         table = cached_outputs(2, 10, tmp_path)
-        assert list(table.rows) == run_rows(2, 10)
+        rows = run_rows(2, 10)
+        assert (table.firsts, table.scanned) == (reference_firsts(rows), rows[-1][0] + 1)
+
+    @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 24)])
+    def test_cached_firsts_and_scanned_match_the_build_and_the_reference(
+        self, tmp_path, n, max_len
+    ):
+        rows = list(reference_candidates(n, max_len))
+        expected = (reference_firsts(rows), rows[-1][0] + 1)
+        built = _build_table(n, max_len)
+        cold = cached_outputs(n, max_len, tmp_path)
+        warm = cached_outputs(n, max_len, tmp_path)
+        for table in (built, cold, warm):
+            assert (table.firsts, table.scanned) == expected
 
     def test_version_mismatch_forces_recompute(self, tmp_path, work):
         cached_outputs(1, 7, tmp_path)
@@ -330,10 +358,10 @@ class TestCache:
         table = cached_outputs(1, 7, tmp_path)
         path = cache_path(tmp_path, 1, 7)
         header, body = path.read_text().splitlines()
-        # point the last row at another stored output, a field the reader
-        # uses; every other check passes, so only the body's hash catches it
+        # raise scanned, a field the reader uses; every other check passes,
+        # so only the body's hash catches it
         data = json.loads(body)
-        data["rows"][-1][2] = (data["rows"][-1][2] + 1) % len(data["outputs"])
+        data["scanned"] += 1
         path.write_text(header + "\n" + _canonical(data) + "\n")
         with pytest.warns(UserWarning):
             recomputed = cached_outputs(1, 7, tmp_path)
@@ -351,9 +379,9 @@ class TestCache:
         [
             "non-unit-norm",
             "wrong-n",
-            "id-past-end",
-            "negative-id",
-            "bool-id",
+            "scanned-at-last-index",
+            "negative-scanned",
+            "float-scanned",
             "lost-row",
             "duplicate-output",
             "index-not-increasing",
@@ -384,16 +412,17 @@ class TestCache:
         before = work.gates.calls
         parses = Counted(executor.state_from_json)
         monkeypatch.setattr(executor, "state_from_json", parses)
+        programs = Counted(executor.program_from_json)
+        monkeypatch.setattr(executor, "program_from_json", programs)
         enumerations = Counted(executor.enumerate_decoded)
         monkeypatch.setattr(executor, "enumerate_decoded", enumerations)
         warm = cached_outputs(3, 20, tmp_path)
-        assert parses.calls == len(cold.firsts) < len(cold.rows)
+        # one program and one state per first; the 834 later rows are not stored
+        assert parses.calls == programs.calls == len(cold.firsts) == 136
         assert enumerations.calls == 0  # the indices are read, not enumerated
-        assert (warm.scanned, warm.rows, warm.firsts) == (cold.scanned, cold.rows, cold.firsts)
+        assert (warm.scanned, warm.firsts) == (cold.scanned, cold.firsts)
         assert warm == cold
         assert work.gates.calls == before and work.runs.calls == 0
-        shared = {}
-        assert all(shared.setdefault(out, out) is out for _i, _p, out in warm.rows)
 
     def test_a_bug_in_the_reader_is_not_a_stale_file(self, tmp_path, monkeypatch):
         # only I/O and parse errors mean a bad file; anything else propagates
@@ -415,6 +444,13 @@ class TestCache:
     def test_old_outputs_rows_file_is_recomputed_once_and_rewritten(self, tmp_path, work):
         self.check_old_file_is_recomputed_once_and_rewritten(tmp_path, work, "outputs+rows")
 
+    def test_old_outputs_indexed_rows_file_is_recomputed_once_and_rewritten(
+        self, tmp_path, work
+    ):
+        self.check_old_file_is_recomputed_once_and_rewritten(
+            tmp_path, work, "outputs+indexed-rows"
+        )
+
     @staticmethod
     def check_old_file_is_recomputed_once_and_rewritten(tmp_path, work, layout):
         table = cached_outputs(1, 7, tmp_path)
@@ -426,8 +462,8 @@ class TestCache:
             assert cached_outputs(1, 7, tmp_path) == table
         assert work.gates.calls - before == steps > 0
         head, _body = path.read_text().splitlines()
-        assert json.loads(head)["format"] == "outputs+indexed-rows"
-        assert json.loads(head)["rows"] == len(table.rows)
+        assert json.loads(head)["format"] == "indexed-firsts"
+        assert json.loads(head)["firsts"] == len(table.firsts)
         before = work.gates.calls
         assert cached_outputs(1, 7, tmp_path) == table  # no warning: the new layout reads
         assert work.gates.calls == before and work.runs.calls == 0
@@ -435,14 +471,14 @@ class TestCache:
     @pytest.mark.parametrize(
         "n, max_len, digest",
         [
-            (2, 12, "45c148c61b9731a781bcadbda8765e8fcd89f9cdf56d5b16da9af88edf5aa7ff"),
-            (3, 20, "0dad26bac4b3bc6dc9703c11b26c2fb119f6c525621bdec636686c65e3e78512"),
+            (2, 12, "3e540509e0053a7fef7e51c3bf2cfc67f6319b5754bc2f77eea9c16b869a60a7"),
+            (3, 20, "7803d234371e61ca9dea4b35de849b1edc00325bc5a64c62247fd86985bafd50"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, n, max_len, digest):
-        # the sha256 of the file as first written by the indexed-row layout:
-        # a change in indices, output ids, their order or which rows share an
-        # output changes the bytes
+        # the sha256 of the file as first written by the indexed-firsts
+        # layout: a change in which rows are firsts, their indices, programs,
+        # states or order, or in scanned, changes the bytes
         cached_outputs(n, max_len, tmp_path)
         data = cache_path(tmp_path, n, max_len).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -489,23 +525,49 @@ class TestCache:
             ["census", "--n", "2", "--c", "1", "--max-len", "12", "--rotated"],
             ["consistency", "--n", "2", "--max-len", "12"],
             ["estimate", "--classical", "01", "--n", "2", "--max-len", "12"],
-            ["estimate", "--classical", "01", "--n", "2", "--max-len", "12",
-             "--sampled", "--alpha", "0.5", "--epsilon", "0.45"],
         ):
             assert main(argv + ["--out-dir", str(tmp_path), "--cache-dir", cache]) == 0
         assert work.gates.calls == before and work.runs.calls == 0
+        capsys.readouterr()
+
+    def test_sampled_estimate_builds_its_rows_and_touches_no_cache(
+        self, tmp_path, capsys, monkeypatch, work
+    ):
+        # the sampled mode trials every halting program's row, so it builds
+        # them, cold or warm, and neither reads nor writes the cache file
+        reads = Counted(executor._read_cache)
+        monkeypatch.setattr(executor, "_read_cache", reads)
+        steps = build_steps(2, 12)
+        argv = ["estimate", "--classical", "01", "--n", "2", "--max-len", "12",
+                "--sampled", "--alpha", "0.5", "--epsilon", "0.45",
+                "--out-dir", str(tmp_path)]
+        empty, warm = tmp_path / "empty", tmp_path / "warm"
+        empty.mkdir()
+        cached_outputs(2, 12, warm)
+        path = cache_path(warm, 2, 12)
+        stored = path.read_bytes(), path.stat().st_mtime_ns
+        for cache in (empty, warm):
+            before = work.gates.calls
+            assert main(argv + ["--cache-dir", str(cache)]) == 0
+            assert work.gates.calls - before == steps
+        assert list(empty.iterdir()) == []
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == stored
+        assert reads.calls == 0 and work.runs.calls == 0
         capsys.readouterr()
 
     def test_subadd_runs_each_program_and_generator_once(self, tmp_path, capsys, monkeypatch, work):
         # on one qubit each: the joint table steps each distinct (parent
         # output, last op) pair of the 2-qubit rows, the y table that of the
         # 1-qubit rows, and the conditional table, never cached, that of the
-        # 1-qubit rows with the CALLC rows; a generator that fits in max_len
-        # is read from the y table, and only a longer one is run
+        # 1-qubit rows with the CALLC rows; each generator is run once, with
+        # one step per gate, whether or not it fits in max_len
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         max_len = 14
         rot3 = encode([ROT(0)] * 3, 1)
         assert rot3.length > max_len
+
+        def gates_of(*programs):
+            return sum(len(decode(parse_program_arg(p).bits, 1).gates) for p in programs)
 
         def work_done(px, py, *extra):
             gates, runs = work.gates.calls, work.runs.calls
@@ -520,12 +582,15 @@ class TestCache:
         }
         cache = str(tmp_path / "cache")
         for py in conditional:
-            assert work_done("7:24", py) == (unconditional + conditional[py], 0)
+            generators = gates_of("7:24", py)
+            assert work_done("7:24", py) == (unconditional + conditional[py] + generators, 2)
             work_done("7:24", py, "--cache-dir", cache)  # builds the cache
-            assert work_done("7:24", py, "--cache-dir", cache) == (conditional[py], 0)
-        # the only run: p_x's three gates
+            assert work_done("7:24", py, "--cache-dir", cache) == (
+                conditional[py] + generators, 2
+            )
         px = f"{rot3.length}:{rot3.value:x}"
-        assert work_done(px, "1:1", "--cache-dir", cache) == (3 + conditional["1:1"], 1)
+        assert gates_of(px, "1:1") == 3
+        assert work_done(px, "1:1", "--cache-dir", cache) == (3 + conditional["1:1"], 2)
         capsys.readouterr()
 
     def test_writer_interleaved_inside_another_keeps_its_temp_file(

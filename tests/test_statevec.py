@@ -21,6 +21,7 @@ from qkclab import (
     apply_circuit,
     apply_gate,
     basis_state,
+    candidate_rows,
     candidate_table,
     classical_state,
     fidelity,
@@ -320,7 +321,7 @@ class TestFidelity:
         targets += [random_state(n, rng) for _ in range(3)]
         targets += [apply_circuit(zero_state(n), [random_gate(rng, n) for _ in range(6)])
                     for _ in range(3)]
-        rows = candidate_table(n, 12).rows
+        rows = candidate_rows(n, 12)
         pairs = set()
         for target in targets:
             for _idx, _prog, out in rows:
