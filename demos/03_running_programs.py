@@ -15,6 +15,7 @@ from qkclab import (
     X,
     cached_outputs,
     candidate_rows,
+    candidate_table,
     decode,
     encode,
     enumerate_programs,
@@ -42,7 +43,7 @@ def main():
     print(f"{len(programs)} programs up to 14 bits for n=2; {len(halted)} halt, "
           f"{len(programs) - len(halted)} need a conditional for CALLC")
     target = random_state(2, random.Random(6))
-    est = exact_estimate(target, 2, 14)
+    est = exact_estimate(target, candidate_table(2, 14))
     print("anytime trace for a random target, (enumeration index, running minimum):", est.trace)
     print("(the minimum never rises; every bound at a prefix is a valid upper bound)")
 

@@ -40,13 +40,14 @@ def show(label, est):
 def main():
     print("== approximate descriptions can win ==")
     target = apply_gate(zero_state(1), ROT(0))
-    show("ROT|0>", exact_estimate(target, 1, 8))
+    show("ROT|0>", exact_estimate(target, candidate_table(1, 8)))
     print("  ... the exact 7-bit ROT program loses to the empty program plus 2 penalty bits")
-    show("|11> ", exact_estimate(classical_state("11"), 2, 12))
+    table = candidate_table(2, 12)  # enumerated and simulated once for both
+    show("|11> ", exact_estimate(classical_state("11"), table))
 
     print()
     print("== the anytime trace ==")
-    est = exact_estimate(random_state(2, Random(5)), 2, 12)
+    est = exact_estimate(random_state(2, Random(5)), table)
     print("  running minimum (enumeration index, total):", est.trace)
 
     print()
@@ -55,7 +56,7 @@ def main():
     for seed in (1, 2, 3):
         target = random_state(2, Random(seed))
         prog, record = upper_bound_witness(target, 2)
-        est = exact_estimate(target, 2, 11, outputs=table)
+        est = exact_estimate(target, table)
         print(
             f"  seed {seed}: witness length {prog.length} + penalty {record.penalty}"
             f" >= estimate {est.best.total}"
@@ -68,9 +69,10 @@ def main():
     conditional = decode(generator.bits, 1, allow_callc=False)
     target = run(generator, 1)
     show(f"without conditional ({generator.length}-bit generator)",
-         exact_estimate(target, 1, 12))
+         exact_estimate(target, candidate_table(1, 12)))
+    # the conditional rides on the table: its CALLC programs run the generator
     show("with the generator as conditional",
-         exact_estimate(target, 1, 12, conditional=conditional))
+         exact_estimate(target, candidate_table(1, 12, conditional)))
     print(f"  the CALLC program costs {encode([CALLC()], 1).length} bits no matter how long the generator is")
 
 

@@ -10,6 +10,7 @@ from qkclab import (
     ROT,
     SamplingPlan,
     apply_gate,
+    candidate_table,
     classical_state,
     ideal_value,
     k_from_bound,
@@ -30,7 +31,7 @@ def main():
     n, max_len = 2, 10
     plan = SamplingPlan.for_dimension(n, alpha=0.05, epsilon=0.25)
     target = classical_state("00")
-    ideal = ideal_value(target, n, max_len)
+    ideal = ideal_value(target, n, max_len, candidate_table(n, max_len))
 
     print(f"  plan: k={plan.k}; exact ideal value = {ideal}")
     for seed in range(5):
@@ -46,7 +47,7 @@ def main():
     print("== a genuinely fuzzy target ==")
     target = apply_gate(zero_state(1), ROT(0))
     plan = SamplingPlan.for_dimension(1, alpha=0.05, epsilon=0.25)
-    ideal = ideal_value(target, 1, 8)
+    ideal = ideal_value(target, 1, 8, candidate_table(1, 8))
     print(f"  target ROT|0>; ideal value = {ideal:.4f}")
     for seed in range(5):
         result = sampled_estimate(projection_oracle(target), 1, plan, 8, seed)

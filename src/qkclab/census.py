@@ -141,7 +141,7 @@ def incompressibility_census(
     if basis.n_qubits != n:
         raise ValueError("basis dimension does not match n")
     table = candidate_table(n, max_len, cache_dir=cache_dir)
-    estimates = [exact_estimate(v, n, max_len, outputs=table) for v in basis.vectors]
+    estimates = [exact_estimate(v, table) for v in basis.vectors]
     threshold = n - c
     count_below = sum(
         1 for est in estimates if est.best is not None and est.best.total < threshold
@@ -179,7 +179,7 @@ def uniform_sweep(
     no_estimate = 0
     for _ in range(samples):
         target = random_state(n, rng)
-        est = exact_estimate(target, n, max_len, outputs=table)
+        est = exact_estimate(target, table)
         if est.best is None:
             no_estimate += 1  # counts as >= threshold: no short description exists
             incompressible += 1
@@ -225,10 +225,9 @@ class ConsistencyRecord:
 
 
 def _consistency_record(bits: str, table: CandidateTable) -> ConsistencyRecord:
-    n, max_len = len(bits), table.max_len
     target = classical_state(bits)
-    est = exact_estimate(target, n, max_len, outputs=table)
-    exact = shortest_exact_program(target, n, max_len, outputs=table)
+    est = exact_estimate(target, table)
+    exact = shortest_exact_program(target, table)
     gap = None
     if exact is not None and est.best is not None:
         gap = exact.length - est.best.total
@@ -356,13 +355,11 @@ def subadditivity_report(
     dy = _decode_generator(p_y, n_y, "p_y")
     y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
     x, y = run(p_x, n_x), run(p_y, n_y)
-    n = n_x + n_y
-    joint_target = tensor(x, y)
     x_table = candidate_table(n_x, max_len, dy)
-    joint_table = candidate_table(n, max_len, cache_dir=cache_dir)
-    joint = exact_estimate(joint_target, n, max_len, outputs=joint_table)
-    cond = exact_estimate(x, n_x, max_len, conditional=dy, outputs=x_table)
-    uncond_y = exact_estimate(y, n_y, max_len, outputs=y_table)
+    joint_table = candidate_table(n_x + n_y, max_len, cache_dir=cache_dir)
+    joint = exact_estimate(tensor(x, y), joint_table)
+    cond = exact_estimate(x, x_table)
+    uncond_y = exact_estimate(y, y_table)
     witness = product_witness(dx, dy)
 
     reason = "ok"
@@ -484,8 +481,8 @@ def superposed_bit_example(
     base = classical_state(bits)
     target = apply_gate(base, ROT(position))
     table = candidate_table(n, max_len, cache_dir=cache_dir)
-    rotated = exact_estimate(target, n, max_len, outputs=table)
-    classical = exact_estimate(base, n, max_len, outputs=table)
+    rotated = exact_estimate(target, table)
+    classical = exact_estimate(base, table)
     x_gates = [X(j) for j in range(n) if bits[j] == "1"]
     constructive = encode(x_gates + [ROT(position)], n)
     lengths = shannon_fano_lengths(standard_basis(n), target)

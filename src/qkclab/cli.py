@@ -306,9 +306,7 @@ def cmd_estimate(args) -> int:
         empty = result.best is None
     else:
         table = candidate_table(config.n, config.max_len, conditional, config.cache_dir)
-        result = exact_estimate(
-            target, config.n, config.max_len, conditional=conditional, outputs=table
-        )
+        result = exact_estimate(target, table)
         record.update(
             {
                 "mode": "exact",

@@ -17,8 +17,8 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from .executor import CandidateTable, candidate_rows, candidate_table
-from .proglang import DecodedProgram, Program, encode
+from .executor import CandidateTable, candidate_rows
+from .proglang import Program, encode
 from .statevec import StateVector, X, fidelity, fidelity_pair, penalty_bits
 
 LOG2_E = math.log2(math.e)
@@ -53,13 +53,6 @@ def _check_target(target: StateVector, n: int) -> None:
         raise ValueError(f"target has {target.n_qubits} qubits, expected {n}")
 
 
-def _table(outputs, n: int, max_len: int, conditional=None) -> CandidateTable:
-    """The given candidate table, checked against the scan's arguments, or a new one."""
-    if outputs is None:
-        return candidate_table(n, max_len, conditional)
-    return outputs.check(n, max_len, conditional)
-
-
 def _running_min(rows, score):
     """The running minimum of `score` over rows in (length, value) order.
 
@@ -86,24 +79,18 @@ def _running_min(rows, score):
     return record, trace
 
 
-def exact_estimate(
-    target: StateVector,
-    n: int,
-    max_len: int,
-    conditional: Optional[DecodedProgram] = None,
-    outputs: Optional[CandidateTable] = None,
-) -> ExactEstimate:
-    """Minimize length + penalty over all decodable programs up to max_len.
+def exact_estimate(target: StateVector, table: CandidateTable) -> ExactEstimate:
+    """Minimize length + penalty over the table's programs: every halting
+    program up to its max_len, run with its conditional.
 
     Candidates with zero fidelity contribute nothing (their penalty is
     infinite).  Ties go to the shorter program, then to the numerically
     smaller one.  If nothing has positive fidelity the result carries
-    best=None: no finite estimate at this bound.  `outputs` is the candidate
-    table to score (built here if None); `scanned` counts the whole table,
-    though the scan stops early as `_running_min` says.
+    best=None: no finite estimate at this bound.  `n`, `max_len` and
+    `scanned` come from the table; `scanned` counts the whole table, though
+    the scan stops early as `_running_min` says.
     """
-    _check_target(target, n)
-    table = _table(outputs, n, max_len, conditional)
+    _check_target(target, table.n)
 
     def score(_idx, prog, out):
         q = fidelity(target, out)
@@ -114,18 +101,17 @@ def exact_estimate(
         return total, EstimateRecord(prog, prog.length, q, pen, total)
 
     best, trace = _running_min(table.firsts, score)
-    return ExactEstimate(best, trace, table.scanned, n, max_len)
+    return ExactEstimate(best, trace, table.scanned, table.n, table.max_len)
 
 
 def ideal_value(
-    target: StateVector,
-    n: int,
-    max_len: int,
-    outputs: Optional[CandidateTable] = None,
+    target: StateVector, n: int, max_len: int, outputs: CandidateTable
 ) -> Optional[float]:
     """min over halting programs of length - log2(true fidelity): the
     real-valued floor that the sampled mode approximates from above.
-    Fidelity is at most 1, so no value is below its length."""
+    Fidelity is at most 1, so no value is below its length.  `outputs` must
+    be the table for (n, max_len) with no conditional."""
+    outputs.check(n, max_len)
     _check_target(target, n)
 
     def score(_idx, prog, out):
@@ -135,40 +121,27 @@ def ideal_value(
         value = prog.length - math.log2(q)
         return value, value
 
-    return _running_min(_table(outputs, n, max_len).firsts, score)[0]
+    return _running_min(outputs.firsts, score)[0]
 
 
-def directly_computable(
-    target: StateVector,
-    n: int,
-    max_len: int,
-    outputs: Optional[CandidateTable] = None,
-) -> bool:
-    """Whether some halting program up to max_len outputs the target with
-    fidelity exactly 1.
+def directly_computable(target: StateVector, table: CandidateTable) -> bool:
+    """Whether some program of the table outputs the target with fidelity
+    exactly 1.
 
     This is a separate question from what exact_estimate returns: a directly
     computable state can still be won by a shorter program plus penalty bits,
     so the minimizer's penalty being zero implies direct computability but
     not conversely.
     """
-    _check_target(target, n)
-    return any(
-        fidelity(target, out) == 1
-        for _idx, _prog, out in _table(outputs, n, max_len).firsts
-    )
+    _check_target(target, table.n)
+    return any(fidelity(target, out) == 1 for _idx, _prog, out in table.firsts)
 
 
-def shortest_exact_program(
-    target: StateVector,
-    n: int,
-    max_len: int,
-    outputs: Optional[CandidateTable] = None,
-) -> Optional[Program]:
-    """Shortest program whose output equals the target amplitude-for-amplitude
-    (not merely up to phase); None if no such program exists within the bound."""
-    _check_target(target, n)
-    for _idx, prog, out in _table(outputs, n, max_len).firsts:
+def shortest_exact_program(target: StateVector, table: CandidateTable) -> Optional[Program]:
+    """Shortest program of the table whose output equals the target
+    amplitude-for-amplitude (not merely up to phase); None if there is none."""
+    _check_target(target, table.n)
+    for _idx, prog, out in table.firsts:
         if out == target:
             return prog
     return None

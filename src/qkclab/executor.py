@@ -90,9 +90,9 @@ class CandidateTable:
     firsts: tuple[Row, ...]
     scanned: int
 
-    def check(self, n: int, max_len: int, conditional=None) -> "CandidateTable":
-        """This table, if it was built for (n, max_len, conditional)."""
-        have, want = (self.n, self.max_len, self.conditional), (n, max_len, conditional)
+    def check(self, n: int, max_len: int) -> "CandidateTable":
+        """This table, if it was built for (n, max_len) with no conditional."""
+        have, want = (self.n, self.max_len, self.conditional), (n, max_len, None)
         if have != want:
             raise ValueError(
                 f"candidate table for (n, max_len, conditional) = {have} used for {want}"

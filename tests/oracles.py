@@ -27,7 +27,10 @@ gr builds a GaussianRational from exact values, and inner_product is <x|z>
 from the library's integer overlap kernel as a GaussianRational: the
 library itself builds that type only for `amps`.
 Counted wraps a function to count its calls, for the tests that check how
-much work a path does.
+much work a path does.  check_estimates checks exact estimates by properties
+that need no reference scan (a re-derived best record, the trace, the
+pigeonhole witness and symmetry under relabelling qubits), so it scales past
+the bounds the reference scans can reach.
 """
 
 import math
@@ -46,9 +49,13 @@ from qkclab import (
     Program,
     StateVector,
     TrialResult,
+    decode,
     enumerate_programs,
+    exact_estimate,
     penalty_bits,
     run,
+    upper_bound_witness,
+    zero_state,
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import OPCODE_WIDTH, gamma_encode, index_width
@@ -296,6 +303,65 @@ def reference_shortest_exact_program(target, n, max_len, outputs=None):
         if out.amps == target.amps:
             return prog
     return None
+
+
+def permute_qubits(state, perm):
+    """The state with the value of each qubit q moved to qubit perm[q]."""
+    n = state.n_qubits
+    amps = [None] * state.dim
+    for i, amp in enumerate(parts(state)):
+        amps[sum(_mask(n, perm[q]) for q in range(n) if i & _mask(n, q))] = amp
+    return state_of_parts(n, amps)
+
+
+def check_estimates(targets, estimates, table):
+    """Checks of each exact estimate against its target and the table (with
+    no conditional) it was scored on, that need no reference scan, so they
+    hold at bounds too large for one.  Raises AssertionError naming each
+    check that failed, with the position of its first failing target:
+
+    - "record": the best record, re-derived through `decode`,
+      reference_apply_gate, reference_fidelity and reference_penalty_bits,
+      has the same fidelity, penalty and total;
+    - "trace": the trace strictly decreases and ends at the best total;
+    - "witness": the total is at most the `upper_bound_witness` total when
+      that program fits in max_len;
+    - "permutation": the total is the same for the target with its qubits
+      transposed (0 1) and cycled (0 1 ... n-1), which generate every
+      permutation.  Relabelling qubits maps the machine's programs onto
+      programs of the same length, so it cannot change a total.
+    """
+    n, failed = table.n, {}
+    perms = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    for i, (target, est) in enumerate(zip(targets, estimates, strict=True)):
+        best, totals = est.best, [total for _idx, total in est.trace]
+        checks = {
+            "record": best is None,
+            "trace": totals == sorted(set(totals), reverse=True)
+            and totals[-1:] == ([best.total] if best else []),
+        }
+        decoded = best and decode(best.program.bits, n, allow_callc=False)
+        if decoded:
+            out = zero_state(n)
+            for gate in decoded.gates:
+                out = reference_apply_gate(out, gate)
+            q = reference_fidelity(target, out)
+            pen = reference_penalty_bits(q.numerator, q.denominator)
+            length = best.program.length
+            checks["record"] = (best.length, best.fidelity, best.penalty, best.total) == (
+                length, q, pen, length + pen
+            )
+        witness, record = upper_bound_witness(target, n)
+        checks["witness"] = witness.length > table.max_len or (
+            best is not None and best.total <= record.total
+        )
+        checks["permutation"] = all(
+            exact_estimate(permute_qubits(target, p), table).total == est.total for p in perms
+        )
+        for name, ok in checks.items():
+            if not ok:
+                failed.setdefault(name, i)
+    assert not failed, f"failed checks, with their first target: {failed}"
 
 
 def reference_run_trials(candidates, measure, k, epsilon, seed):

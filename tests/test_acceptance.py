@@ -101,8 +101,8 @@ def criterion3_runs(cache_dir):
     for _ in range(200):
         target = random_state(n, rng)
         witness_prog, witness_rec = upper_bound_witness(target, n)
-        max_len = max(11, witness_prog.length)
-        est = exact_estimate(target, n, max_len, outputs=outputs)
+        assert witness_prog.length <= outputs.max_len  # the witness is a candidate
+        est = exact_estimate(target, outputs)
         runs.append((witness_prog, witness_rec, est))
     return runs
 
@@ -177,7 +177,7 @@ def criterion6_runs(cache_dir):
     plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
     target = classical_state("00")
     outputs = cached_outputs(n, 12, cache_dir)
-    ideal = ideal_value(target, n, 12, outputs=outputs)
+    ideal = ideal_value(target, n, 12, outputs)
     results = [
         sampled_estimate(projection_oracle(target), n, plan, 12, seed)
         for seed in range(40)
@@ -279,11 +279,8 @@ def test_criterion_09_conditional_reuse(cache_dir):
     for i in range(20):
         n = 1 if i % 2 else 2
         generator, conditional, target = sample(n)
-        without = exact_estimate(target, n, 12, outputs=outputs[n])
-        with_cond = exact_estimate(
-            target, n, 12, conditional=conditional,
-            outputs=conditional_table(n, conditional),
-        )
+        without = exact_estimate(target, outputs[n])
+        with_cond = exact_estimate(target, conditional_table(n, conditional))
         assert with_cond.best.total == min(without.best.total, callc_len)
         assert with_cond.best.total <= callc_len
 
@@ -293,13 +290,10 @@ def test_criterion_09_conditional_reuse(cache_dir):
     while len(hits) < 20:
         n = 1 if len(hits) % 2 else 2
         generator, conditional, target = sample(n)
-        without = exact_estimate(target, n, 12, outputs=outputs[n])
+        without = exact_estimate(target, outputs[n])
         if without.best.total < callc_len:
             continue
-        with_cond = exact_estimate(
-            target, n, 12, conditional=conditional,
-            outputs=conditional_table(n, conditional),
-        )
+        with_cond = exact_estimate(target, conditional_table(n, conditional))
         assert with_cond.best.total == callc_len
         hits.append(generator.length)
     assert len(set(hits)) >= 3  # generator lengths vary; the constant does not

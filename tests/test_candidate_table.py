@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import qkclab.census as census
 import qkclab.cli as cli
 import qkclab.estimator as estimator
+import qkclab.executor as executor
 import qkclab.statevec as statevec
 from qkclab import (
     CNOT,
@@ -99,28 +100,28 @@ def test_scans_match_reference(n, max_len, cached, tmp_path):
     table, outputs = tables(n, max_len, cached, tmp_path)
     rng = Random(4100 + n)
     for target in fixture_targets(n, rng):
-        est = exact_estimate(target, n, max_len, outputs=table)
+        est = exact_estimate(target, table)
         assert (est.best, est.trace, est.scanned) == reference_exact_estimate(
             target, n, max_len, outputs=outputs
         )
-        assert ideal_value(target, n, max_len, outputs=table) == reference_ideal_value(
+        assert ideal_value(target, n, max_len, table) == reference_ideal_value(
             target, n, max_len, outputs=outputs
         )
-        assert directly_computable(
-            target, n, max_len, outputs=table
-        ) == reference_directly_computable(target, n, max_len, outputs=outputs)
-        assert shortest_exact_program(
-            target, n, max_len, outputs=table
-        ) == reference_shortest_exact_program(target, n, max_len, outputs=outputs)
+        assert directly_computable(target, table) == reference_directly_computable(
+            target, n, max_len, outputs=outputs
+        )
+        assert shortest_exact_program(target, table) == reference_shortest_exact_program(
+            target, n, max_len, outputs=outputs
+        )
 
 
 def test_fixtures_exercise_every_branch():
     # the scans above must meet exact hits and misses, and repeated outputs
     n, max_len = 2, 14
     targets = fixture_targets(n, Random(4100 + n))
-    found = [shortest_exact_program(t, n, max_len) for t in targets]
-    assert any(p is not None for p in found) and any(p is None for p in found)
     table = candidate_table(n, max_len)
+    found = [shortest_exact_program(t, table) for t in targets]
+    assert any(p is not None for p in found) and any(p is None for p in found)
     assert len(table.firsts) < len(candidate_rows(n, max_len))
 
 
@@ -130,10 +131,10 @@ def test_exact_scans_build_no_output_amplitudes():
     n, max_len = 3, 20
     table = candidate_table(n, max_len)
     for target in standard_basis(n).vectors + rotated_basis(n).vectors:
-        exact_estimate(target, n, max_len, outputs=table)
-        ideal_value(target, n, max_len, outputs=table)
-        directly_computable(target, n, max_len, outputs=table)
-        shortest_exact_program(target, n, max_len, outputs=table)
+        exact_estimate(target, table)
+        ideal_value(target, n, max_len, table)
+        directly_computable(target, table)
+        shortest_exact_program(target, table)
     assert all(out._amps is None for _idx, _prog, out in table.firsts)
 
 
@@ -268,7 +269,7 @@ def test_exact_estimate_stops_at_the_first_row_that_cannot_win(n, max_len, monke
         )
         fidelity = Counted(estimator.fidelity)
         monkeypatch.setattr(estimator, "fidelity", fidelity)
-        assert exact_estimate(target, n, max_len, outputs=table).best == best
+        assert exact_estimate(target, table).best == best
         monkeypatch.undo()
         assert fidelity.calls == expected
         stops_after_row_0 += expected == 1
@@ -298,7 +299,7 @@ def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
     table = candidate_table(1, 1)
     fidelity = Counted(estimator.fidelity)
     monkeypatch.setattr(estimator, "fidelity", fidelity)
-    est = exact_estimate(target, 1, 1, outputs=table)
+    est = exact_estimate(target, table)
     monkeypatch.undo()
     assert (est.best, est.trace, est.scanned) == reference_exact_estimate(target, 1, 1)
     assert est.best is None and fidelity.calls == len(table.firsts)
@@ -343,11 +344,11 @@ def scan_cases(draw):
 def test_stopping_scans_match_the_full_scans(case):
     n, max_len, target, seed = case
     table, outputs = table_and_reference_outputs(n, max_len)
-    est = exact_estimate(target, n, max_len, outputs=table)
+    est = exact_estimate(target, table)
     assert (est.best, est.trace, est.scanned) == reference_exact_estimate(
         target, n, max_len, outputs=outputs
     )
-    assert ideal_value(target, n, max_len, outputs=table) == reference_ideal_value(
+    assert ideal_value(target, n, max_len, table) == reference_ideal_value(
         target, n, max_len, outputs=outputs
     )
     measure = projection_oracle(target)
@@ -357,22 +358,13 @@ def test_stopping_scans_match_the_full_scans(case):
     )
 
 
-SCANS = {
-    "exact_estimate": lambda t, n, m, table: exact_estimate(t, n, m, outputs=table),
-    "ideal_value": lambda t, n, m, table: ideal_value(t, n, m, outputs=table),
-    "directly_computable": lambda t, n, m, table: directly_computable(t, n, m, outputs=table),
-    "shortest_exact_program": lambda t, n, m, table: shortest_exact_program(
-        t, n, m, outputs=table
-    ),
-}
-
-
-@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("scan", ["ideal_value"])
 def test_scans_reject_a_table_built_for_other_arguments(scan):
-    run_scan = SCANS[scan]
+    # ideal_value alone still takes (n, max_len) beside its table; the other
+    # scans read both, and the conditional, off the table they are given
     target = classical_state("01")
     conditional = decode(encode([X(0)], 2).bits, 2, allow_callc=False)
-    assert run_scan(target, 2, 10, candidate_table(2, 10)) is not None
+    assert ideal_value(target, 2, 10, candidate_table(2, 10)) is not None
     mismatched = (
         candidate_table(1, 10),  # another n
         candidate_table(3, 10),
@@ -382,15 +374,25 @@ def test_scans_reject_a_table_built_for_other_arguments(scan):
     )
     for table in mismatched:
         with pytest.raises(ValueError, match="candidate table"):
-            run_scan(target, 2, 10, table)
+            ideal_value(target, 2, 10, table)
 
 
-def test_conditional_scan_rejects_a_table_without_it():
+def test_scans_build_no_table(monkeypatch):
+    # every scan reads the table it is given, its conditional included, and
+    # builds none of its own
     target = classical_state("11")
     conditional = decode(encode([X(0)], 2).bits, 2, allow_callc=False)
-    other = decode(encode([X(1)], 2).bits, 2, allow_callc=False)
-    for table in (candidate_table(2, 10), candidate_table(2, 10, other)):
-        with pytest.raises(ValueError, match="candidate table"):
-            exact_estimate(target, 2, 10, conditional=conditional, outputs=table)
-    table = candidate_table(2, 10, conditional)
-    assert exact_estimate(target, 2, 10, conditional=conditional, outputs=table).best
+    table, with_conditional = candidate_table(2, 12), candidate_table(2, 12, conditional)
+
+    def no_build(*args):
+        raise AssertionError("a scan built a table")
+
+    monkeypatch.setattr(executor, "_build", no_build)
+    est = exact_estimate(target, table)
+    assert (est.best.total, est.scanned, est.n, est.max_len) == (11, 87, 2, 12)
+    assert exact_estimate(target, with_conditional).best.total == 10  # X(1), then CALLC
+    assert ideal_value(target, 2, 12, table) == 11
+    assert directly_computable(target, table)
+    assert shortest_exact_program(target, table) == encode([X(0), X(1)], 2)
+    with pytest.raises(AssertionError, match="built a table"):
+        candidate_table(2, 12)

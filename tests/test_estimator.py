@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from random import Random
@@ -16,6 +17,7 @@ from qkclab import (
     bernoulli,
     cached_outputs,
     candidate_rows,
+    candidate_table,
     classical_state,
     decode,
     encode,
@@ -31,6 +33,7 @@ from qkclab import (
     run_trials,
     sampled_estimate,
     shortest_exact_program,
+    standard_basis,
     tensor,
     upper_bound_witness,
     zero_state,
@@ -38,8 +41,16 @@ from qkclab import (
 import qkclab.estimator as estimator
 import qkclab.statevec as statevec
 from qkclab.estimator import trial_rng
+from qkclab.statevec import operands
 
-from oracles import Counted, brute_force_best, gr, random_gate_list, reference_fidelity
+from oracles import (
+    Counted,
+    brute_force_best,
+    check_estimates,
+    gr,
+    random_gate_list,
+    reference_fidelity,
+)
 
 F = Fraction
 
@@ -79,7 +90,7 @@ class TestExactEstimate:
     def test_all_zeros_target(self):
         oracle = brute_force_best(classical_state("00"), 2, 8)
         assert oracle == (1, "1")
-        est = exact_estimate(classical_state("00"), 2, 8)
+        est = exact_estimate(classical_state("00"), candidate_table(2, 8))
         assert est.best.total == 1
         assert est.best.program.bits == "1"
         assert est.best.penalty == 0
@@ -90,7 +101,7 @@ class TestExactEstimate:
         target = apply_gate(zero_state(1), ROT(0))
         oracle = brute_force_best(target, 1, 8)
         assert oracle == (3, "1")
-        est = exact_estimate(target, 1, 8)
+        est = exact_estimate(target, candidate_table(1, 8))
         assert est.best.total == 3
         assert est.best.penalty == 2
 
@@ -99,7 +110,7 @@ class TestExactEstimate:
         for _ in range(12):
             n = rng.randrange(1, 3)
             target = random_state(n, rng)
-            est = exact_estimate(target, n, 9)
+            est = exact_estimate(target, candidate_table(n, 9))
             oracle = brute_force_best(target, n, 9)
             if oracle is None:
                 assert est.best is None
@@ -107,12 +118,12 @@ class TestExactEstimate:
                 assert (est.best.total, est.best.program.bits) == oracle
 
     def test_no_finite_estimate(self):
-        est = exact_estimate(classical_state("1"), 1, 1)
+        est = exact_estimate(classical_state("1"), candidate_table(1, 1))
         assert est.best is None
         assert est.trace == []
 
     def test_tie_break_prefers_smaller_program(self):
-        est = exact_estimate(classical_state("11"), 2, 11)
+        est = exact_estimate(classical_state("11"), candidate_table(2, 11))
         assert est.best.total == 11
         assert est.best.program == encode([X(0), X(1)], 2)
 
@@ -120,7 +131,7 @@ class TestExactEstimate:
         rng = Random(32)
         for _ in range(10):
             target = random_state(2, rng)
-            est = exact_estimate(target, 2, 12)
+            est = exact_estimate(target, candidate_table(2, 12))
             totals = [t for _, t in est.trace]
             assert all(a > b for a, b in zip(totals, totals[1:]))
             if est.best is not None:
@@ -128,15 +139,15 @@ class TestExactEstimate:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            exact_estimate(zero_state(1), 2, 8)
+            exact_estimate(zero_state(1), candidate_table(2, 8))
 
     def test_cache_gives_identical_results(self, tmp_path):
         outputs = cached_outputs(2, 10, tmp_path)
         rng = Random(33)
         for _ in range(5):
             target = random_state(2, rng)
-            with_cache = exact_estimate(target, 2, 10, outputs=outputs)
-            without = exact_estimate(target, 2, 10)
+            with_cache = exact_estimate(target, outputs)
+            without = exact_estimate(target, candidate_table(2, 10))
             assert (with_cache.best, with_cache.trace) == (without.best, without.trace)
 
     def test_directly_computable_detection(self, tmp_path):
@@ -146,10 +157,10 @@ class TestExactEstimate:
         targets += [run(encode(random_gate_list(rng, 1, 2), 1), 1) for _ in range(6)]
         targets += [classical_state("0"), classical_state("1")]
         for target in targets:
-            flag = directly_computable(target, 1, 10, outputs=outputs)
+            flag = directly_computable(target, outputs)
             oracle = any(fidelity(target, out) == 1 for _i, _p, out in candidate_rows(1, 10))
             assert flag == oracle
-            est = exact_estimate(target, 1, 10, outputs=outputs)
+            est = exact_estimate(target, outputs)
             if est.best is not None and est.best.penalty == 0:
                 # a penalty-free winner is itself a fidelity-1 description
                 assert est.best.fidelity == 1
@@ -160,8 +171,8 @@ class TestExactEstimate:
         # empty program plus 2 penalty bits (total 3), so the winner's
         # penalty says nothing about reachability
         target = apply_gate(zero_state(1), ROT(0))
-        assert directly_computable(target, 1, 8)
-        est = exact_estimate(target, 1, 8)
+        assert directly_computable(target, candidate_table(1, 8))
+        est = exact_estimate(target, candidate_table(1, 8))
         assert est.best.penalty == 2
 
 
@@ -177,8 +188,8 @@ class TestConditionalReuse:
             cond = decode(generator.bits, 1, allow_callc=False)
             target = run(generator, 1)
             seen_lengths.add(generator.length)
-            with_cond = exact_estimate(target, 1, 12, conditional=cond)
-            without = exact_estimate(target, 1, 12)
+            with_cond = exact_estimate(target, candidate_table(1, 12, cond))
+            without = exact_estimate(target, candidate_table(1, 12))
             # CALLC candidates cost at least callc_len, and [CALLC] alone
             # reproduces the target exactly, so the minimum is capped there
             assert with_cond.best.total == min(without.best.total, callc_len)
@@ -188,8 +199,8 @@ class TestConditionalReuse:
     def test_exact_equality_when_no_cheap_description_exists(self):
         target = classical_state("1")
         cond = decode(encode([X(0)], 1).bits, 1, allow_callc=False)
-        assert exact_estimate(target, 1, 12).best.total == 7
-        with_cond = exact_estimate(target, 1, 12, conditional=cond)
+        assert exact_estimate(target, candidate_table(1, 12)).best.total == 7
+        with_cond = exact_estimate(target, candidate_table(1, 12, cond))
         assert with_cond.best.total == 6
         assert with_cond.best.program == encode([CALLC()], 1)
 
@@ -388,7 +399,7 @@ class TestSampledEstimate:
     def test_within_one_bit_of_ideal_for_zero_target(self):
         plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
         target = classical_state("00")
-        ideal = ideal_value(target, 2, 10)
+        ideal = ideal_value(target, 2, 10, candidate_table(2, 10))
         assert ideal == pytest.approx(1.0)
         for seed in range(5):
             result = sampled_estimate(projection_oracle(target), 2, plan, 10, seed=seed)
@@ -405,25 +416,80 @@ class TestIdealValue:
             7 - math.log2(16 / 25),
             7.0,
         )
-        assert ideal_value(target, 1, 8) == pytest.approx(expected)
+        assert ideal_value(target, 1, 8, candidate_table(1, 8)) == pytest.approx(expected)
 
     def test_none_when_nothing_overlaps(self):
-        assert ideal_value(classical_state("1"), 1, 1) is None
+        assert ideal_value(classical_state("1"), 1, 1, candidate_table(1, 1)) is None
 
 
 class TestShortestExactProgram:
     def test_finds_the_generator(self):
         target = classical_state("11")
-        prog = shortest_exact_program(target, 2, 12)
+        prog = shortest_exact_program(target, candidate_table(2, 12))
         assert prog == encode([X(0), X(1)], 2)
 
     def test_exact_means_amplitudes_not_phase(self):
         # PHASE^2 |1> = -|1>: fidelity 1 with |1> but amplitudes differ
         generator = encode([X(0), PHASE(0), PHASE(0)], 1)
         minus_one = run(generator, 1)
-        assert shortest_exact_program(minus_one, 1, generator.length) == generator
+        table = candidate_table(1, generator.length)
+        assert shortest_exact_program(minus_one, table) == generator
         # the phase-equivalent state |1> has a 7-bit program instead
-        assert shortest_exact_program(classical_state("1"), 1, 17) == encode([X(0)], 1)
+        table = candidate_table(1, 17)
+        assert shortest_exact_program(classical_state("1"), table) == encode([X(0)], 1)
 
     def test_none_if_out_of_reach(self):
-        assert shortest_exact_program(classical_state("1"), 1, 5) is None
+        assert shortest_exact_program(classical_state("1"), candidate_table(1, 5)) is None
+
+
+def past_the_reference_targets(n, rng):
+    targets = list(standard_basis(n).vectors) + list(rotated_basis(n).vectors)
+    return targets + [random_state(n, rng) for _ in range(10)]
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 20), (4, 24), (5, 26)])
+def test_estimates_past_the_reference_scans(n, max_len):
+    # bounds where the reference scans would take too long: the checks of
+    # check_estimates need none
+    table = candidate_table(n, max_len)
+    targets = past_the_reference_targets(n, Random(2400 + n))
+    check_estimates(targets, [exact_estimate(t, table) for t in targets], table)
+
+
+def tie_keeping_running_min(rows, score):
+    # `_running_min` with `<=` where it has `<`: a tie replaces the best
+    best = record = None
+    trace = []
+    for idx, prog, out in rows:
+        if best is not None and prog.length >= best:
+            break
+        scored = score(idx, prog, out)
+        if scored is not None and (best is None or scored[0] <= best):
+            best, record = scored
+            trace.append((idx, best))
+    return record, trace
+
+
+def test_check_estimates_finds_each_planted_fault(monkeypatch):
+    # at (4, 24) one of the random targets has a later row that ties its best
+    n, max_len = 4, 24
+    table = candidate_table(n, max_len)
+    targets = past_the_reference_targets(n, Random(2400 + n))
+
+    def check(table, fault):
+        estimates = [exact_estimate(t, table) for t in targets]
+        with pytest.raises(AssertionError, match=f"'{fault}'"):
+            check_estimates(targets, estimates, table)
+
+    def without(drop):
+        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n).gates))
+        return dataclasses.replace(table, firsts=firsts)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "penalty_bits", lambda q: statevec.penalty_bits(q) + 1)
+        check(table, "record")
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_running_min", tie_keeping_running_min)
+        check(table, "trace")
+    check(without(lambda gates: len(gates) > 1), "witness")
+    check(without(lambda gates: any(n - 1 in operands(g) for g in gates)), "permutation")
