@@ -34,12 +34,10 @@ from .estimator import (
     SamplingPlan,
     TrialResult,
     bernoulli,
-    directly_computable,
     exact_estimate,
     ideal_value,
     k_from_bound,
     projection_oracle,
-    run_trials,
     sampled_estimate,
     shortest_exact_program,
     upper_bound_witness,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from .executor import CandidateTable, candidate_rows
+from .executor import CandidateTable, _build
 from .proglang import Program, encode
 from .statevec import StateVector, X, fidelity, fidelity_pair, penalty_bits
 
@@ -56,26 +56,28 @@ def _check_target(target: StateVector, n: int) -> None:
 def _running_min(rows, score):
     """The running minimum of `score` over rows in (length, value) order.
 
-    `score(idx, prog, out)` is (value, record) for a row, or None for a row
-    that can claim nothing.  Returns the record of the least value (None if
-    no row scores) and the trace of each (index, value) that lowered it.
+    `score(idx, prog, out)` is ((num, den), value, record) for a row, or None
+    for a row that can claim nothing, with num / den = 2^value exactly.  The
+    scan compares only those integer pairs, so no float round-off decides.
+    Returns the record of the least value (None if no row scores) and the
+    trace of each (index, value) that lowered it.
 
     Only a strictly smaller value replaces the best, so of rows that tie the
     earliest, the one with the smallest (length, value), wins.  No row's
     value is below its length, so the scan stops at the first row whose
-    length reaches the best value: that row and every later one can at most
-    tie, and a tie keeps the best.  The stop is exact, and every row read
-    before it is scored as in a full scan.
+    length reaches the best value, 2^length >= num / den: that row and every
+    later one can at most tie, and a tie keeps the best.  The stop is exact,
+    and every row read before it is scored as in a full scan.
     """
-    best = record = None
+    best = record = None  # best: the (num, den) of the least value so far
     trace: list = []
     for idx, prog, out in rows:
-        if best is not None and prog.length >= best:
+        if best is not None and best[1] << prog.length >= best[0]:
             break
         scored = score(idx, prog, out)
-        if scored is not None and (best is None or scored[0] < best):
-            best, record = scored
-            trace.append((idx, best))
+        if scored is not None and (best is None or scored[0][0] * best[1] < best[0] * scored[0][1]):
+            best, value, record = scored
+            trace.append((idx, value))
     return record, trace
 
 
@@ -98,7 +100,7 @@ def exact_estimate(target: StateVector, table: CandidateTable) -> ExactEstimate:
             return None
         pen = penalty_bits(q)
         total = prog.length + pen
-        return total, EstimateRecord(prog, prog.length, q, pen, total)
+        return (1 << total, 1), total, EstimateRecord(prog, prog.length, q, pen, total)
 
     best, trace = _running_min(table.firsts, score)
     return ExactEstimate(best, trace, table.scanned, table.n, table.max_len)
@@ -119,22 +121,9 @@ def ideal_value(
         if q == 0:
             return None
         value = prog.length - math.log2(q)
-        return value, value
+        return (q.denominator << prog.length, q.numerator), value, value
 
     return _running_min(outputs.firsts, score)[0]
-
-
-def directly_computable(target: StateVector, table: CandidateTable) -> bool:
-    """Whether some program of the table outputs the target with fidelity
-    exactly 1.
-
-    This is a separate question from what exact_estimate returns: a directly
-    computable state can still be won by a shorter program plus penalty bits,
-    so the minimizer's penalty being zero implies direct computability but
-    not conversely.
-    """
-    _check_target(target, table.n)
-    return any(fidelity(target, out) == 1 for _idx, _prog, out in table.firsts)
 
 
 def shortest_exact_program(target: StateVector, table: CandidateTable) -> Optional[Program]:
@@ -267,41 +256,44 @@ def trial_rng(seed: int, index: int) -> Random:
     return Random(f"{seed}:{index}")
 
 
-def run_trials(
-    candidates: Iterable[tuple[int, Program, StateVector]],
+def _run_trials(
+    rows: Iterable[tuple[int, Program, StateVector]],
     measure: Callable,
     k: int,
     epsilon: float,
     seed: int,
 ) -> tuple[Optional[TrialResult], list[tuple[int, float]]]:
-    """k Bernoulli trials per candidate; running minimum of
+    """k Bernoulli trials per row; running minimum of
     length - log2(m / ((1+epsilon) k)).
 
-    Candidates must come in (length, value) order, as `candidate_rows`
-    gives them; the whole input is checked before the first trial, and any
-    other order raises ValueError.  Each candidate's randomness is seeded from
-    (seed, its enumeration index), so its outcome does not depend on which
-    other candidates run, and the early stop of `_running_min` leaves every
-    evaluated candidate's draws unchanged.  Candidates with m == 0 are
-    skipped: their fidelity may be zero and they can claim nothing.  Ties on
-    the estimate go to the shorter program, then the smaller one.  m <= k
-    and epsilon > 0 give m / ((1+epsilon) k) <= 1, also in floating point,
-    so no estimate is below its length.
+    Rows must come in (length, value) order, as `_build` gives them: the
+    first row out of order that the scan reads raises ValueError before its
+    trials run.  Each row's randomness is seeded from (seed, its enumeration
+    index), so its outcome does not depend on which other rows run, and the
+    early stop of `_running_min` leaves every evaluated row's draws
+    unchanged.  Rows with m == 0 are skipped: they can claim nothing.  The
+    scan compares 2^estimate = (1 + epsilon) k 2^length / m exactly, so ties
+    go to the shorter program, then the smaller one; m <= k and epsilon > 0
+    keep it at least 2^length.
     """
-    candidates = list(candidates)
-    keys = [(prog.length, prog.value) for _idx, prog, _out in candidates]
-    if keys != sorted(keys):
-        raise ValueError("run_trials needs its candidates in (length, value) order")
+    e_num, e_den = epsilon.as_integer_ratio()
+    last = (-1, -1)
 
     def score(idx, prog, out):
+        nonlocal last
+        key = (prog.length, prog.value)
+        if key < last:
+            raise ValueError("the sampled trials need their rows in (length, value) order")
+        last = key
         rng = trial_rng(seed, idx)
         m = sum(1 for _ in range(k) if measure(prog, out, rng))
         if m == 0:
             return None
         est = prog.length - math.log2(m / ((1.0 + epsilon) * k))
-        return est, TrialResult(prog, m, k, epsilon, est)
+        exact = ((e_den + e_num) * k << prog.length, m * e_den)
+        return exact, est, TrialResult(prog, m, k, epsilon, est)
 
-    return _running_min(candidates, score)
+    return _running_min(rows, score)
 
 
 @dataclass
@@ -327,17 +319,18 @@ def sampled_estimate(
 ) -> SampledEstimate:
     """Approximation from above driven only by a Bernoulli oracle per program.
 
-    Runs plan.k measurement trials against each row of `candidate_rows`,
+    Runs plan.k measurement trials against each row of the build's stream,
     equal outputs included (each row has its own trial stream), and keeps the
-    candidate with the smallest estimate (shorter program on ties).  Like
-    run_trials, it stops at the first row whose length reaches the best
-    estimate.  The plan must supply at least as many trials as k_from_bound
-    requires for this n.
+    candidate with the smallest estimate (shorter program on ties).  It stops
+    at the first row whose length reaches the best estimate, and the build
+    stops there with it.  The plan must supply at least as many trials as
+    k_from_bound requires for this n.
     """
     if not plan.covers(n):
         raise ValueError(
             f"plan.k={plan.k} is below k_from_bound(n={n}, alpha={plan.alpha}, "
             f"epsilon={plan.epsilon})={k_from_bound(n, plan.alpha, plan.epsilon)}"
         )
-    best, trace = run_trials(candidate_rows(n, max_len), measure, plan.k, plan.epsilon, seed)
+    rows = (row for row, _first in _build(n, max_len))
+    best, trace = _run_trials(rows, measure, plan.k, plan.epsilon, seed)
     return SampledEstimate(best, trace, plan, seed, n, max_len)

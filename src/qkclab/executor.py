@@ -1,8 +1,9 @@
 """Runs decoded programs from |0...0>, and builds every halting program's
-output in one pass, one gate step per distinct (parent output, last op) pair:
-as full rows for the sampled mode, or as the candidate table every exact scan
-reads, the first program of each distinct output.  The table's persistent
-cache stores those firsts as they are, so a warm read neither enumerates nor
+output in one pass, one gate step per distinct (parent output, last op) pair.
+The pass is a stream of rows in enumeration order: the sampled mode reads it
+as far as its scan goes, and the candidate table every exact scan reads keeps
+the first program of each distinct output.  The table's persistent cache
+stores those firsts as they are, so a warm read neither enumerates nor
 applies a gate.
 
 Every decodable program here is straight-line and halts; decode failures play
@@ -20,7 +21,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .proglang import (
     CALLC,
@@ -100,10 +101,11 @@ class CandidateTable:
         return self
 
 
-def _build(n: int, max_len: int, conditional=None) -> tuple[list[Row], list[Row]]:
+def _build(n: int, max_len: int, conditional=None) -> Iterator[tuple[Row, bool]]:
     """The (index, program, output) row of every halting program up to
     max_len, in enumeration order, one step per distinct (parent output, last
-    op) pair, and the first row of each distinct output.
+    op) pair, each with whether it is the first row of its output.  A lazy
+    generator: a reader that stops early stops the build there.
 
     Each program's gates come with it from `enumerate_decoded`, so the build
     decodes nothing.  Dropping a program's last op leaves a shorter decodable
@@ -124,7 +126,6 @@ def _build(n: int, max_len: int, conditional=None) -> tuple[list[Row], list[Row]
     interned: dict = {}  # state -> its one object
     outputs: dict = {(): zero_state(n)}  # gate tuple -> output
     steps: dict = {}  # (id(parent output), last op or None) -> output
-    rows, firsts = [], []
     for idx, (prog, gates) in enumerate(enumerate_decoded(max_len, n)):
         if conditional is None and CALLC in map(type, gates):
             continue
@@ -142,22 +143,23 @@ def _build(n: int, max_len: int, conditional=None) -> tuple[list[Row], list[Row]
             first = out not in interned
             out = steps[key] = interned.setdefault(out, out)
         outputs[gates] = out
-        rows.append((idx, prog, out))
-        if first:
-            firsts.append(rows[-1])
-    return rows, firsts
+        yield (idx, prog, out), first
 
 
 def candidate_rows(n: int, max_len: int, conditional=None) -> list[Row]:
-    """Every row of `_build`, repeated outputs included: the rows the sampled
-    mode runs its trials on."""
-    return _build(n, max_len, conditional)[0]
+    """Every row of `_build`, repeated outputs included, as a list: the rows
+    the sampled mode reads from the stream, up to where its scan stops."""
+    return [row for row, _first in _build(n, max_len, conditional)]
 
 
 def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
     """The table of `_build`'s first rows."""
-    rows, firsts = _build(n, max_len, conditional)
-    return CandidateTable(n, max_len, conditional, tuple(firsts), rows[-1][0] + 1 if rows else 0)
+    firsts, scanned = [], 0
+    for row, first in _build(n, max_len, conditional):
+        scanned = row[0] + 1
+        if first:
+            firsts.append(row)
+    return CandidateTable(n, max_len, conditional, tuple(firsts), scanned)
 
 
 def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache
-from itertools import permutations
+from itertools import product
 from typing import Iterator, Optional, Union
 
 from .statevec import CNOT, PHASE, ROT, X, Gate, json_int, operands
@@ -109,16 +108,21 @@ def _gamma_decode(bits: str, pos: int) -> Optional[tuple[int, int]]:
     return int(bits[start:end], 2), end
 
 
+def _valid(args: tuple[int, ...], n: int) -> bool:
+    """Whether an op with these operands is valid at width n: each operand a
+    qubit index below n, and no qubit twice.  The one statement of validity,
+    which encoding, decoding and the alphabet all ask."""
+    return all(0 <= i < n for i in args) and len(set(args)) == len(args)
+
+
 def _op_bits(op: Op, n: int) -> str:
     if type(op) not in OPS:
         raise TypeError(f"not an encodable op: {op!r}")
+    if not _valid(operands(op), n):
+        raise ValueError(f"{op!r} has a qubit index out of range for n={n}")
     w = index_width(n)
     bits = format(OPS.index(type(op)), f"0{OPCODE_WIDTH}b")
-    for i in operands(op):
-        if not 0 <= i < n:
-            raise ValueError(f"qubit index {i} out of range for n={n}")
-        bits += format(i, f"0{w}b")
-    return bits
+    return bits + "".join(format(i, f"0{w}b") for i in operands(op))
 
 
 def encode(gates, n: int) -> Program:
@@ -130,30 +134,30 @@ def encode(gates, n: int) -> Program:
 def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
     """Parse a whole program; None means "non-halting" for the executor.
 
-    The gamma header gives the gate count, and each gate field is looked up
-    in the width-n table of `_op_alphabet`, which alone says which ops are
-    valid.  A field that is no entry (an invalid opcode, an out-of-range or
-    repeated qubit index, a truncated field), a CALLC when `allow_callc` is
-    false, or bits left over after the last field make the string
-    undecodable: the last is what keeps the decodable set prefix-free.
+    The gamma header gives the gate count.  Each gate field is a 3-bit
+    opcode, then its op's operands in `index_width(n)` bits each.  An invalid
+    opcode, a field cut short, operands that `_valid` refuses, a CALLC when
+    `allow_callc` is false, or bits left over after the last field make the
+    string undecodable: the last keeps the decodable set prefix-free.  The
+    time is linear in len(bits) at every width.
     """
     header = _gamma_decode(bits, 0)
     if header is None:
         return None
     count, pos = header
-    table, widths = _field_table(n)
+    w = index_width(n)
     gates: list[Op] = []
     for _ in range(count - 1):
-        # the fields are prefix-free, so at most one width matches; a slice
-        # cut short by the end of `bits` equals a narrower one, already tried
-        for width in widths:
-            op = table.get(bits[pos : pos + width])
-            if op is not None:
-                break
-        else:
+        start = pos + OPCODE_WIDTH
+        if start > len(bits) or (code := int(bits[pos:start], 2)) >= len(OPS):
             return None
-        gates.append(op)
-        pos += width
+        pos = start + _ARITY[code] * w
+        if pos > len(bits):
+            return None
+        args = tuple(int(bits[i : i + w], 2) for i in range(start, pos, w))
+        if not _valid(args, n):
+            return None
+        gates.append(OPS[code](*args))
     program = DecodedProgram(n, tuple(gates))
     if pos != len(bits) or (program.has_call and not allow_callc):
         return None
@@ -161,18 +165,11 @@ def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgr
 
 
 def _op_alphabet(n: int) -> list[tuple[str, Op]]:
-    """Every op valid at width n with its bit field, in opcode order, then
-    operand order, which is the order of the fields' bits."""
-    ops = [op(*args) for op, k in zip(OPS, _ARITY) for args in permutations(range(n), k)]
+    """Every op that `_valid` accepts at width n with its bit field, in
+    opcode order, then operand order, which is the order of the fields'
+    bits."""
+    ops = [op(*a) for op, k in zip(OPS, _ARITY) for a in product(range(n), repeat=k) if _valid(a, n)]
     return [(_op_bits(op, n), op) for op in ops]
-
-
-@cache
-def _field_table(n: int) -> tuple[dict[str, Op], tuple[int, ...]]:
-    """The alphabet at width n as {field bits: op}, with its field widths in
-    increasing order: (n + 1)^2 entries, built once per width."""
-    table = dict(_op_alphabet(n))
-    return table, tuple(sorted({len(bits) for bits in table}))
 
 
 def _sequences(alphabet, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
@@ -199,8 +196,8 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
     that of the bits: headers are prefix-free, so programs order by header
     bits first, and bodies by their fields' bits in turn.
     """
-    table, widths = _field_table(n)
-    alphabet = tuple(table.items())  # in the alphabet's order
+    alphabet = _op_alphabet(n)
+    widths = sorted({len(bits) for bits, _op in alphabet})
     sizes = [{0}]  # sizes[k]: the body sizes that k fields reach
     for length in range(1, max_len + 1):
         headers = []

@@ -280,22 +280,17 @@ def reference_exact_estimate(target, n, max_len, conditional=None, outputs=None)
 
 
 def reference_ideal_value(target, n, max_len, outputs=None):
-    best = None
+    """The value of the row with the least 2^value = 2^length / q, compared
+    as a Fraction, so the earliest of rows that tie exactly wins."""
+    best = best_key = None
     for _idx, prog, out in reference_candidates(n, max_len, outputs=outputs):
         q = reference_fidelity(target, out)
         if q == 0:
             continue
-        value = prog.length - math.log2(q)
-        if best is None or value < best:
-            best = value
+        key = (Fraction(1 << prog.length) / q, prog.length, prog.value)
+        if best_key is None or key < best_key:
+            best_key, best = key, prog.length - math.log2(q)
     return best
-
-
-def reference_directly_computable(target, n, max_len, outputs=None):
-    candidates = reference_candidates(n, max_len, outputs=outputs)
-    return any(
-        reference_fidelity(target, out) == 1 for _idx, _prog, out in candidates
-    )
 
 
 def reference_shortest_exact_program(target, n, max_len, outputs=None):
@@ -365,7 +360,10 @@ def check_estimates(targets, estimates, table):
 
 
 def reference_run_trials(candidates, measure, k, epsilon, seed):
-    """(best, trace) of k trials against every candidate, none skipped."""
+    """(best, trace) of k trials against every candidate, none skipped.  Rows
+    compare by 2^estimate = (1 + epsilon) k 2^length / m as a Fraction, so
+    the earliest of rows that tie exactly wins."""
+    e = Fraction(epsilon)
     best = best_key = None
     trace = []
     for idx, prog, out in candidates:
@@ -374,7 +372,7 @@ def reference_run_trials(candidates, measure, k, epsilon, seed):
         if m == 0:
             continue
         est = prog.length - math.log2(m / ((1.0 + epsilon) * k))
-        key = (est, prog.length, prog.value)
+        key = ((1 + e) * k * (1 << prog.length) / m, prog.length, prog.value)
         if best_key is None or key < best_key:
             best_key = key
             best = TrialResult(prog, m, k, epsilon, est)

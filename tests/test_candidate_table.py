@@ -1,4 +1,4 @@
-"""The candidate table, and the rows the sampled mode builds, against the
+"""The candidate table, and the rows the sampled mode streams, against the
 enumerate-then-simulate scan they replaced (the reference_* functions in
 oracles.py): every scan must return the same best record, the same trace and
 the same scanned count, with and without a cache.  The references read every row, so they also check the scans'
@@ -31,7 +31,6 @@ from qkclab import (
     classical_state,
     consistency_sweep,
     decode,
-    directly_computable,
     encode,
     exact_estimate,
     ideal_value,
@@ -54,7 +53,6 @@ from oracles import (
     Counted,
     gr,
     random_gate_list,
-    reference_directly_computable,
     reference_exact_estimate,
     reference_ideal_value,
     reference_outputs,
@@ -107,9 +105,6 @@ def test_scans_match_reference(n, max_len, cached, tmp_path):
         assert ideal_value(target, n, max_len, table) == reference_ideal_value(
             target, n, max_len, outputs=outputs
         )
-        assert directly_computable(target, table) == reference_directly_computable(
-            target, n, max_len, outputs=outputs
-        )
         assert shortest_exact_program(target, table) == reference_shortest_exact_program(
             target, n, max_len, outputs=outputs
         )
@@ -133,7 +128,6 @@ def test_exact_scans_build_no_output_amplitudes():
     for target in standard_basis(n).vectors + rotated_basis(n).vectors:
         exact_estimate(target, table)
         ideal_value(target, n, max_len, table)
-        directly_computable(target, table)
         shortest_exact_program(target, table)
     assert all(out._amps is None for _idx, _prog, out in table.firsts)
 
@@ -145,20 +139,26 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
     # unbuilt, and construct no GaussianRational at all
     outputs = []
 
-    def keep(build, rows_of):
+    def keep_firsts(build):
         def wrapped(*args, **kwargs):
-            built = build(*args, **kwargs)
-            outputs.append([out for _idx, _prog, out in rows_of(built)])
-            return built
+            table = build(*args, **kwargs)
+            outputs.append([out for _idx, _prog, out in table.firsts])
+            return table
 
         return wrapped
 
-    monkeypatch.setattr(
-        census, "candidate_table", keep(census.candidate_table, lambda t: t.firsts)
-    )
-    monkeypatch.setattr(
-        estimator, "candidate_rows", keep(estimator.candidate_rows, lambda rows: rows)
-    )
+    def keep_streamed(build):
+        # each row the sampled scan reads from the build's stream
+        def wrapped(*args, **kwargs):
+            outputs.append([])
+            for row, first in build(*args, **kwargs):
+                outputs[-1].append(row[2])
+                yield row, first
+
+        return wrapped
+
+    monkeypatch.setattr(census, "candidate_table", keep_firsts(census.candidate_table))
+    monkeypatch.setattr(estimator, "_build", keep_streamed(estimator._build))
     constructed = Counted(statevec.GaussianRational)
     monkeypatch.setattr(statevec, "GaussianRational", constructed)
     basis = rotated_basis(3)
@@ -294,6 +294,42 @@ def test_sampled_estimate_stops_at_the_first_row_that_cannot_win():
             assert shorter == 1  # won by the empty program, row 0
 
 
+# |1000> with a little |0000>: at seeds 0-2 the empty program scores above 8,
+# so the scan reads the 8-bit rows, and X(0) among them wins
+FAINT_0000 = StateVector(
+    4, tuple(gr(F(31, 481) if i == 0 else F(480, 481) if i == 8 else 0) for i in range(16))
+)
+
+
+def test_the_stream_scores_as_the_listed_rows():
+    # the sampled scan on the build's stream against the same trials on
+    # the whole list of rows, built first
+    n, max_len = 4, 24
+    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
+    rows = candidate_rows(n, max_len)
+    read = set()
+    for target in (classical_state("0000"), rotated_basis(n).vectors[0], FAINT_0000):
+        for seed in range(3):
+            result = sampled_estimate(projection_oracle(target), n, plan, max_len, seed)
+            measure = Counted(projection_oracle(target))
+            listed = estimator._run_trials(rows, measure, plan.k, plan.epsilon, seed)
+            assert (result.best, result.trace) == listed
+            read.add(measure.calls // plan.k)
+    assert read == {1, 13}  # the faint target reads the 8-bit rows
+
+
+def test_the_stream_stops_the_build_where_the_scan_stops(monkeypatch):
+    # at (4, 28) the full build has 118,105 rows; |0000> is won by the empty
+    # program, so the scan stops at the next row, the one gate step taken
+    steps = Counted(executor.apply_gate)
+    monkeypatch.setattr(executor, "apply_gate", steps)
+    plan = SamplingPlan.for_dimension(4, 0.05, 0.25)
+    measure = Counted(projection_oracle(classical_state("0000")))
+    result = sampled_estimate(measure, 4, plan, 28, seed=0)
+    assert result.best.program.bits == "1" and result.best.m == plan.k
+    assert (steps.calls, measure.calls) == (1, plan.k)
+
+
 def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
     target = classical_state("1")  # orthogonal to |0>, the only output at n=1, max_len=1
     table = candidate_table(1, 1)
@@ -392,7 +428,6 @@ def test_scans_build_no_table(monkeypatch):
     assert (est.best.total, est.scanned, est.n, est.max_len) == (11, 87, 2, 12)
     assert exact_estimate(target, with_conditional).best.total == 10  # X(1), then CALLC
     assert ideal_value(target, 2, 12, table) == 11
-    assert directly_computable(target, table)
     assert shortest_exact_program(target, table) == encode([X(0), X(1)], 2)
     with pytest.raises(AssertionError, match="built a table"):
         candidate_table(2, 12)

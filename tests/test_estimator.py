@@ -10,9 +10,11 @@ from qkclab import (
     PHASE,
     ROT,
     X,
+    CandidateTable,
     Program,
     SamplingPlan,
     StateVector,
+    TrialResult,
     apply_gate,
     bernoulli,
     cached_outputs,
@@ -21,7 +23,6 @@ from qkclab import (
     classical_state,
     decode,
     encode,
-    directly_computable,
     exact_estimate,
     fidelity,
     ideal_value,
@@ -30,7 +31,6 @@ from qkclab import (
     random_state,
     rotated_basis,
     run,
-    run_trials,
     sampled_estimate,
     shortest_exact_program,
     standard_basis,
@@ -40,7 +40,7 @@ from qkclab import (
 )
 import qkclab.estimator as estimator
 import qkclab.statevec as statevec
-from qkclab.estimator import trial_rng
+from qkclab.estimator import _run_trials, trial_rng
 from qkclab.statevec import operands
 
 from oracles import (
@@ -50,6 +50,7 @@ from oracles import (
     gr,
     random_gate_list,
     reference_fidelity,
+    reference_run_trials,
 )
 
 F = Fraction
@@ -150,28 +151,12 @@ class TestExactEstimate:
             without = exact_estimate(target, candidate_table(2, 10))
             assert (with_cache.best, with_cache.trace) == (without.best, without.trace)
 
-    def test_directly_computable_detection(self, tmp_path):
-        outputs = cached_outputs(1, 10, tmp_path)
-        rng = Random(38)
-        targets = [random_state(1, rng) for _ in range(4)]
-        targets += [run(encode(random_gate_list(rng, 1, 2), 1), 1) for _ in range(6)]
-        targets += [classical_state("0"), classical_state("1")]
-        for target in targets:
-            flag = directly_computable(target, outputs)
-            oracle = any(fidelity(target, out) == 1 for _i, _p, out in candidate_rows(1, 10))
-            assert flag == oracle
-            est = exact_estimate(target, outputs)
-            if est.best is not None and est.best.penalty == 0:
-                # a penalty-free winner is itself a fidelity-1 description
-                assert est.best.fidelity == 1
-                assert flag
-
     def test_direct_computability_does_not_force_a_penalty_free_winner(self):
         # ROT|0> has an exact 7-bit program, yet the minimizer prefers the
         # empty program plus 2 penalty bits (total 3), so the winner's
         # penalty says nothing about reachability
         target = apply_gate(zero_state(1), ROT(0))
-        assert directly_computable(target, candidate_table(1, 8))
+        assert shortest_exact_program(target, candidate_table(1, 8)) == encode([ROT(0)], 1)
         est = exact_estimate(target, candidate_table(1, 8))
         assert est.best.penalty == 2
 
@@ -306,7 +291,7 @@ class TestRunTrials:
         prog = Program("1")
         out = zero_state(2)
         measure = projection_oracle(zero_state(2))
-        best, trace = run_trials([(0, prog, out)], measure, k=200, epsilon=0.25, seed=5)
+        best, trace = _run_trials([(0, prog, out)], measure, k=200, epsilon=0.25, seed=5)
         assert best.m == 200
         assert best.estimate == pytest.approx(1 + math.log2(1.25), abs=1e-12)
         assert trace == [(0, best.estimate)]
@@ -316,7 +301,7 @@ class TestRunTrials:
         # converges to length + 1 and the shorter program wins
         measure = lambda prog, out, rng: bernoulli(1, 2, rng)
         pa, pb = Program("1"), Program("010100")
-        best, _ = run_trials(
+        best, _ = _run_trials(
             [(0, pa, None), (1, pb, None)], measure, k=10**5, epsilon=0.001, seed=9
         )
         assert best.program == pa
@@ -324,7 +309,7 @@ class TestRunTrials:
 
     def test_skips_all_failures(self):
         measure = lambda prog, out, rng: False
-        best, trace = run_trials([(0, Program("1"), None)], measure, k=50, epsilon=0.25, seed=1)
+        best, trace = _run_trials([(0, Program("1"), None)], measure, k=50, epsilon=0.25, seed=1)
         assert best is None and trace == []
 
     def test_seeding_is_per_candidate_position(self):
@@ -342,10 +327,10 @@ class TestRunTrials:
             return measure
 
         after, alone = [], []
-        best_after, _ = run_trials(
+        best_after, _ = _run_trials(
             [(0, pa, None), (1, pb, None)], measure_into(after), k=500, epsilon=0.25, seed=11
         )
-        best_alone, _ = run_trials([(1, pb, None)], measure_into(alone), k=500, epsilon=0.25, seed=11)
+        best_alone, _ = _run_trials([(1, pb, None)], measure_into(alone), k=500, epsilon=0.25, seed=11)
         assert best_after == best_alone and best_after.program == pb
         assert after == alone and len(alone) == 500
 
@@ -359,13 +344,39 @@ class TestRunTrials:
         ids=["reversed", "shorter-last", "same-length-descending"],
     )
     def test_candidates_out_of_order_are_rejected_before_any_trial(self, cands):
+        # the rows are checked as the scan reads them: the rows before the
+        # one that breaks the order run their trials, and that row runs none.
+        # Every trial fails, so the scan reads every row
         calls = []
-        measure = lambda prog, out, rng: calls.append(prog) or True
+        measure = lambda prog, out, rng: calls.append(prog) and False
         with pytest.raises(ValueError, match="order"):
-            run_trials(
+            _run_trials(
                 [(i, Program(b), None) for i, b in cands], measure, k=10, epsilon=0.25, seed=0
             )
-        assert calls == []
+        assert calls == [Program(b) for _i, b in cands[:-1] for _ in range(10)]
+
+    def test_an_exact_tie_keeps_the_earlier_row(self):
+        # at the sampled command's default plan, m = 13 at length 5 and
+        # m = 52 at length 7 give one estimate exactly, 5 - log2(13 / 692.5),
+        # but in floats the later row reads lower
+        k, epsilon = 554, 0.25
+        hits = {5: 13, 7: 52}
+        rows = [(0, Program("0" * 5), None), (1, Program("0" * 7), None)]
+        est = {n: n - math.log2(m / ((1.0 + epsilon) * k)) for n, m in hits.items()}
+        assert est[7] < est[5]
+
+        def first_hits():
+            seen = []  # each row's first hits[length] trials succeed
+
+            def measure(prog, out, rng):
+                seen.append(prog)
+                return seen.count(prog) <= hits[prog.length]
+
+            return measure
+
+        expected = (TrialResult(rows[0][1], 13, k, epsilon, est[5]), [(0, est[5])])
+        assert _run_trials(rows, first_hits(), k, epsilon, seed=0) == expected
+        assert reference_run_trials(rows, first_hits(), k, epsilon, 0) == expected
 
 
 class TestSampledEstimate:
@@ -418,6 +429,19 @@ class TestIdealValue:
         )
         assert ideal_value(target, 1, 8, candidate_table(1, 8)) == pytest.approx(expected)
 
+    def test_an_exact_tie_keeps_the_earlier_row(self):
+        # q = 1/400 at length 5 and q = 1/25 at length 9 give one value
+        # exactly, 5 + log2(400), but in floats the later row reads lower
+        target = classical_state("00")
+        near = StateVector(2, (gr(F(1, 20)), gr(F(19, 20)), gr(F(6, 20), F(1, 20)), gr(F(1, 20))))
+        far = StateVector(2, (gr(F(1, 5)), gr(F(4, 5)), gr(F(2, 5)), gr(F(2, 5))))
+        assert (fidelity(target, near), fidelity(target, far)) == (F(1, 400), F(1, 25))
+        rows = ((0, Program("0" * 5), near), (1, Program("0" * 9), far))
+        table = CandidateTable(2, 9, None, rows, 2)
+        values = [5 - math.log2(F(1, 400)), 9 - math.log2(F(1, 25))]
+        assert values[1] < values[0]
+        assert ideal_value(target, 2, 9, table) == values[0]
+
     def test_none_when_nothing_overlaps(self):
         assert ideal_value(classical_state("1"), 1, 1, candidate_table(1, 1)) is None
 
@@ -461,12 +485,12 @@ def tie_keeping_running_min(rows, score):
     best = record = None
     trace = []
     for idx, prog, out in rows:
-        if best is not None and prog.length >= best:
+        if best is not None and best[1] << prog.length >= best[0]:
             break
         scored = score(idx, prog, out)
-        if scored is not None and (best is None or scored[0] <= best):
-            best, record = scored
-            trace.append((idx, best))
+        if scored is not None and (best is None or scored[0][0] * best[1] <= best[0] * scored[0][1]):
+            best, value, record = scored
+            trace.append((idx, value))
     return record, trace
 
 

@@ -533,11 +533,13 @@ class TestCache:
     def test_sampled_estimate_builds_its_rows_and_touches_no_cache(
         self, tmp_path, capsys, monkeypatch, work
     ):
-        # the sampled mode trials every halting program's row, so it builds
-        # them, cold or warm, and neither reads nor writes the cache file
+        # the sampled mode reads the build's stream, cold or warm, and
+        # neither reads nor writes the cache file.  The stream stops where
+        # the scan stops: 7 steps, of the full (2, 12) build's 40
         reads = Counted(executor._read_cache)
         monkeypatch.setattr(executor, "_read_cache", reads)
-        steps = build_steps(2, 12)
+        steps = 7
+        assert build_steps(2, 12) == 40
         argv = ["estimate", "--classical", "01", "--n", "2", "--max-len", "12",
                 "--sampled", "--alpha", "0.5", "--epsilon", "0.45",
                 "--out-dir", str(tmp_path)]

@@ -74,6 +74,17 @@ class TestDecode:
         decoded = decode(p.bits, 2)
         assert decoded.gates == (CNOT(0, 1),)
 
+    def test_a_wide_register_decodes_at_once(self):
+        # decode reads each field's opcode and operands, with no per-width
+        # table of the ops, so a short program decodes at once at any width
+        n = 10**4
+        gates = (X(0), CNOT(n - 1, 3), CALLC())
+        bits = encode(gates, n).bits
+        start = time.perf_counter()
+        assert decode(bits, n).gates == gates
+        assert decode(bits[:-1], n) is None and decode(bits + "0", n) is None
+        assert time.perf_counter() - start < 1
+
     def test_trailing_bits_rejected_by_default(self):
         p = encode([X(0)], 2)
         assert decode(p.bits + "0", 2) is None
