@@ -80,6 +80,7 @@ from .statevec import (
     classical_state,
     fidelity,
     fidelity_pair,
+    fidelity_to,
     penalty_bits,
     random_state,
     shannon_fano_code,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .executor import CandidateTable, _build
 from .proglang import Program, encode
-from .statevec import StateVector, X, fidelity, fidelity_pair, penalty_bits
+from .statevec import StateVector, X, fidelity_to, penalty_bits
 
 LOG2_E = math.log2(math.e)
 
@@ -93,11 +93,13 @@ def exact_estimate(target: StateVector, table: CandidateTable) -> ExactEstimate:
     the scan stops early as `_running_min` says.
     """
     _check_target(target, table.n)
+    fid = fidelity_to(target)
 
     def score(_idx, prog, out):
-        q = fidelity(target, out)
-        if q == 0:
+        num, den = fid(out)
+        if not num:
             return None
+        q = Fraction(num, den)
         pen = penalty_bits(q)
         total = prog.length + pen
         return (1 << total, 1), total, EstimateRecord(prog, prog.length, q, pen, total)
@@ -115,13 +117,14 @@ def ideal_value(
     be the table for (n, max_len) with no conditional."""
     outputs.check(n, max_len)
     _check_target(target, n)
+    fid = fidelity_to(target)
 
     def score(_idx, prog, out):
-        q = fidelity(target, out)
-        if q == 0:
+        num, den = fid(out)
+        if not num:
             return None
-        value = prog.length - math.log2(q)
-        return (q.denominator << prog.length, q.numerator), value, value
+        value = prog.length - math.log2(num / den)  # the float of Fraction(num, den)
+        return (den << prog.length, num), value, value
 
     return _running_min(outputs.firsts, score)[0]
 
@@ -235,18 +238,21 @@ def bernoulli(num: int, den: int, rng: Random) -> bool:
 
 def projection_oracle(target: StateVector) -> Callable:
     """Simulated projection measurement onto the target: each trial succeeds
-    with probability fidelity(target, output), exactly.  It draws on
-    `fidelity_pair`'s reduced integer pair, so no trial builds a Fraction."""
+    with probability fidelity(target, output), exactly.  The target is bound
+    to `fidelity_to` once, and each trial draws on its reduced integer pair,
+    so no trial builds a Fraction."""
+    fid = fidelity_to(target)
 
     def measure(program: Program, output: StateVector, rng: Random) -> bool:
         # den is the reduced Fraction's denominator, so every randrange
-        # call, and so every draw, is the one that Fraction gave.  A
-        # per-output memo would be faster still, but the sampled benchmark
-        # keeps every op's report (about 5 KB each), so its peak_rss_mb
-        # rises with throughput alone: from this oracle's 52.7 targets/s
-        # (40 s runs, 2 cores, 36.9 MB) the 0.2 bound is crossed near 1.7x
-        # that rate.  The memo waits for that to end (ROADMAP item 1).
-        return bernoulli(*fidelity_pair(target, output), rng)
+        # call, and so every draw, is the one that Fraction gave.  Running a
+        # row's k trials in one call, or a per-output memo, would be faster
+        # still (ROADMAP item 7), but the sampled benchmark keeps every op's
+        # report (about 5 KB each), so its peak_rss_mb rises with throughput
+        # alone: this oracle reads 71 targets/s at 40.3 MB (40 s runs, 2
+        # cores), and the 0.2 bound over that is crossed near 1.5x its
+        # rate.  Those wait for ROADMAP item 1a.
+        return bernoulli(*fid(output), rng)
 
     return measure
 

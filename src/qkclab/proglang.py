@@ -13,6 +13,7 @@ program.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -164,26 +165,34 @@ def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgr
     return program
 
 
-def _op_alphabet(n: int) -> list[tuple[str, Op]]:
-    """Every op that `_valid` accepts at width n with its bit field, in
-    opcode order, then operand order, which is the order of the fields'
-    bits."""
-    ops = [op(*a) for op, k in zip(OPS, _ARITY) for a in product(range(n), repeat=k) if _valid(a, n)]
+def _opcode_fields(code: int, n: int) -> list[tuple[str, Op]]:
+    """Every op of opcode `code` that `_valid` accepts at width n with its
+    bit field, in operand order, which is the order of the fields' bits."""
+    ops = [OPS[code](*a) for a in product(range(n), repeat=_ARITY[code]) if _valid(a, n)]
     return [(_op_bits(op, n), op) for op in ops]
 
 
-def _sequences(alphabet, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
+def _op_alphabet(n: int) -> list[tuple[str, Op]]:
+    """Every op that `_valid` accepts at width n with its bit field, in
+    opcode order, then operand order: the order of the fields' bits."""
+    return [field for code in range(len(OPS)) for field in _opcode_fields(code, n)]
+
+
+def _sequences(codes, fields_of, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
     """Every sequence of k fields whose bits total exactly `size`, in the
-    order of its bits.  sizes[j] is the set of totals that j fields reach,
-    so no branch is entered that yields nothing."""
+    order of its bits.  `codes` holds (opcode, field width) for each opcode
+    in order, and `fields_of(code)` lists that opcode's fields.  sizes[j] is
+    the set of totals that j fields reach, so no branch is entered that
+    yields nothing, and an opcode's fields are only listed once one fits."""
     if k == 0:
         yield "", ()
         return
-    for bits, op in alphabet:
-        rest = size - len(bits)
+    for code, width in codes:
+        rest = size - width
         if rest in sizes[k - 1]:
-            for tail, ops in _sequences(alphabet, k - 1, rest, sizes):
-                yield bits + tail, (op,) + ops
+            for bits, op in fields_of(code):
+                for tail, ops in _sequences(codes, fields_of, k - 1, rest, sizes):
+                    yield bits + tail, (op,) + ops
 
 
 def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op, ...]]]:
@@ -194,10 +203,16 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
 
     A lazy generator, one length at a time.  Within a length the order is
     that of the bits: headers are prefix-free, so programs order by header
-    bits first, and bodies by their fields' bits in turn.
+    bits first, and bodies by their fields' bits in turn.  The field widths
+    come from the arities alone: an opcode has a valid op exactly when its
+    arity is at most n (distinct qubits below n).  Its ops are built the
+    first time one of its fields fits, so a wide register lists no op that
+    no program up to max_len holds.
     """
-    alphabet = _op_alphabet(n)
-    widths = sorted({len(bits) for bits, _op in alphabet})
+    w = index_width(n)
+    codes = [(code, OPCODE_WIDTH + k * w) for code, k in enumerate(_ARITY) if k <= n]
+    widths = sorted({width for _code, width in codes})
+    fields_of = cache(lambda code: _opcode_fields(code, n))
     sizes = [{0}]  # sizes[k]: the body sizes that k fields reach
     for length in range(1, max_len + 1):
         headers = []
@@ -207,12 +222,12 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
             if len(header) + OPCODE_WIDTH * k > length:
                 break  # header length and minimum body both grow with k
             if k == len(sizes):
-                sizes.append({s + w for s in sizes[-1] for w in widths})
+                sizes.append({s + width for s in sizes[-1] for width in widths})
             if length - len(header) in sizes[k]:
                 headers.append((header, k))
             k += 1
         for header, k in sorted(headers):
-            for body, gates in _sequences(alphabet, k, length - len(header), sizes):
+            for body, gates in _sequences(codes, fields_of, k, length - len(header), sizes):
                 yield Program(header + body), gates
 
 

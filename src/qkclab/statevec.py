@@ -11,12 +11,14 @@ common denominator D, the lattice form that exact synthesis uses over
 Z[1/sqrt2, i] (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236), with any D in
 place of powers of sqrt2.  Gate steps, tensor products, `random_state`'s
 rotations, the unit-norm check, equality, hashing, the JSON writer and the
-one overlap kernel behind `fidelity_pair`, `fidelity` and the `Basis`
-orthogonality check run on that form in plain ints.  State files are read
-from their reduced Fraction parts straight into it.  The Fraction-valued
-`amps` is kept when a state is built from amplitudes (`StateVector(n,
-amps)`) and is otherwise built on first read, which in this package only
-`repr` does.  `GaussianRational` is only the value type of `amps`: the
+one overlap kernel, `fidelity_to`, run on that form in plain ints.
+`fidelity_to(x)` reads x's support once and scores any number of states
+against it; `fidelity_pair`, `fidelity`, the `Basis` orthogonality check,
+the Shannon-Fano codes and every scan of the estimator bind it.  State
+files are read from their reduced Fraction parts straight into it.  The
+Fraction-valued `amps` is kept when a state is built from amplitudes
+(`StateVector(n, amps)`) and is otherwise built on first read, which in
+this package only `repr` does.  `GaussianRational` is only the value type of `amps`: the
 library does no arithmetic in it.
 """
 
@@ -26,7 +28,7 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from random import Random
-from typing import Union
+from typing import Callable, Union
 
 # Distinguished "infinite" code length for zero-probability outcomes.  It is an
 # ordinary value (not an error) so that enumeration loops can carry it along.
@@ -297,40 +299,47 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
     return state
 
 
-def _overlap(x: StateVector, z: StateVector) -> tuple[int, int]:
-    """(re, im) of the Gaussian integer <x|z> * Dx * Dz, from the integer
-    forms: over x's support, each pair of parts (a, b) of x and (c, e) of z
-    adds conj(a + bi)(c + ei).  Neither state's `amps` is built."""
-    if x.n_qubits != z.n_qubits:
-        raise ValueError("dimension mismatch")
-    xv, zv = x._v, z._v
-    re = im = 0
-    for k in range(0, len(xv), 2):
-        a, b = xv[k], xv[k + 1]
-        if a or b:
+def fidelity_to(x: StateVector) -> Callable[[StateVector], tuple[int, int]]:
+    """z -> |<x|z>|^2 as the reduced pair (num, den), in plain ints, with x
+    read once: the one overlap kernel.
+
+    x's nonzero amplitude parts are taken from its integer form here, so
+    each call loops over x's support only, however often x is scored.  Over
+    it, each pair of parts (a, b) of x and (c, e) of z adds conj(a + bi)(c +
+    ei) to the Gaussian integer <x|z> Dx Dz = re + im i, and the pair is
+    (re^2 + im^2) / (Dx Dz)^2 with one gcd divided out: the numerator and
+    denominator of the reduced Fraction that |<x|z>|^2 gives on `amps`, and
+    (0, 1) for orthogonal states.  A call on a state of another width
+    raises ValueError.  Neither state's `amps` is built.
+    """
+    n, xv, dx2 = x.n_qubits, x._v, x._d * x._d
+    support = [(k, xv[k], xv[k + 1]) for k in range(0, len(xv), 2) if xv[k] or xv[k + 1]]
+
+    def pair(z: StateVector) -> tuple[int, int]:
+        if z.n_qubits != n:
+            raise ValueError("dimension mismatch")
+        zv = z._v
+        re = im = 0
+        for k, a, b in support:
             c, e = zv[k], zv[k + 1]
             re += a * c + b * e
             im += a * e - b * c
-    return re, im
+        num, den = re * re + im * im, dx2 * z._d * z._d
+        g = math.gcd(num, den)
+        return num // g, den // g
+
+    return pair
 
 
 def fidelity_pair(x: StateVector, z: StateVector) -> tuple[int, int]:
-    """|<x|z>|^2 as the reduced pair (num, den), in plain ints.
-
-    (re^2 + im^2) / (Dx Dz)^2 from the integer overlap, with one gcd divided
-    out: the numerator and denominator of the reduced Fraction that
-    |<x|z>|^2 gives on `amps`, and (0, 1) for orthogonal states.
-    """
-    re, im = _overlap(x, z)
-    num, den = re * re + im * im, (x._d * z._d) ** 2
-    g = math.gcd(num, den)
-    return num // g, den // g
+    """|<x|z>|^2 as the reduced pair (num, den): `fidelity_to(x)(z)`."""
+    return fidelity_to(x)(z)
 
 
 def fidelity(x: StateVector, z: StateVector) -> Fraction:
     """|<x|z>|^2: the probability that z passes a test for x, exactly: the
     Fraction of `fidelity_pair`."""
-    return Fraction(*fidelity_pair(x, z))
+    return Fraction(*fidelity_to(x)(z))
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
@@ -380,9 +389,10 @@ class Basis:
             raise ValueError("basis vectors have mixed dimensions")
         if len(self.vectors) != 1 << n:
             raise ValueError("basis does not span the space")
-        for i in range(len(self.vectors)):
+        for i, v in enumerate(self.vectors):
+            fid = fidelity_to(v)
             for j in range(i + 1, len(self.vectors)):
-                if _overlap(self.vectors[i], self.vectors[j]) != (0, 0):
+                if fid(self.vectors[j])[0]:
                     raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
 
     @property
@@ -409,7 +419,8 @@ def shannon_fano_lengths(basis: Basis, z: StateVector) -> list[int | float]:
     """
     if basis.n_qubits != z.n_qubits:
         raise ValueError("dimension mismatch")
-    return [penalty_bits(fidelity(e, z)) for e in basis.vectors]
+    fid = fidelity_to(z)  # |<e|z>|^2 = |<z|e>|^2
+    return [penalty_bits(Fraction(*fid(e))) for e in basis.vectors]
 
 
 def shannon_fano_code(basis: Basis, z: StateVector) -> dict[int, str]:
@@ -420,7 +431,8 @@ def shannon_fano_code(basis: Basis, z: StateVector) -> dict[int, str]:
     cumulative probability.  Zero-probability symbols get no codeword.  The
     result is prefix-free.
     """
-    probs = [fidelity(e, z) for e in basis.vectors]
+    fid = fidelity_to(z)  # |<e|z>|^2 = |<z|e>|^2
+    probs = [Fraction(*fid(e)) for e in basis.vectors]
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
     cum = Fraction(0)
     code: dict[int, str] = {}

@@ -14,7 +14,7 @@ replaced, reference_norm_sq the Fraction sum that the integer unit-norm
 check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
 replaced, reference_inner_product the Fraction overlap that the integer
-overlap kernel behind `inner_product` and `fidelity` replaced,
+overlap kernel `fidelity_to` and `inner_product` replaced,
 reference_random_state the Fraction Givens chain that the integer one in
 `random_state` replaced, and reference_penalty_bits the count-up search that
 the closed form in `penalty_bits` must match.
@@ -24,13 +24,17 @@ The Fraction references do their complex arithmetic with the c_* helpers on
 (re, im) pairs of Fractions, and ROT_COS, ROT_SIN are the ROT gate's entries:
 the library itself keeps no such arithmetic.
 gr builds a GaussianRational from exact values, and inner_product is <x|z>
-from the library's integer overlap kernel as a GaussianRational: the
-library itself builds that type only for `amps`.
-Counted wraps a function to count its calls, for the tests that check how
+summed over the states' integer forms as a GaussianRational: the library
+itself builds that type only for `amps`, and its kernel keeps only the
+squared modulus.
+Counted wraps a function to count its calls, and CountedKernel counts the
+calls of every kernel that `fidelity_to` binds, for the tests that check how
 much work a path does.  check_estimates checks exact estimates by properties
 that need no reference scan (a re-derived best record, the trace, the
 pigeonhole witness and symmetry under relabelling qubits), so it scales past
-the bounds the reference scans can reach.
+the bounds the reference scans can reach; check_prefix_property and
+check_monotone_in_the_bound check how the tables and estimates at two bounds
+relate, which needs no reference scan either.
 """
 
 import math
@@ -59,7 +63,7 @@ from qkclab import (
 )
 from qkclab.estimator import trial_rng
 from qkclab.proglang import OPCODE_WIDTH, gamma_encode, index_width
-from qkclab.statevec import _frac, _mask, _overlap
+from qkclab.statevec import _frac, _mask
 
 ROT_COS = Fraction(3, 5)
 ROT_SIN = Fraction(4, 5)
@@ -106,9 +110,14 @@ def gr(re=0, im=0):
 
 
 def inner_product(x, z):
-    """<x|z> from the library's integer overlap kernel: (re + im i) / (Dx Dz),
-    each part a reduced Fraction."""
-    re, im = _overlap(x, z)
+    """<x|z> from the two states' integer forms, summed as `fidelity_to`
+    sums it before taking the squared modulus: (re + im i) / (Dx Dz), each
+    part a reduced Fraction."""
+    if x.n_qubits != z.n_qubits:
+        raise ValueError("dimension mismatch")
+    xv, zv = x._v, z._v
+    re = sum(xv[k] * zv[k] + xv[k + 1] * zv[k + 1] for k in range(0, len(xv), 2))
+    im = sum(xv[k] * zv[k + 1] - xv[k + 1] * zv[k] for k in range(0, len(xv), 2))
     d = x._d * z._d
     return GaussianRational(Fraction(re, d), Fraction(im, d))
 
@@ -359,6 +368,53 @@ def check_estimates(targets, estimates, table):
     assert not failed, f"failed checks, with their first target: {failed}"
 
 
+def check_prefix_property(short, long):
+    """ROADMAP item 3's prefix property: the firsts of the table for bound L
+    (`short`) are the firsts of the table for a bound L' >= L (`long`) with
+    length <= L, with the same indices, programs and outputs, in order.
+    Enumeration runs by length, so the programs up to L, their indices and
+    their outputs come first at every bound.  Raises AssertionError naming
+    the first row where they differ."""
+    assert (short.n, short.conditional) == (long.n, long.conditional)
+    assert short.max_len <= long.max_len
+    kept = tuple(row for row in long.firsts if row[1].length <= short.max_len)
+    if short.firsts != kept:
+        pairs = enumerate(zip(short.firsts, kept))
+        i = next((i for i, (a, b) in pairs if a != b), min(len(short.firsts), len(kept)))
+        raise AssertionError(
+            f"the firsts at L={short.max_len} and L'={long.max_len} differ from row {i}"
+        )
+
+
+def check_monotone_in_the_bound(targets, short, long):
+    """Exact estimates against the tables for bounds L (`short`) and
+    L' >= L (`long`).  Raises AssertionError naming each check that failed,
+    with the position of its first failing target:
+
+    - "monotone": the total at L' is at most the total at L, since a larger
+      bound only adds programs;
+    - "settled": when the total T at L is at most L + 1, the estimate at L'
+      has the same best record and trace (ROADMAP item 6's rule): the
+      firsts up to L are the same, and every later one is at least L + 1
+      bits long, so it can at most tie T, and a tie keeps the best.
+    """
+    assert short.max_len <= long.max_len
+    failed = {}
+    for i, target in enumerate(targets):
+        at_l, at_l2 = exact_estimate(target, short), exact_estimate(target, long)
+        checks = {
+            "monotone": at_l.total is None
+            or (at_l2.total is not None and at_l2.total <= at_l.total),
+            "settled": at_l.total is None
+            or at_l.total > short.max_len + 1
+            or (at_l2.best, at_l2.trace) == (at_l.best, at_l.trace),
+        }
+        for name, ok in checks.items():
+            if not ok:
+                failed.setdefault(name, i)
+    assert not failed, f"failed checks, with their first target: {failed}"
+
+
 def reference_run_trials(candidates, measure, k, epsilon, seed):
     """(best, trace) of k trials against every candidate, none skipped.  Rows
     compare by 2^estimate = (1 + epsilon) k 2^length / m as a Fraction, so
@@ -536,6 +592,28 @@ class Counted:
     def __call__(self, *args, **kwargs):
         self.calls += 1
         return self.fn(*args, **kwargs)
+
+
+class CountedKernel:
+    """`fidelity_to` wrapped to count its bindings (`binds`), the calls of
+    every kernel it binds (`calls`), and the calls that scored a positive
+    fidelity (`positive`)."""
+
+    def __init__(self, fidelity_to):
+        self.fidelity_to = fidelity_to
+        self.binds = self.calls = self.positive = 0
+
+    def __call__(self, x):
+        self.binds += 1
+        pair = self.fidelity_to(x)
+
+        def counted(z):
+            self.calls += 1
+            num, den = pair(z)
+            self.positive += num > 0
+            return num, den
+
+        return counted
 
 
 def mat2_mul(a, b):

@@ -51,6 +51,7 @@ from qkclab import (
 
 from oracles import (
     Counted,
+    CountedKernel,
     gr,
     random_gate_list,
     reference_exact_estimate,
@@ -267,11 +268,11 @@ def test_exact_estimate_stops_at_the_first_row_that_cannot_win(n, max_len, monke
             or prog.length < best.total
             or (prog.length, prog.value) <= (best.length, best.program.value)
         )
-        fidelity = Counted(estimator.fidelity)
-        monkeypatch.setattr(estimator, "fidelity", fidelity)
+        kernel = CountedKernel(estimator.fidelity_to)
+        monkeypatch.setattr(estimator, "fidelity_to", kernel)
         assert exact_estimate(target, table).best == best
         monkeypatch.undo()
-        assert fidelity.calls == expected
+        assert (kernel.binds, kernel.calls) == (1, expected)
         stops_after_row_0 += expected == 1
     assert stops_after_row_0  # |0...0> is won by the empty program, row 0
 
@@ -333,12 +334,12 @@ def test_the_stream_stops_the_build_where_the_scan_stops(monkeypatch):
 def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
     target = classical_state("1")  # orthogonal to |0>, the only output at n=1, max_len=1
     table = candidate_table(1, 1)
-    fidelity = Counted(estimator.fidelity)
-    monkeypatch.setattr(estimator, "fidelity", fidelity)
+    kernel = CountedKernel(estimator.fidelity_to)
+    monkeypatch.setattr(estimator, "fidelity_to", kernel)
     est = exact_estimate(target, table)
     monkeypatch.undo()
     assert (est.best, est.trace, est.scanned) == reference_exact_estimate(target, 1, 1)
-    assert est.best is None and fidelity.calls == len(table.firsts)
+    assert est.best is None and kernel.calls == len(table.firsts)
     measure = Counted(projection_oracle(target))
     result = sampled_estimate(measure, 1, CHEAP_PLAN, 1, 0)
     assert result.best is None and result.trace == []

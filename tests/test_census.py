@@ -4,7 +4,6 @@ from random import Random
 
 import pytest
 
-import qkclab.census as census
 import qkclab.estimator as estimator
 import qkclab.statevec as statevec
 from qkclab import (
@@ -31,7 +30,7 @@ from qkclab import (
 )
 from qkclab.proglang import decode
 
-from oracles import Counted
+from oracles import Counted, CountedKernel
 
 F = Fraction
 
@@ -66,19 +65,20 @@ class TestCountingBound:
     @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
     def test_cold_census_builds_one_fraction_per_score(self, rotated, monkeypatch):
         # the states, steps and overlaps run on the integer form: the only
-        # Fractions are each scored first's fidelity and each record's penalty
+        # Fractions are each positive score's fidelity and each record's
+        # penalty, and each basis vector binds the kernel once
         basis = rotated_basis(3) if rotated else None
         built = Counted(Fraction)
         monkeypatch.setattr(statevec, "Fraction", built)
         monkeypatch.setattr(estimator, "Fraction", built)
-        scored = Counted(statevec.fidelity)
+        kernel = CountedKernel(statevec.fidelity_to)
         penalties = Counted(statevec.penalty_bits)
-        monkeypatch.setattr(estimator, "fidelity", scored)
-        monkeypatch.setattr(census, "fidelity", scored)
+        monkeypatch.setattr(estimator, "fidelity_to", kernel)
         monkeypatch.setattr(estimator, "penalty_bits", penalties)
         incompressibility_census(3, 1, 20, basis=basis)
-        assert scored.calls > 0 and penalties.calls == 8
-        assert built.calls == scored.calls + penalties.calls
+        assert kernel.binds == 8 and kernel.calls >= kernel.positive > 0
+        assert penalties.calls == kernel.positive
+        assert built.calls == kernel.positive + penalties.calls
 
     def test_census_with_cache_matches(self, tmp_path):
         plain = incompressibility_census(2, 1, 10)

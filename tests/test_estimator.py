@@ -45,8 +45,11 @@ from qkclab.statevec import operands
 
 from oracles import (
     Counted,
+    CountedKernel,
     brute_force_best,
     check_estimates,
+    check_monotone_in_the_bound,
+    check_prefix_property,
     gr,
     random_gate_list,
     reference_fidelity,
@@ -268,7 +271,7 @@ class TestProjectionOracle:
                     assert rng.getstate() == ref.getstate()
 
     def test_no_trial_builds_a_fraction(self, monkeypatch):
-        # each trial draws on fidelity_pair's ints: cold sampled estimates
+        # each trial draws on the bound kernel's ints: cold sampled estimates
         # at the sampled command's default plan run every trial without one
         # Fraction construction in statevec or estimator
         plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
@@ -466,6 +469,28 @@ class TestShortestExactProgram:
         assert shortest_exact_program(classical_state("1"), candidate_table(1, 5)) is None
 
 
+def test_each_scan_binds_its_target_once(monkeypatch):
+    # the target's support is read once per scan, however many rows and
+    # trials score against it
+    n, max_len = 2, 12
+    table = candidate_table(n, max_len)
+    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
+    target = classical_state("11")  # orthogonal to row 0, so rows go on
+    scans = {
+        "exact_estimate": lambda: exact_estimate(target, table),
+        "ideal_value": lambda: ideal_value(target, n, max_len, table),
+        "projection_oracle": lambda: sampled_estimate(
+            projection_oracle(target), n, plan, max_len, seed=0
+        ),
+    }
+    for name, scan in scans.items():
+        kernel = CountedKernel(estimator.fidelity_to)
+        monkeypatch.setattr(estimator, "fidelity_to", kernel)
+        scan()
+        monkeypatch.undo()
+        assert (name, kernel.binds) == (name, 1) and kernel.calls > 1
+
+
 def past_the_reference_targets(n, rng):
     targets = list(standard_basis(n).vectors) + list(rotated_basis(n).vectors)
     return targets + [random_state(n, rng) for _ in range(10)]
@@ -517,3 +542,40 @@ def test_check_estimates_finds_each_planted_fault(monkeypatch):
         check(table, "trace")
     check(without(lambda gates: len(gates) > 1), "witness")
     check(without(lambda gates: any(n - 1 in operands(g) for g in gates)), "permutation")
+
+
+@pytest.mark.parametrize("n, max_len, longer", [(3, 16, 20), (4, 20, 24)])
+def test_a_larger_bound_extends_the_smaller(n, max_len, longer):
+    short, long = candidate_table(n, max_len), candidate_table(n, longer)
+    check_prefix_property(short, long)
+    check_monotone_in_the_bound(past_the_reference_targets(n, Random(2400 + n)), short, long)
+
+
+def test_the_bound_checks_find_each_planted_fault():
+    n, max_len, longer = 3, 16, 20
+    short, long = candidate_table(n, max_len), candidate_table(n, longer)
+    targets = past_the_reference_targets(n, Random(2400 + n))
+
+    def without(table, drop):
+        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n).gates))
+        return dataclasses.replace(table, firsts=firsts)
+
+    # the larger bound loses the programs of more than one gate, so |011>
+    # has no finite total there
+    multi_gate_dropped = without(long, lambda gates: len(gates) > 1)
+    with pytest.raises(AssertionError, match="'monotone'"):
+        check_monotone_in_the_bound(targets, short, multi_gate_dropped)
+    with pytest.raises(AssertionError, match="differ from row 7"):
+        check_prefix_property(short, multi_gate_dropped)
+    # the smaller bound loses the X programs: |100> settles at 9 bits on
+    # ROT(0), and the larger bound's X(0) beats it
+    x_dropped = without(short, lambda gates: any(isinstance(g, X) for g in gates))
+    with pytest.raises(AssertionError, match="'settled'"):
+        check_monotone_in_the_bound(targets, x_dropped, long)
+    # indices off by one at the larger bound change no total, only traces
+    shifted = tuple((idx + (idx > 0), prog, out) for idx, prog, out in long.firsts)
+    shifted = dataclasses.replace(long, firsts=shifted)
+    with pytest.raises(AssertionError, match=r"target: \{'settled': 1\}$"):
+        check_monotone_in_the_bound(targets, short, shifted)
+    with pytest.raises(AssertionError, match="differ from row 1"):
+        check_prefix_property(short, shifted)

@@ -26,6 +26,7 @@ from qkclab import (
     classical_state,
     fidelity,
     fidelity_pair,
+    fidelity_to,
     penalty_bits,
     random_state,
     rotated_basis,
@@ -43,6 +44,7 @@ from qkclab import statevec
 from qkclab.statevec import _lattice
 
 from oracles import (
+    CountedKernel,
     ROT_COS,
     ROT_SIN,
     c_abs2,
@@ -282,7 +284,9 @@ class TestFidelity:
         st.lists(st.integers(0, 3), max_size=8),
     )
     def test_integer_kernel_matches_the_fraction_overlap(self, n, seed, from_random, rots):
-        # random states or basis states, each then stepped by a chain of ROTs
+        # dense random states or sparse basis states, each then stepped by a
+        # chain of ROTs, a PHASE-stepped copy whose overlap is complex, and
+        # orthogonal basis vectors; one binding of x scores every state
         rng = Random(seed)
         chain = [ROT(t % n) for t in rots]
 
@@ -292,20 +296,32 @@ class TestFidelity:
             return apply_circuit(basis_state(n, rng.randrange(1 << n)), chain)
 
         x, z = state(), state()
+        phased = apply_gate(x, PHASE(rng.randrange(n)))
         basis = transformed_basis(n, chain).vectors  # exactly orthonormal
         i, j = rng.sample(range(1 << n), 2)
+        fx = fidelity_to(x)
         for a, b, exact in [
             (x, z, None),
             (z, x, None),
+            (x, phased, None),
+            (phased, x, None),
             (x, basis[i], None),
             (x, x, 1),
             (basis[i], basis[i], 1),
             (basis[i], basis[j], 0),
         ]:
-            q = fidelity(a, b)
-            assert type(q) is Fraction and q == reference_fidelity(a, b)
+            q = reference_fidelity(a, b)
+            pair = fidelity_to(a)(b)
+            assert pair == (q.numerator, q.denominator)
+            assert type(pair[0]) is int and type(pair[1]) is int
+            assert fidelity_pair(a, b) == pair
+            assert type(fidelity(a, b)) is Fraction and fidelity(a, b) == q
             assert exact is None or q == exact
+            if a is x:
+                assert fx(b) == pair
         for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), x)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fidelity_to(a)(b)
             with pytest.raises(ValueError, match="dimension mismatch"):
                 fidelity(a, b)
 
@@ -341,8 +357,8 @@ def table_outputs(n):
 
 
 class TestInnerProduct:
-    """inner_product runs on the overlap kernel that fidelity shares; the
-    Fraction sum over amps (oracles.py) is the reference."""
+    """inner_product sums the states' integer forms as `fidelity_to` does;
+    the Fraction sum over amps (oracles.py) is the reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
@@ -453,9 +469,28 @@ class TestShannonFano:
                     assert not other.startswith(w) or other == w
 
 
+    def test_the_codes_bind_the_state_once(self, monkeypatch):
+        # fidelity is symmetric, so z's support is read once for the basis
+        z = random_state(3, Random(14))
+        basis = rotated_basis(3)
+        expected = shannon_fano_code(basis, z), shannon_fano_lengths(basis, z)
+        kernel = CountedKernel(statevec.fidelity_to)
+        monkeypatch.setattr(statevec, "fidelity_to", kernel)
+        got = shannon_fano_code(basis, z), shannon_fano_lengths(basis, z)
+        assert got == expected
+        assert (kernel.binds, kernel.calls) == (2, 2 * len(basis.vectors))
+
+
 class TestBasis:
     def test_standard_basis_is_orthonormal(self):
         standard_basis(3)  # constructor enforces exact orthonormality
+
+    def test_the_orthogonality_check_binds_each_vector_once(self, monkeypatch):
+        vectors = rotated_basis(3).vectors
+        kernel = CountedKernel(statevec.fidelity_to)
+        monkeypatch.setattr(statevec, "fidelity_to", kernel)
+        Basis(vectors)
+        assert (kernel.binds, kernel.calls, kernel.positive) == (8, 8 * 7 // 2, 0)
 
     def test_non_orthogonal_rejected(self):
         rot = apply_gate(zero_state(1), ROT(0))
@@ -467,6 +502,7 @@ class TestBasis:
         # tells these two apart from an orthogonal pair
         s = StateVector(1, (gr(0, F(3, 5)), gr(F(4, 5))))
         assert inner_product(zero_state(1), s) == gr(0, F(3, 5))
+        assert fidelity_to(zero_state(1))(s) == fidelity_to(s)(zero_state(1)) == (9, 25)
         with pytest.raises(ValueError, match="not orthogonal"):
             Basis((zero_state(1), s))
 
