@@ -79,7 +79,6 @@ from .statevec import (
     basis_state,
     classical_state,
     fidelity,
-    fidelity_pair,
     fidelity_to,
     penalty_bits,
     random_state,

@@ -204,13 +204,14 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
     A lazy generator, one length at a time.  Within a length the order is
     that of the bits: headers are prefix-free, so programs order by header
     bits first, and bodies by their fields' bits in turn.  The field widths
-    come from the arities alone: an opcode has a valid op exactly when its
-    arity is at most n (distinct qubits below n).  Its ops are built the
+    come from the arities alone: an opcode has a valid op exactly when
+    `_valid` accepts its first operands, 0 .. arity - 1.  Its ops are built the
     first time one of its fields fits, so a wide register lists no op that
     no program up to max_len holds.
     """
     w = index_width(n)
-    codes = [(code, OPCODE_WIDTH + k * w) for code, k in enumerate(_ARITY) if k <= n]
+    codes = [(code, OPCODE_WIDTH + k * w) for code, k in enumerate(_ARITY)
+             if _valid(tuple(range(k)), n)]
     widths = sorted({width for _code, width in codes})
     fields_of = cache(lambda code: _opcode_fields(code, n))
     sizes = [{0}]  # sizes[k]: the body sizes that k fields reach

@@ -13,7 +13,7 @@ place of powers of sqrt2.  Gate steps, tensor products, `random_state`'s
 rotations, the unit-norm check, equality, hashing, the JSON writer and the
 one overlap kernel, `fidelity_to`, run on that form in plain ints.
 `fidelity_to(x)` reads x's support once and scores any number of states
-against it; `fidelity_pair`, `fidelity`, the `Basis` orthogonality check,
+against it; `fidelity`, the `Basis` orthogonality check,
 the Shannon-Fano codes and every scan of the estimator bind it.  State
 files are read from their reduced Fraction parts straight into it.  The
 Fraction-valued `amps` is kept when a state is built from amplitudes
@@ -331,14 +331,9 @@ def fidelity_to(x: StateVector) -> Callable[[StateVector], tuple[int, int]]:
     return pair
 
 
-def fidelity_pair(x: StateVector, z: StateVector) -> tuple[int, int]:
-    """|<x|z>|^2 as the reduced pair (num, den): `fidelity_to(x)(z)`."""
-    return fidelity_to(x)(z)
-
-
 def fidelity(x: StateVector, z: StateVector) -> Fraction:
     """|<x|z>|^2: the probability that z passes a test for x, exactly: the
-    Fraction of `fidelity_pair`."""
+    Fraction of `fidelity_to(x)(z)`."""
     return Fraction(*fidelity_to(x)(z))
 
 

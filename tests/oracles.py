@@ -14,7 +14,7 @@ replaced, reference_norm_sq the Fraction sum that the integer unit-norm
 check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
 replaced, reference_inner_product the Fraction overlap that the integer
-overlap kernel `fidelity_to` and `inner_product` replaced,
+overlap kernel `fidelity_to` replaced,
 reference_random_state the Fraction Givens chain that the integer one in
 `random_state` replaced, and reference_penalty_bits the count-up search that
 the closed form in `penalty_bits` must match.
@@ -23,10 +23,8 @@ and reference_projection_oracle draws its trials on it.
 The Fraction references do their complex arithmetic with the c_* helpers on
 (re, im) pairs of Fractions, and ROT_COS, ROT_SIN are the ROT gate's entries:
 the library itself keeps no such arithmetic.
-gr builds a GaussianRational from exact values, and inner_product is <x|z>
-summed over the states' integer forms as a GaussianRational: the library
-itself builds that type only for `amps`, and its kernel keeps only the
-squared modulus.
+gr builds a GaussianRational from exact values: the library itself builds
+that type only for `amps`.
 Counted wraps a function to count its calls, and CountedKernel counts the
 calls of every kernel that `fidelity_to` binds, for the tests that check how
 much work a path does.  check_estimates checks exact estimates by properties
@@ -107,19 +105,6 @@ def gr(re=0, im=0):
     """A GaussianRational from ints, Fractions or rational strings; a float
     is refused with TypeError."""
     return GaussianRational(_frac(re), _frac(im))
-
-
-def inner_product(x, z):
-    """<x|z> from the two states' integer forms, summed as `fidelity_to`
-    sums it before taking the squared modulus: (re + im i) / (Dx Dz), each
-    part a reduced Fraction."""
-    if x.n_qubits != z.n_qubits:
-        raise ValueError("dimension mismatch")
-    xv, zv = x._v, z._v
-    re = sum(xv[k] * zv[k] + xv[k + 1] * zv[k + 1] for k in range(0, len(xv), 2))
-    im = sum(xv[k] * zv[k + 1] - xv[k + 1] * zv[k] for k in range(0, len(xv), 2))
-    d = x._d * z._d
-    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
 def parts(state):

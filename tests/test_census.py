@@ -66,7 +66,8 @@ class TestCountingBound:
     def test_cold_census_builds_one_fraction_per_score(self, rotated, monkeypatch):
         # the states, steps and overlaps run on the integer form: the only
         # Fractions are each positive score's fidelity and each record's
-        # penalty, and each basis vector binds the kernel once
+        # penalty, and each basis vector binds the kernel once and scores
+        # one positive row: the stop rule reads no row past the winner
         basis = rotated_basis(3) if rotated else None
         built = Counted(Fraction)
         monkeypatch.setattr(statevec, "Fraction", built)
@@ -76,8 +77,7 @@ class TestCountingBound:
         monkeypatch.setattr(estimator, "fidelity_to", kernel)
         monkeypatch.setattr(estimator, "penalty_bits", penalties)
         incompressibility_census(3, 1, 20, basis=basis)
-        assert kernel.binds == 8 and kernel.calls >= kernel.positive > 0
-        assert penalties.calls == kernel.positive
+        assert kernel.binds == 8 and kernel.positive == penalties.calls == 8
         assert built.calls == kernel.positive + penalties.calls
 
     def test_census_with_cache_matches(self, tmp_path):

@@ -25,7 +25,6 @@ from qkclab import (
     candidate_table,
     classical_state,
     fidelity,
-    fidelity_pair,
     fidelity_to,
     penalty_bits,
     random_state,
@@ -56,7 +55,6 @@ from oracles import (
     c_sub,
     c_times_i,
     gr,
-    inner_product,
     mat2_mul,
     random_fraction,
     random_gate,
@@ -314,7 +312,6 @@ class TestFidelity:
             pair = fidelity_to(a)(b)
             assert pair == (q.numerator, q.denominator)
             assert type(pair[0]) is int and type(pair[1]) is int
-            assert fidelity_pair(a, b) == pair
             assert type(fidelity(a, b)) is Fraction and fidelity(a, b) == q
             assert exact is None or q == exact
             if a is x:
@@ -340,8 +337,9 @@ class TestFidelity:
         rows = candidate_rows(n, 12)
         pairs = set()
         for target in targets:
+            score = fidelity_to(target)
             for _idx, _prog, out in rows:
-                num, den = fidelity_pair(target, out)
+                num, den = score(out)
                 q = reference_fidelity(target, out)
                 assert type(num) is int and type(den) is int
                 assert (num, den) == (q.numerator, q.denominator)
@@ -357,28 +355,26 @@ def table_outputs(n):
 
 
 class TestInnerProduct:
-    """inner_product sums the states' integer forms as `fidelity_to` does;
-    the Fraction sum over amps (oracles.py) is the reference."""
+    """`fidelity_to` squares the overlap <x|z> it sums over the states'
+    integer forms; the squared modulus of the Fraction sum over amps
+    (oracles.py) is the reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
     def test_integer_kernel_matches_the_fraction_sum(self, n, seed, two_outputs):
         # pairs of random_state targets, table outputs and rotated basis
-        # vectors; the conjugate check covers each pair's other order
+        # vectors, each scored in both orders
         rng = Random(seed)
         outputs = table_outputs(n)
         x, z = random_state(n, rng), rng.choice(outputs)
         y = rng.choice(outputs) if two_outputs else random_state(n, rng)
         w = rng.choice(rotated_basis(n).vectors)
         for a, b in [(x, z), (z, x), (z, y), (y, z), (x, y), (w, z), (x, w), (x, x), (z, z)]:
-            p = inner_product(a, b)
-            assert p == reference_inner_product(a, b)
-            assert type(p.re) is Fraction and type(p.im) is Fraction
-            q = inner_product(b, a)
-            assert (p.re, p.im) == c_conj((q.re, q.im))
+            q = reference_fidelity(a, b)
+            assert fidelity_to(a)(b) == fidelity_to(b)(a) == (q.numerator, q.denominator)
         for a, b in [(x, zero_state(n + 1)), (zero_state(n + 1), z)]:
             with pytest.raises(ValueError, match="dimension mismatch"):
-                inner_product(a, b)
+                fidelity_to(a)(b)
 
 
 class TestPenaltyBits:
@@ -501,7 +497,7 @@ class TestBasis:
         # <0|s> = 3i/5: the real part is zero, so only the imaginary part
         # tells these two apart from an orthogonal pair
         s = StateVector(1, (gr(0, F(3, 5)), gr(F(4, 5))))
-        assert inner_product(zero_state(1), s) == gr(0, F(3, 5))
+        assert reference_inner_product(zero_state(1), s) == gr(0, F(3, 5))
         assert fidelity_to(zero_state(1))(s) == fidelity_to(s)(zero_state(1)) == (9, 25)
         with pytest.raises(ValueError, match="not orthogonal"):
             Basis((zero_state(1), s))
