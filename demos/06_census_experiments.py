@@ -15,7 +15,6 @@ from qkclab import (
     consistency_sweep,
     encode,
     incompressibility_census,
-    joint_bound_from,
     rotated_basis,
     subadditivity_report,
     superposed_bit_example,
@@ -66,12 +65,10 @@ def main():
 
         print()
         print("== joint-state bound ==")
-        jb = joint_bound_from(
-            subadditivity_report(encode([ROT(0)], 1), Program("1"), 12, cache_dir=cache)
-        )
+        jb = subadditivity_report(encode([ROT(0)], 1), Program("1"), 12, cache_dir=cache)
         print(
-            f"  K(x,y)={jb.lhs_total} vs K(y) - log2 fid = {jb.rhs:.3f}"
-            f"  (fid {jb.fidelity_xy}, slack {jb.slack:.3f}; may be negative)"
+            f"  K(x,y)={jb.joint.best.total} vs K(y) - log2 fid = {jb.bound_rhs:.3f}"
+            f"  (fid {jb.fidelity_xy}, slack {jb.bound_slack:.3f}; may be negative)"
         )
 
         print()

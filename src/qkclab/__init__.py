@@ -14,12 +14,10 @@ from .census import (
     CensusReport,
     ConsistencyRecord,
     ConsistencySweep,
-    JointBoundReport,
     SubadditivityReport,
     SuperposedBitReport,
     consistency_sweep,
     incompressibility_census,
-    joint_bound_from,
     product_witness,
     rotated_basis,
     rotation_circuit,

@@ -34,7 +34,6 @@ from .statevec import (
     ROT,
     Basis,
     Gate,
-    StateVector,
     X,
     apply_gate,
     classical_state,
@@ -299,31 +298,55 @@ def product_witness(px: DecodedProgram, py: DecodedProgram) -> Program:
     return encode(gates, n)
 
 
+def _total(est: ExactEstimate) -> Optional[int]:
+    return est.best.total if est.best else None
+
+
 @dataclass
 class SubadditivityReport:
+    """Two comparisons of one pair of generator outputs x and y, both n
+    qubits wide: sub-additivity, and the joint-state bound, which sets the
+    joint estimate against (estimate of y) - log2 fidelity(x, y)."""
+
     p_x: Program
     p_y: Program
-    n_x: int
-    n_y: int
+    n: int
     max_len: int
-    x: StateVector  # the outputs of p_x and p_y
-    y: StateVector
     joint: ExactEstimate
     conditional: ExactEstimate
     unconditional_y: ExactEstimate
+    fidelity_xy: Fraction
     witness_length: int
     conclusive: bool
     reason: str
     slack: Optional[int]
 
+    @property
+    def bound_rhs(self) -> Optional[float]:
+        """None when x and y are orthogonal, where the bound says nothing, or
+        when y has no estimate."""
+        y_total = _total(self.unconditional_y)
+        if self.fidelity_xy == 0 or y_total is None:
+            return None
+        return y_total - math.log2(self.fidelity_xy)
+
+    @property
+    def bound_slack(self) -> Optional[float]:
+        rhs, lhs = self.bound_rhs, _total(self.joint)
+        return None if rhs is None or lhs is None else rhs - lhs
+
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "subadditivity",
+        applicable = self.fidelity_xy != 0
+        programs = {
             "p_x": program_to_json(self.p_x),
             "p_y": program_to_json(self.p_y),
-            "n_x": self.n_x,
-            "n_y": self.n_y,
             "max_len": self.max_len,
+        }
+        return {
+            "kind": "subadditivity",
+            **programs,
+            "n_x": self.n,
+            "n_y": self.n,
             "joint": record_obj(self.joint.best),
             "conditional_x_given_py": record_obj(self.conditional.best),
             "y": record_obj(self.unconditional_y.best),
@@ -331,101 +354,66 @@ class SubadditivityReport:
             "conclusive": self.conclusive,
             "reason": self.reason,
             "slack": self.slack,
+            "joint_bound": {
+                "kind": "joint_bound",
+                **programs,
+                "fidelity_xy": frac_str(self.fidelity_xy),
+                "applicable": applicable,
+                "lhs_total": _total(self.joint) if applicable else None,
+                "y_total": _total(self.unconditional_y) if applicable else None,
+                "rhs": self.bound_rhs,
+                "slack": self.bound_slack,
+            },
         }
+
+    def csv_header(self) -> list[str]:
+        return ["term", "total"]
+
+    def csv_rows(self) -> list[list]:
+        rows = [
+            ["joint", _total(self.joint)],
+            ["x_given_py", _total(self.conditional)],
+            ["y", _total(self.unconditional_y)],
+            ["slack", self.slack],
+        ]
+        return [[term, "" if value is None else value] for term, value in rows]
 
 
 def subadditivity_report(
     p_x: Program,
     p_y: Program,
     max_len: int,
-    n_x: int = 1,
-    n_y: int = 1,
+    n: int = 1,
     cache_dir=None,
 ) -> SubadditivityReport:
     """slack = (estimate of x given p_y) + (estimate of y) - (joint estimate).
 
     The run is conclusive only when the product-style joint description fits
     inside max_len; a too-small bound is reported as inconclusive, never as a
-    failed inequality.  The conditional p_y runs on x's register, so the
-    two widths must be equal.
+    failed inequality.  The conditional p_y runs on x's register, so both
+    generators run at the one width n.
     """
-    if n_x != n_y:
-        raise ValueError(f"n_x and n_y must be equal, got {n_x} and {n_y}")
-    dx = _decode_generator(p_x, n_x, "p_x")
-    dy = _decode_generator(p_y, n_y, "p_y")
-    y_table = candidate_table(n_y, max_len, cache_dir=cache_dir)
-    x, y = run(p_x, n_x), run(p_y, n_y)
-    x_table = candidate_table(n_x, max_len, dy)
-    joint_table = candidate_table(n_x + n_y, max_len, cache_dir=cache_dir)
+    dx = _decode_generator(p_x, n, "p_x")
+    dy = _decode_generator(p_y, n, "p_y")
+    y_table = candidate_table(n, max_len, cache_dir=cache_dir)
+    x, y = run(p_x, n), run(p_y, n)
+    x_table = candidate_table(n, max_len, dy)
+    joint_table = candidate_table(2 * n, max_len, cache_dir=cache_dir)
     joint = exact_estimate(tensor(x, y), joint_table)
     cond = exact_estimate(x, x_table)
     uncond_y = exact_estimate(y, y_table)
     witness = product_witness(dx, dy)
-
+    totals = (_total(joint), _total(cond), _total(uncond_y))
+    slack = None if None in totals else totals[1] + totals[2] - totals[0]
     reason = "ok"
-    conclusive = True
-    if witness.length > max_len:
-        conclusive = False
-        reason = f"product witness needs {witness.length} bits > max_len"
-    if joint.best is None or cond.best is None or uncond_y.best is None:
-        conclusive = False
+    if slack is None:
         reason = "no finite estimate for at least one term"
-    slack = None
-    if joint.best is not None and cond.best is not None and uncond_y.best is not None:
-        slack = cond.best.total + uncond_y.best.total - joint.best.total
+    elif witness.length > max_len:
+        reason = f"product witness needs {witness.length} bits > max_len"
     return SubadditivityReport(
-        p_x, p_y, n_x, n_y, max_len, x, y, joint, cond, uncond_y,
-        witness.length, conclusive, reason, slack,
+        p_x, p_y, n, max_len, joint, cond, uncond_y, fidelity(x, y),
+        witness.length, reason == "ok", reason, slack,
     )
-
-
-@dataclass
-class JointBoundReport:
-    """Joint estimate against (estimate of y) - log2 fidelity(x, y)."""
-
-    p_x: Program
-    p_y: Program
-    max_len: int
-    fidelity_xy: Fraction
-    applicable: bool
-    lhs_total: Optional[int]
-    y_total: Optional[int]
-    rhs: Optional[float]
-    slack: Optional[float]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "joint_bound",
-            "p_x": program_to_json(self.p_x),
-            "p_y": program_to_json(self.p_y),
-            "max_len": self.max_len,
-            "fidelity_xy": frac_str(self.fidelity_xy),
-            "applicable": self.applicable,
-            "lhs_total": self.lhs_total,
-            "y_total": self.y_total,
-            "rhs": self.rhs,
-            "slack": self.slack,
-        }
-
-
-def joint_bound_from(report: SubadditivityReport) -> JointBoundReport:
-    """The joint bound from a sub-additivity report, whose joint and y
-    estimates are exactly the two this bound compares."""
-    p_x, p_y, max_len = report.p_x, report.p_y, report.max_len
-    q = fidelity(report.x, report.y)
-    if q == 0:
-        return JointBoundReport(
-            p_x, p_y, max_len, q, False, None, None, None, None
-        )
-    lhs = report.joint.best.total if report.joint.best else None
-    y_total = report.unconditional_y.best.total if report.unconditional_y.best else None
-    rhs = None
-    slack = None
-    if y_total is not None:
-        rhs = y_total - math.log2(q)
-        if lhs is not None:
-            slack = rhs - lhs
-    return JointBoundReport(p_x, p_y, max_len, q, True, lhs, y_total, rhs, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +430,6 @@ class SuperposedBitReport:
     constructive: Program
     basis_code_lengths: list
     note: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "superposed_bit",
-            "n": self.n,
-            "bits": self.bits,
-            "position": self.position,
-            "rotated": record_obj(self.rotated.best),
-            "classical": record_obj(self.classical.best),
-            "constructive_length": self.constructive.length,
-            "constructive_program": program_to_json(self.constructive),
-            "basis_code_lengths": [
-                None if length == float("inf") else length
-                for length in self.basis_code_lengths
-            ],
-            "note": self.note,
-        }
 
 
 def superposed_bit_example(

@@ -24,7 +24,6 @@ from .census import (
     record_obj,
     consistency_sweep,
     incompressibility_census,
-    joint_bound_from,
     rotated_basis,
     subadditivity_report,
 )
@@ -127,10 +126,6 @@ def effective_config(args: argparse.Namespace) -> Config:
     return config
 
 
-def _config_obj(config: Config) -> dict:
-    return asdict(config)
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -150,34 +145,29 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _manifest(command: str, config: Config, extra: dict) -> dict:
-    manifest = {
-        "kind": "manifest",
+def _record(kind: str, config: Config, **fields) -> dict:
+    """A record of this kind, stamped with the schema, the encoding and the
+    config that produced it."""
+    return {
+        "kind": kind,
         "schema": SCHEMA_VERSION,
         "encoding_version": ENCODING_VERSION,
-        "command": command,
-        "config": _config_obj(config),
+        "config": asdict(config),
+        **fields,
     }
-    manifest.update(extra)
-    return manifest
 
 
-def _write_report(
-    out_dir: str, stem: str, command: str, config: Config, obj: dict,
-    csv_header: list, csv_rows: list, params: dict,
-) -> list[str]:
-    directory = Path(out_dir)
+def _write_report(config: Config, stem: str, command: str, report, params: dict) -> list[str]:
+    """The report's JSON and CSV and the command's manifest, under out_dir."""
+    directory = Path(config.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    obj = dict(obj)
-    obj["schema"] = SCHEMA_VERSION
-    obj["encoding_version"] = ENCODING_VERSION
-    obj["config"] = _config_obj(config)
+    obj = report.to_json_obj()
     json_path = directory / f"{stem}.json"
     csv_path = directory / f"{stem}.csv"
     manifest_path = directory / f"{stem}.manifest.json"
-    json_path.write_text(_dumps(obj))
-    _write_csv(csv_path, csv_header, csv_rows)
-    manifest_path.write_text(_dumps(_manifest(command, config, params)))
+    json_path.write_text(_dumps(_record(obj.pop("kind"), config, **obj)))
+    _write_csv(csv_path, report.csv_header(), report.csv_rows())
+    manifest_path.write_text(_dumps(_record("manifest", config, command=command, **params)))
     return [str(json_path), str(csv_path), str(manifest_path)]
 
 
@@ -252,8 +242,7 @@ def _load_target(args, config: Config):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(args) -> int:
-    config = effective_config(args)
+def cmd_estimate(args, config: Config) -> int:
     target, desc = _load_target(args, config)
     conditional = conditional_prog = None
     if args.conditional:
@@ -271,18 +260,13 @@ def cmd_estimate(args) -> int:
             plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    record = {
-        "kind": "estimate",
-        "schema": SCHEMA_VERSION,
-        "encoding_version": ENCODING_VERSION,
-        "config": _config_obj(config),
-        "n": config.n,
-        "max_len": config.max_len,
-        "target": desc,
-        "conditional": None
-        if conditional_prog is None
-        else program_to_json(conditional_prog),
-    }
+    record = _record(
+        "estimate", config,
+        n=config.n,
+        max_len=config.max_len,
+        target=desc,
+        conditional=None if conditional_prog is None else program_to_json(conditional_prog),
+    )
     if args.sampled:
         result = sampled_estimate(
             projection_oracle(target), config.n, plan, config.max_len, config.seed
@@ -321,8 +305,7 @@ def cmd_estimate(args) -> int:
     return EXIT_NO_ESTIMATE if empty else EXIT_OK
 
 
-def cmd_census(args) -> int:
-    config = effective_config(args)
+def cmd_census(args, config: Config) -> int:
     if args.c < 0:
         raise UsageError(f"--c must be nonnegative, got {args.c}")
     basis = rotated_basis(config.n) if args.rotated else None
@@ -333,8 +316,7 @@ def cmd_census(args) -> int:
     )
     stem = f"census-{ENCODING_VERSION}-{label}-n{config.n}-c{args.c}-len{config.max_len}"
     paths = _write_report(
-        config.out_dir, stem, "census", config, report.to_json_obj(),
-        report.csv_header(), report.csv_rows(),
+        config, stem, "census", report,
         {"n": config.n, "c": args.c, "max_len": config.max_len, "basis": label},
     )
     summary = {
@@ -347,21 +329,17 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def cmd_consistency(args) -> int:
-    config = effective_config(args)
+def cmd_consistency(args, config: Config) -> int:
     sweep = consistency_sweep(config.n, config.max_len, cache_dir=config.cache_dir)
     stem = f"consistency-{ENCODING_VERSION}-n{config.n}-len{config.max_len}"
     paths = _write_report(
-        config.out_dir, stem, "consistency", config, sweep.to_json_obj(),
-        sweep.csv_header(), sweep.csv_rows(),
-        {"n": config.n, "max_len": config.max_len},
+        config, stem, "consistency", sweep, {"n": config.n, "max_len": config.max_len},
     )
     sys.stdout.write(_dumps({"max_gap": sweep.max_gap, "files": paths}))
     return EXIT_OK
 
 
-def cmd_subadd(args) -> int:
-    config = effective_config(args)
+def cmd_subadd(args, config: Config) -> int:
     p_x = parse_program_arg(args.px)
     p_y = parse_program_arg(args.py)
     # the joint bound compares the two outputs, so they share one width
@@ -375,25 +353,14 @@ def cmd_subadd(args) -> int:
                 f"{flag} is not a decodable CALLC-free program for n={args.nx}: {p.bits!r}"
             )
     report = subadditivity_report(
-        p_x, p_y, config.max_len,
-        n_x=args.nx, n_y=args.ny, cache_dir=config.cache_dir,
+        p_x, p_y, config.max_len, n=args.nx, cache_dir=config.cache_dir
     )
-    bound = joint_bound_from(report)
-    obj = report.to_json_obj()
-    obj["joint_bound"] = bound.to_json_obj()
     stem = (
         f"subadd-{ENCODING_VERSION}-len{config.max_len}-"
         f"{p_x.length}x{p_x.value:x}-{p_y.length}x{p_y.value:x}"
     )
-    header = ["term", "total"]
-    rows = [
-        ["joint", report.joint.best.total if report.joint.best else ""],
-        ["x_given_py", report.conditional.best.total if report.conditional.best else ""],
-        ["y", report.unconditional_y.best.total if report.unconditional_y.best else ""],
-        ["slack", "" if report.slack is None else report.slack],
-    ]
     paths = _write_report(
-        config.out_dir, stem, "subadd", config, obj, header, rows,
+        config, stem, "subadd", report,
         {"p_x": program_to_json(p_x), "p_y": program_to_json(p_y),
          "max_len": config.max_len},
     )
@@ -403,22 +370,15 @@ def cmd_subadd(args) -> int:
     return EXIT_OK
 
 
-def cmd_encode(args) -> int:
-    config = effective_config(args)
+def cmd_encode(args, config: Config) -> int:
     gates = parse_gate_list(args.gates)
     try:
         program = encode(gates, config.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    record = {
-        "kind": "program",
-        "schema": SCHEMA_VERSION,
-        "encoding_version": ENCODING_VERSION,
-        "config": _config_obj(config),
-        "n": config.n,
-        "bits": program.bits,
-        "program": program_to_json(program),
-    }
+    record = _record(
+        "program", config, n=config.n, bits=program.bits, program=program_to_json(program)
+    )
     _emit(_dumps(record), args.out)
     return EXIT_OK
 
@@ -427,8 +387,7 @@ def _gate_str(op) -> str:
     return ":".join([type(op).__name__, *map(str, operands(op))])
 
 
-def cmd_decode(args) -> int:
-    config = effective_config(args)
+def cmd_decode(args, config: Config) -> int:
     if args.bits is not None:
         try:
             bits = Program(args.bits).bits
@@ -439,23 +398,19 @@ def cmd_decode(args) -> int:
     else:
         raise UsageError("one of --bits, --program is required")
     decoded = decode(bits, config.n)
-    record = {
-        "kind": "decoded",
-        "schema": SCHEMA_VERSION,
-        "encoding_version": ENCODING_VERSION,
-        "config": _config_obj(config),
-        "n": config.n,
-        "bits": bits,
-        "decodable": decoded is not None,
-        "gates": [_gate_str(g) for g in decoded.gates] if decoded else None,
-        "call_sites": list(decoded.call_sites) if decoded else None,
-    }
+    record = _record(
+        "decoded", config,
+        n=config.n,
+        bits=bits,
+        decodable=decoded is not None,
+        gates=[_gate_str(g) for g in decoded.gates] if decoded else None,
+        call_sites=list(decoded.call_sites) if decoded else None,
+    )
     _emit(_dumps(record), args.out)
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    config = effective_config(args)
+def cmd_enumerate(args, config: Config) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be nonnegative, got {args.limit}")
     lines = []
@@ -473,16 +428,16 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_kplan(args) -> int:
-    config = effective_config(args)
+def cmd_kplan(args, config: Config) -> int:
     try:
         k = k_from_bound(config.n, config.alpha, config.epsilon, slack=args.slack)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # the kplan record has never carried encoding_version
     record = {
         "kind": "kplan",
         "schema": SCHEMA_VERSION,
-        "config": _config_obj(config),
+        "config": asdict(config),
         "n": config.n,
         "alpha": config.alpha,
         "epsilon": config.epsilon,
@@ -588,10 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, effective_config(args))
     except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

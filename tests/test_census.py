@@ -17,7 +17,6 @@ from qkclab import (
     enumerate_programs,
     fidelity,
     incompressibility_census,
-    joint_bound_from,
     penalty_bits,
     product_witness,
     rotated_basis,
@@ -199,10 +198,6 @@ class TestSubadditivity:
         with pytest.raises(ValueError):
             subadditivity_report(encode([CALLC()], 1), Program("1"), 16)
 
-    def test_unequal_widths_rejected(self):
-        with pytest.raises(ValueError, match="n_x and n_y must be equal"):
-            subadditivity_report(Program("1"), Program("1"), 12, n_x=2, n_y=1)
-
     def test_witness_program_prepares_the_joint_state(self):
         p_x, p_y = encode([ROT(0)], 1), encode([X(0)], 1)
         witness = product_witness(decode(p_x.bits, 1), decode(p_y.bits, 1))
@@ -216,25 +211,27 @@ class TestSubadditivity:
 
 class TestJointBound:
     def test_identical_zero_states(self):
-        report = joint_bound_from(subadditivity_report(Program("1"), Program("1"), 12))
-        assert report.applicable
+        report = subadditivity_report(Program("1"), Program("1"), 12)
         assert report.fidelity_xy == 1
-        assert report.lhs_total == 1
-        assert report.rhs == pytest.approx(1.0)
-        assert report.slack == pytest.approx(0.0)
+        assert report.joint.best.total == 1
+        assert report.bound_rhs == pytest.approx(1.0)
+        assert report.bound_slack == pytest.approx(0.0)
 
     def test_rot_against_zero(self):
-        report = joint_bound_from(subadditivity_report(encode([ROT(0)], 1), Program("1"), 12))
+        report = subadditivity_report(encode([ROT(0)], 1), Program("1"), 12)
         assert report.fidelity_xy == F(9, 25)
-        assert report.rhs == pytest.approx(1 + math.log2(25 / 9))
-        assert report.lhs_total == 3
+        assert report.bound_rhs == pytest.approx(1 + math.log2(25 / 9))
+        assert report.joint.best.total == 3
         # the additive logarithmic slack can be negative; it is only reported
-        assert report.slack == pytest.approx(1 + math.log2(25 / 9) - 3)
+        assert report.bound_slack == pytest.approx(1 + math.log2(25 / 9) - 3)
 
     def test_orthogonal_pair_is_inapplicable(self):
-        report = joint_bound_from(subadditivity_report(encode([X(0)], 1), Program("1"), 12))
-        assert not report.applicable
-        assert report.rhs is None and report.slack is None
+        report = subadditivity_report(encode([X(0)], 1), Program("1"), 12)
+        assert report.fidelity_xy == 0
+        assert report.bound_rhs is None and report.bound_slack is None
+        bound = report.to_json_obj()["joint_bound"]
+        assert not bound["applicable"]
+        assert bound["lhs_total"] is None and bound["y_total"] is None
 
 
 class TestSuperposedBit:
@@ -251,8 +248,7 @@ class TestSuperposedBit:
     def test_deterministic(self):
         a = superposed_bit_example(2, 12)
         b = superposed_bit_example(2, 12)
-        assert a.rotated.best == b.rotated.best
-        assert a.to_json_obj() == b.to_json_obj()
+        assert a == b
 
     def test_constructive_bound_on_nonzero_strings(self):
         for bits, position in (("1", 0), ("01", 1), ("110", 2)):
