@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import product, tee
 from typing import Iterator, Optional, Union
 
 from .statevec import CNOT, PHASE, ROT, X, Gate, json_int, operands
@@ -165,11 +165,13 @@ def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgr
     return program
 
 
-def _opcode_fields(code: int, n: int) -> list[tuple[str, Op]]:
+def _opcode_fields(code: int, n: int) -> Iterator[tuple[str, Op]]:
     """Every op of opcode `code` that `_valid` accepts at width n with its
     bit field, in operand order, which is the order of the fields' bits."""
-    ops = [OPS[code](*a) for a in product(range(n), repeat=_ARITY[code]) if _valid(a, n)]
-    return [(_op_bits(op, n), op) for op in ops]
+    for args in product(range(n), repeat=_ARITY[code]):
+        if _valid(args, n):
+            op = OPS[code](*args)
+            yield _op_bits(op, n), op
 
 
 def _op_alphabet(n: int) -> list[tuple[str, Op]]:
@@ -181,9 +183,9 @@ def _op_alphabet(n: int) -> list[tuple[str, Op]]:
 def _sequences(codes, fields_of, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
     """Every sequence of k fields whose bits total exactly `size`, in the
     order of its bits.  `codes` holds (opcode, field width) for each opcode
-    in order, and `fields_of(code)` lists that opcode's fields.  sizes[j] is
-    the set of totals that j fields reach, so no branch is entered that
-    yields nothing, and an opcode's fields are only listed once one fits."""
+    in order, and `fields_of(code)` is a pass over that opcode's fields.
+    sizes[j] is the set of totals that j fields reach, so no branch is
+    entered that yields nothing, and no field is built before one fits."""
     if k == 0:
         yield "", ()
         return
@@ -205,15 +207,19 @@ def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op,
     that of the bits: headers are prefix-free, so programs order by header
     bits first, and bodies by their fields' bits in turn.  The field widths
     come from the arities alone: an opcode has a valid op exactly when
-    `_valid` accepts its first operands, 0 .. arity - 1.  Its ops are built the
-    first time one of its fields fits, so a wide register lists no op that
-    no program up to max_len holds.
+    `_valid` accepts its first operands, 0 .. arity - 1.  Its fields are
+    built in operand order only as far as some program reads them, and every
+    pass over them shares what is built, so a wide register builds no field
+    past the last one a yielded program holds.
     """
     w = index_width(n)
     codes = [(code, OPCODE_WIDTH + k * w) for code, k in enumerate(_ARITY)
              if _valid(tuple(range(k)), n)]
     widths = sorted({width for _code, width in codes})
-    fields_of = cache(lambda code: _opcode_fields(code, n))
+    # one unread tee per opcode holds the fields built so far, and each copy
+    # of it is a fresh pass that builds more only as it reads past them
+    starts = cache(lambda code: tee(_opcode_fields(code, n), 1)[0])
+    fields_of = lambda code: starts(code).__copy__()
     sizes = [{0}]  # sizes[k]: the body sizes that k fields reach
     for length in range(1, max_len + 1):
         headers = []

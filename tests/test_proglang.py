@@ -19,9 +19,11 @@ from qkclab import (
     program_to_json,
     verify_prefix_free,
 )
+import qkclab.proglang as proglang
 from qkclab.proglang import _op_alphabet, gamma_encode, index_width
 
 from oracles import (
+    Counted,
     brute_force_decodables,
     random_gate_list,
     reference_decode_prefix,
@@ -178,6 +180,18 @@ class TestEnumerate:
         program, gates = next(enumerate_decoded(10**4, 5))
         assert (program, gates) == (Program("1"), ())
         assert time.perf_counter() - start < 1
+
+    def test_a_wide_register_builds_its_fields_as_they_are_read(self, monkeypatch):
+        # at n = 1000 the first CNOT program is the 18,008th, after programs
+        # that hold each of the 1000 X, ROT and PHASE fields and CALLC's one
+        # field; of the 999,000 CNOT fields only the first, (0, 1), is built
+        built = Counted(proglang._op_bits)
+        monkeypatch.setattr(proglang, "_op_bits", built)
+        for index, (_program, gates) in enumerate(enumerate_decoded(26, 1000)):
+            if any(isinstance(gate, CNOT) for gate in gates):
+                break
+        assert (index, gates) == (18007, (CNOT(0, 1),))
+        assert built.calls == 3 * 1000 + 1 + 1
 
     def test_enumeration_is_reproducible(self):
         a = [p.bits for p in enumerate_programs(13, 3)]
