@@ -247,11 +247,7 @@ def projection_oracle(target: StateVector) -> Callable:
         # den is the reduced Fraction's denominator, so every randrange
         # call, and so every draw, is the one that Fraction gave.  Running a
         # row's k trials in one call, or a per-output memo, would be faster
-        # still (ROADMAP item 7), but the sampled benchmark keeps every op's
-        # report (about 5 KB each), so its peak_rss_mb rises with throughput
-        # alone: this oracle reads 71 targets/s at 40.3 MB (40 s runs, 2
-        # cores), and the 0.2 bound over that is crossed near 1.5x its
-        # rate.  Those wait for ROADMAP item 1a.
+        # still; see ROADMAP items 7 and 1a for why they wait.
         return bernoulli(*fid(output), rng)
 
     return measure

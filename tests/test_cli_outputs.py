@@ -11,8 +11,6 @@ deliberate change of output can be re-pinned from the failure message.
 import hashlib
 from pathlib import Path
 
-import pytest
-
 from qkclab.cli import main
 
 TOKEN = "<root>"
