@@ -55,7 +55,7 @@ def main():
     table = candidate_table(2, 11)  # enumerated and simulated once for all three
     for seed in (1, 2, 3):
         target = random_state(2, Random(seed))
-        prog, record = upper_bound_witness(target, 2)
+        prog, record = upper_bound_witness(target)
         est = exact_estimate(target, table)
         print(
             f"  seed {seed}: witness length {prog.length} + penalty {record.penalty}"

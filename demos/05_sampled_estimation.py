@@ -8,7 +8,6 @@ bit of the true minimum with the planned confidence.
 
 from qkclab import (
     ROT,
-    SamplingPlan,
     apply_gate,
     candidate_table,
     classical_state,
@@ -29,14 +28,16 @@ def main():
     print()
     print("== sampling against |00> ==")
     n, max_len = 2, 10
-    plan = SamplingPlan.for_dimension(n, alpha=0.05, epsilon=0.25)
+    alpha, epsilon = 0.05, 0.25
     target = classical_state("00")
     ideal = ideal_value(target, n, max_len, candidate_table(n, max_len))
 
-    print(f"  plan: k={plan.k}; exact ideal value = {ideal}")
+    print(f"  plan: k={k_from_bound(n, alpha, epsilon)}; exact ideal value = {ideal}")
     for seed in range(5):
         # each estimate trials every halting program's row, repeats included
-        result = sampled_estimate(projection_oracle(target), n, plan, max_len, seed)
+        result = sampled_estimate(
+            projection_oracle(target), n, max_len, alpha, epsilon, seed
+        )
         b = result.best
         print(
             f"  seed {seed}: winner {b.program.bits} with m={b.m}/{b.k},"
@@ -46,11 +47,10 @@ def main():
     print()
     print("== a genuinely fuzzy target ==")
     target = apply_gate(zero_state(1), ROT(0))
-    plan = SamplingPlan.for_dimension(1, alpha=0.05, epsilon=0.25)
     ideal = ideal_value(target, 1, 8, candidate_table(1, 8))
     print(f"  target ROT|0>; ideal value = {ideal:.4f}")
     for seed in range(5):
-        result = sampled_estimate(projection_oracle(target), 1, plan, 8, seed)
+        result = sampled_estimate(projection_oracle(target), 1, 8, alpha, epsilon, seed)
         b = result.best
         print(f"  seed {seed}: estimate {b.estimate:.4f} via {b.program.bits} (m={b.m})")
 

@@ -29,7 +29,6 @@ from .estimator import (
     EstimateRecord,
     ExactEstimate,
     SampledEstimate,
-    SamplingPlan,
     TrialResult,
     bernoulli,
     exact_estimate,

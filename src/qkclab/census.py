@@ -298,10 +298,6 @@ def product_witness(px: DecodedProgram, py: DecodedProgram) -> Program:
     return encode(gates, n)
 
 
-def _total(est: ExactEstimate) -> Optional[int]:
-    return est.best.total if est.best else None
-
-
 @dataclass
 class SubadditivityReport:
     """Two comparisons of one pair of generator outputs x and y, both n
@@ -325,14 +321,14 @@ class SubadditivityReport:
     def bound_rhs(self) -> Optional[float]:
         """None when x and y are orthogonal, where the bound says nothing, or
         when y has no estimate."""
-        y_total = _total(self.unconditional_y)
+        y_total = self.unconditional_y.total
         if self.fidelity_xy == 0 or y_total is None:
             return None
         return y_total - math.log2(self.fidelity_xy)
 
     @property
     def bound_slack(self) -> Optional[float]:
-        rhs, lhs = self.bound_rhs, _total(self.joint)
+        rhs, lhs = self.bound_rhs, self.joint.total
         return None if rhs is None or lhs is None else rhs - lhs
 
     def to_json_obj(self) -> dict:
@@ -359,8 +355,8 @@ class SubadditivityReport:
                 **programs,
                 "fidelity_xy": frac_str(self.fidelity_xy),
                 "applicable": applicable,
-                "lhs_total": _total(self.joint) if applicable else None,
-                "y_total": _total(self.unconditional_y) if applicable else None,
+                "lhs_total": self.joint.total if applicable else None,
+                "y_total": self.unconditional_y.total if applicable else None,
                 "rhs": self.bound_rhs,
                 "slack": self.bound_slack,
             },
@@ -371,9 +367,9 @@ class SubadditivityReport:
 
     def csv_rows(self) -> list[list]:
         rows = [
-            ["joint", _total(self.joint)],
-            ["x_given_py", _total(self.conditional)],
-            ["y", _total(self.unconditional_y)],
+            ["joint", self.joint.total],
+            ["x_given_py", self.conditional.total],
+            ["y", self.unconditional_y.total],
             ["slack", self.slack],
         ]
         return [[term, "" if value is None else value] for term, value in rows]
@@ -403,7 +399,7 @@ def subadditivity_report(
     cond = exact_estimate(x, x_table)
     uncond_y = exact_estimate(y, y_table)
     witness = product_witness(dx, dy)
-    totals = (_total(joint), _total(cond), _total(uncond_y))
+    totals = (joint.total, cond.total, uncond_y.total)
     slack = None if None in totals else totals[1] + totals[2] - totals[0]
     reason = "ok"
     if slack is None:

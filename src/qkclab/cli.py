@@ -28,7 +28,6 @@ from .census import (
     subadditivity_report,
 )
 from .estimator import (
-    SamplingPlan,
     exact_estimate,
     k_from_bound,
     projection_oracle,
@@ -257,7 +256,7 @@ def cmd_estimate(args, config: Config) -> int:
         if conditional is not None:
             raise UsageError("--sampled does not take a conditional program")
         try:
-            plan = SamplingPlan.for_dimension(config.n, config.alpha, config.epsilon)
+            k = k_from_bound(config.n, config.alpha, config.epsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     record = _record(
@@ -269,12 +268,13 @@ def cmd_estimate(args, config: Config) -> int:
     )
     if args.sampled:
         result = sampled_estimate(
-            projection_oracle(target), config.n, plan, config.max_len, config.seed
+            projection_oracle(target), config.n, config.max_len,
+            config.alpha, config.epsilon, config.seed,
         )
         record.update(
             {
                 "mode": "sampled",
-                "plan": {"alpha": plan.alpha, "epsilon": plan.epsilon, "k": plan.k},
+                "plan": {"alpha": config.alpha, "epsilon": config.epsilon, "k": k},
                 "seed": config.seed,
                 "best": None
                 if result.best is None
@@ -342,26 +342,21 @@ def cmd_consistency(args, config: Config) -> int:
 def cmd_subadd(args, config: Config) -> int:
     p_x = parse_program_arg(args.px)
     p_y = parse_program_arg(args.py)
-    # the joint bound compares the two outputs, so they share one width
-    if args.nx != args.ny or args.nx < 1:
-        raise UsageError(
-            f"--nx and --ny must be equal and positive, got {args.nx} and {args.ny}"
-        )
     for flag, p in (("--px", p_x), ("--py", p_y)):
-        if decode(p.bits, args.nx, allow_callc=False) is None:
+        if decode(p.bits, config.n, allow_callc=False) is None:
             raise UsageError(
-                f"{flag} is not a decodable CALLC-free program for n={args.nx}: {p.bits!r}"
+                f"{flag} is not a decodable CALLC-free program for n={config.n}: {p.bits!r}"
             )
     report = subadditivity_report(
-        p_x, p_y, config.max_len, n=args.nx, cache_dir=config.cache_dir
+        p_x, p_y, config.max_len, n=config.n, cache_dir=config.cache_dir
     )
     stem = (
-        f"subadd-{ENCODING_VERSION}-len{config.max_len}-"
+        f"subadd-{ENCODING_VERSION}-n{config.n}-len{config.max_len}-"
         f"{p_x.length}x{p_x.value:x}-{p_y.length}x{p_y.value:x}"
     )
     paths = _write_report(
         config, stem, "subadd", report,
-        {"p_x": program_to_json(p_x), "p_y": program_to_json(p_y),
+        {"n": config.n, "p_x": program_to_json(p_x), "p_y": program_to_json(p_y),
          "max_len": config.max_len},
     )
     sys.stdout.write(
@@ -501,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("subadd", help="sub-additivity and joint-state bound for two generator programs")
     p.add_argument("--px", required=True, help="LEN:HEX generator program for x")
     p.add_argument("--py", required=True, help="LEN:HEX generator program for y")
-    p.add_argument("--nx", type=int, default=1, help="register width of p_x")
-    p.add_argument("--ny", type=int, default=1, help="register width of p_y")
+    p.add_argument("--n", type=int, help="register width of each generator")
     p.add_argument("--max-len", dest="max_len", type=int, help="enumeration bound")
     _add_common(p)
     p.set_defaults(func=cmd_subadd)

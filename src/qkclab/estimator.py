@@ -139,12 +139,12 @@ def shortest_exact_program(target: StateVector, table: CandidateTable) -> Option
     return None
 
 
-def upper_bound_witness(target: StateVector, n: int) -> tuple[Program, EstimateRecord]:
+def upper_bound_witness(target: StateVector) -> tuple[Program, EstimateRecord]:
     """Pigeonhole witness: the basis probabilities sum to 1 over 2^n vectors,
     so some computational-basis vector has fidelity >= 2^-n.  The X-gate
     program preparing it therefore costs at most its own length plus n penalty
     bits."""
-    _check_target(target, n)
+    n = target.n_qubits
     v = target._v
     # basis probability i is weights[i] / D^2, so the weights order them
     weights = [v[k] * v[k] + v[k + 1] * v[k + 1] for k in range(0, len(v), 2)]
@@ -194,35 +194,10 @@ def k_from_bound(n: int, alpha: float, epsilon: float, slack: float = 0.0) -> in
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """(alpha, epsilon, k) for the sampled estimator."""
-
-    alpha: float
-    epsilon: float
-    k: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-
-    def covers(self, n: int) -> bool:
-        return self.k >= k_from_bound(n, self.alpha, self.epsilon)
-
-    @classmethod
-    def for_dimension(cls, n: int, alpha: float, epsilon: float) -> "SamplingPlan":
-        return cls(alpha, epsilon, k_from_bound(n, alpha, epsilon))
-
-
-@dataclass(frozen=True)
 class TrialResult:
     program: Program
     m: int
     k: int
-    epsilon: float
     estimate: float  # length - log2(m / ((1 + epsilon) k)); needs m > 0
 
 
@@ -293,7 +268,7 @@ def _run_trials(
             return None
         est = prog.length - math.log2(m / ((1.0 + epsilon) * k))
         exact = ((e_den + e_num) * k << prog.length, m * e_den)
-        return exact, est, TrialResult(prog, m, k, epsilon, est)
+        return exact, est, TrialResult(prog, m, k, est)
 
     return _running_min(rows, score)
 
@@ -302,7 +277,7 @@ def _run_trials(
 class SampledEstimate:
     best: Optional[TrialResult]
     trace: list[tuple[int, float]]
-    plan: SamplingPlan
+    k: int
     seed: int
     n: int
     max_len: int
@@ -315,24 +290,20 @@ class SampledEstimate:
 def sampled_estimate(
     measure: Callable,
     n: int,
-    plan: SamplingPlan,
     max_len: int,
+    alpha: float,
+    epsilon: float,
     seed: int,
 ) -> SampledEstimate:
     """Approximation from above driven only by a Bernoulli oracle per program.
 
-    Runs plan.k measurement trials against each row of the build's stream,
-    equal outputs included (each row has its own trial stream), and keeps the
-    candidate with the smallest estimate (shorter program on ties).  It stops
-    at the first row whose length reaches the best estimate, and the build
-    stops there with it.  The plan must supply at least as many trials as
-    k_from_bound requires for this n.
+    Runs k = k_from_bound(n, alpha, epsilon) measurement trials against each
+    row of the build's stream, equal outputs included (each row has its own
+    trial stream), and keeps the candidate with the smallest estimate
+    (shorter program on ties).  It stops at the first row whose length
+    reaches the best estimate, and the build stops there with it.
     """
-    if not plan.covers(n):
-        raise ValueError(
-            f"plan.k={plan.k} is below k_from_bound(n={n}, alpha={plan.alpha}, "
-            f"epsilon={plan.epsilon})={k_from_bound(n, plan.alpha, plan.epsilon)}"
-        )
+    k = k_from_bound(n, alpha, epsilon)
     rows = (row for row, _first in _build(n, max_len))
-    best, trace = _run_trials(rows, measure, plan.k, plan.epsilon, seed)
-    return SampledEstimate(best, trace, plan, seed, n, max_len)
+    best, trace = _run_trials(rows, measure, k, epsilon, seed)
+    return SampledEstimate(best, trace, k, seed, n, max_len)

@@ -54,6 +54,7 @@ from qkclab import (
     decode,
     enumerate_programs,
     exact_estimate,
+    k_from_bound,
     penalty_bits,
     run,
     upper_bound_witness,
@@ -340,7 +341,7 @@ def check_estimates(targets, estimates, table):
             checks["record"] = (best.length, best.fidelity, best.penalty, best.total) == (
                 length, q, pen, length + pen
             )
-        witness, record = upper_bound_witness(target, n)
+        witness, record = upper_bound_witness(target)
         checks["witness"] = witness.length > table.max_len or (
             best is not None and best.total <= record.total
         )
@@ -416,15 +417,17 @@ def reference_run_trials(candidates, measure, k, epsilon, seed):
         key = ((1 + e) * k * (1 << prog.length) / m, prog.length, prog.value)
         if best_key is None or key < best_key:
             best_key = key
-            best = TrialResult(prog, m, k, epsilon, est)
+            best = TrialResult(prog, m, k, est)
             trace.append((idx, est))
     return best, trace
 
 
-def reference_sampled_estimate(measure, n, plan, max_len, seed, outputs=None):
-    """(best, trace) of plan.k trials against every halting program."""
+def reference_sampled_estimate(measure, n, max_len, alpha, epsilon, seed, outputs=None):
+    """(best, trace) of k_from_bound(n, alpha, epsilon) trials against every
+    halting program."""
     candidates = reference_candidates(n, max_len, outputs=outputs)
-    return reference_run_trials(candidates, measure, plan.k, plan.epsilon, seed)
+    k = k_from_bound(n, alpha, epsilon)
+    return reference_run_trials(candidates, measure, k, epsilon, seed)
 
 
 def reference_decode_prefix(bits, n, allow_callc=True):

@@ -16,7 +16,6 @@ from qkclab import (
     PHASE,
     ROT,
     X,
-    SamplingPlan,
     StateVector,
     cached_outputs,
     candidate_table,
@@ -100,7 +99,7 @@ def criterion3_runs(cache_dir):
     runs = []
     for _ in range(200):
         target = random_state(n, rng)
-        witness_prog, witness_rec = upper_bound_witness(target, n)
+        witness_prog, witness_rec = upper_bound_witness(target)
         assert witness_prog.length <= outputs.max_len  # the witness is a candidate
         est = exact_estimate(target, outputs)
         runs.append((witness_prog, witness_rec, est))
@@ -119,7 +118,7 @@ def test_criterion_03_upper_bound_witness(criterion3_runs):
         assert est.best.total <= witness_prog.length + n
         assert est.best.total <= witness_rec.total
     uniform = StateVector(2, (gr(F(1, 2)),) * 4)
-    _, uniform_rec = upper_bound_witness(uniform, n)
+    _, uniform_rec = upper_bound_witness(uniform)
     assert uniform_rec.penalty == n  # the pigeonhole bound is tight here
     print("criterion 3 PASS: 200 targets within witness-length + n; equality case penalty = n")
 
@@ -172,25 +171,25 @@ def test_criterion_05_classical_consistency(criterion5_sweeps):
 
 @pytest.fixture(scope="module")
 def criterion6_runs(cache_dir):
-    """(plan, exact ideal value, sampled estimates for seeds 0..39) for |00>."""
+    """(exact ideal value, sampled estimates for seeds 0..39) for |00>."""
     n = 2
-    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
     target = classical_state("00")
     outputs = cached_outputs(n, 12, cache_dir)
     ideal = ideal_value(target, n, 12, outputs)
     results = [
-        sampled_estimate(projection_oracle(target), n, plan, 12, seed)
+        sampled_estimate(projection_oracle(target), n, 12, 0.05, 0.25, seed)
         for seed in range(40)
     ]
-    return plan, ideal, results
+    return ideal, results
 
 
 def test_criterion_06_sampled_estimator_one_bit_claim(criterion6_runs):
-    """Plan from k_from_bound(n=2, alpha=0.05, epsilon=0.25); over 40 seeds the
+    """k from k_from_bound(n=2, alpha=0.05, epsilon=0.25); over 40 seeds the
     sampled estimate for |00> exceeds the exact ideal value by at most 1 bit
     in at least 36 runs."""
-    plan, ideal, results = criterion6_runs
-    assert plan.k == k_from_bound(2, 0.05, 0.25)
+    ideal, results = criterion6_runs
+    k = k_from_bound(2, 0.05, 0.25)
+    assert all(result.k == k for result in results)
     assert ideal == pytest.approx(1.0)
     within_one_bit = 0
     for result in results:
@@ -200,7 +199,7 @@ def test_criterion_06_sampled_estimator_one_bit_claim(criterion6_runs):
             within_one_bit += 1
     assert within_one_bit >= 36
     print(
-        f"criterion 6 PASS: k={plan.k}, {within_one_bit}/40 seeds within 1 bit of ideal {ideal}"
+        f"criterion 6 PASS: k={k}, {within_one_bit}/40 seeds within 1 bit of ideal {ideal}"
     )
 
 
@@ -216,7 +215,7 @@ def test_criterion_07_anytime_monotonicity(
         "criterion5": [
             r.estimate.trace for sweep in criterion5_sweeps for r in sweep.records
         ],
-        "criterion6": [result.trace for result in criterion6_runs[2]],
+        "criterion6": [result.trace for result in criterion6_runs[1]],
     }
     audited = 0
     for name, runs in traces.items():

@@ -22,7 +22,6 @@ from qkclab import (
     PHASE,
     ROT,
     X,
-    SamplingPlan,
     StateVector,
     apply_gate,
     cached_outputs,
@@ -35,6 +34,7 @@ from qkclab import (
     exact_estimate,
     ideal_value,
     incompressibility_census,
+    k_from_bound,
     program_to_json,
     projection_oracle,
     random_state,
@@ -61,8 +61,9 @@ from oracles import (
     reference_shortest_exact_program,
 )
 
-# k = 103 at n = 2: cheap enough to rerun every trial on both paths
-CHEAP_PLAN = SamplingPlan.for_dimension(2, 0.5, 0.45)
+# (alpha, epsilon): k = 103 at n = 2, cheap enough to rerun every trial on
+# both paths
+CHEAP_PLAN = (0.5, 0.45)
 
 # |11> with a little |00> or |10>: the best candidate before the 11-bit rows
 # scores within a bit of them, so a stopping bound off by one reads too few
@@ -164,11 +165,10 @@ def test_census_and_sampled_build_no_amplitudes(monkeypatch):
     monkeypatch.setattr(statevec, "GaussianRational", constructed)
     basis = rotated_basis(3)
     incompressibility_census(3, 1, 12, basis=basis)
-    plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
     targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
     targets += rotated_basis(2).vectors
     for target in targets:
-        sampled_estimate(projection_oracle(target), 2, plan, 8, seed=0)
+        sampled_estimate(projection_oracle(target), 2, 8, 0.05, 0.25, seed=0)
     assert constructed.calls == 0
     assert len(outputs) == 1 + len(targets)
     outputs = [out for built in outputs for out in built]
@@ -223,7 +223,7 @@ def sampled_report(target, seed, tmp_path):
     statefile, out = tmp_path / "target.json", tmp_path / "estimate.json"
     statefile.write_text(json.dumps(state_to_json(target)))
     argv = ["estimate", "--sampled", "--n", str(n), "--max-len", str(max_len),
-            "--alpha", str(CHEAP_PLAN.alpha), "--epsilon", str(CHEAP_PLAN.epsilon),
+            "--alpha", str(CHEAP_PLAN[0]), "--epsilon", str(CHEAP_PLAN[1]),
             "--statefile", str(statefile), "--seed", str(seed), "--out", str(out),
             "--cache-dir", str(tmp_path / "cache")]
     assert cli.main(argv) == 0
@@ -240,9 +240,9 @@ def test_sampled_estimate_matches_reference(cached, tmp_path):
     for target in targets:
         for seed in range(4):
             measure = projection_oracle(target)
-            best, trace = reference_sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+            best, trace = reference_sampled_estimate(measure, n, max_len, *CHEAP_PLAN, seed)
             if not cached:
-                result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+                result = sampled_estimate(measure, n, max_len, *CHEAP_PLAN, seed)
                 assert (result.best, result.trace) == (best, trace)
                 continue
             assert sampled_report(target, seed, tmp_path) == (
@@ -278,16 +278,17 @@ def test_exact_estimate_stops_at_the_first_row_that_cannot_win(n, max_len, monke
 
 
 def test_sampled_estimate_stops_at_the_first_row_that_cannot_win():
-    n, max_len, k = 2, 12, CHEAP_PLAN.k
+    n, max_len = 2, 12
+    k = k_from_bound(n, *CHEAP_PLAN)
     rows = candidate_rows(n, max_len)
     targets = [classical_state(b) for b in ("00", "01", "10", "11")]
     targets.append(apply_gate(zero_state(2), ROT(1)))
     for seed, target in enumerate(targets):
         best, _trace = reference_sampled_estimate(
-            projection_oracle(target), n, CHEAP_PLAN, max_len, seed
+            projection_oracle(target), n, max_len, *CHEAP_PLAN, seed
         )
         measure = Counted(projection_oracle(target))
-        result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+        result = sampled_estimate(measure, n, max_len, *CHEAP_PLAN, seed)
         assert result.best == best
         shorter = sum(1 for _idx, prog, _out in rows if prog.length < best.estimate)
         assert measure.calls == k * shorter
@@ -306,16 +307,19 @@ def test_the_stream_scores_as_the_listed_rows():
     # the sampled scan on the build's stream against the same trials on
     # the whole list of rows, built first
     n, max_len = 4, 24
-    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
+    alpha, epsilon = 0.05, 0.25
+    k = k_from_bound(n, alpha, epsilon)
     rows = candidate_rows(n, max_len)
     read = set()
     for target in (classical_state("0000"), rotated_basis(n).vectors[0], FAINT_0000):
         for seed in range(3):
-            result = sampled_estimate(projection_oracle(target), n, plan, max_len, seed)
+            result = sampled_estimate(
+                projection_oracle(target), n, max_len, alpha, epsilon, seed
+            )
             measure = Counted(projection_oracle(target))
-            listed = estimator._run_trials(rows, measure, plan.k, plan.epsilon, seed)
+            listed = estimator._run_trials(rows, measure, k, epsilon, seed)
             assert (result.best, result.trace) == listed
-            read.add(measure.calls // plan.k)
+            read.add(measure.calls // k)
     assert read == {1, 13}  # the faint target reads the 8-bit rows
 
 
@@ -324,11 +328,11 @@ def test_the_stream_stops_the_build_where_the_scan_stops(monkeypatch):
     # program, so the scan stops at the next row, the one gate step taken
     steps = Counted(executor.apply_gate)
     monkeypatch.setattr(executor, "apply_gate", steps)
-    plan = SamplingPlan.for_dimension(4, 0.05, 0.25)
+    k = k_from_bound(4, 0.05, 0.25)
     measure = Counted(projection_oracle(classical_state("0000")))
-    result = sampled_estimate(measure, 4, plan, 28, seed=0)
-    assert result.best.program.bits == "1" and result.best.m == plan.k
-    assert (steps.calls, measure.calls) == (1, plan.k)
+    result = sampled_estimate(measure, 4, 28, 0.05, 0.25, seed=0)
+    assert result.best.program.bits == "1" and result.best.m == k
+    assert (steps.calls, measure.calls) == (1, k)
 
 
 def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
@@ -341,14 +345,14 @@ def test_scans_with_no_finite_estimate_read_every_row(monkeypatch):
     assert (est.best, est.trace, est.scanned) == reference_exact_estimate(target, 1, 1)
     assert est.best is None and kernel.calls == len(table.firsts)
     measure = Counted(projection_oracle(target))
-    result = sampled_estimate(measure, 1, CHEAP_PLAN, 1, 0)
+    result = sampled_estimate(measure, 1, 1, *CHEAP_PLAN, 0)
     assert result.best is None and result.trace == []
-    assert measure.calls == CHEAP_PLAN.k * len(candidate_rows(1, 1))
+    assert measure.calls == k_from_bound(1, *CHEAP_PLAN) * len(candidate_rows(1, 1))
     # more rows, and every trial fails
     never = Counted(lambda prog, out, rng: False)
-    result = sampled_estimate(never, 2, CHEAP_PLAN, 12, 0)
+    result = sampled_estimate(never, 2, 12, *CHEAP_PLAN, 0)
     assert result.best is None and result.trace == []
-    assert never.calls == CHEAP_PLAN.k * len(candidate_rows(2, 12))
+    assert never.calls == k_from_bound(2, *CHEAP_PLAN) * len(candidate_rows(2, 12))
 
 
 @lru_cache(maxsize=None)
@@ -389,9 +393,9 @@ def test_stopping_scans_match_the_full_scans(case):
         target, n, max_len, outputs=outputs
     )
     measure = projection_oracle(target)
-    result = sampled_estimate(measure, n, CHEAP_PLAN, max_len, seed)
+    result = sampled_estimate(measure, n, max_len, *CHEAP_PLAN, seed)
     assert (result.best, result.trace) == reference_sampled_estimate(
-        measure, n, CHEAP_PLAN, max_len, seed, outputs=outputs
+        measure, n, max_len, *CHEAP_PLAN, seed, outputs=outputs
     )
 
 

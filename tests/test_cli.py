@@ -279,7 +279,7 @@ class TestReports:
         px = encode([ROT(0)], 1)
         rc, out = run_cli(
             capsys,
-            "subadd", "--px", f"{px.length}:{px.value:x}", "--py", "1:1",
+            "subadd", "--px", f"{px.length}:{px.value:x}", "--py", "1:1", "--n", "1",
             "--max-len", "16", "--out-dir", str(tmp_path),
         )
         assert rc == 0
@@ -292,10 +292,28 @@ class TestReports:
     def test_subadd_rejects_undecodable_program(self, capsys, tmp_path):
         rc, _ = run_cli(
             capsys,
-            "subadd", "--px", "7:55", "--py", "1:1",
+            "subadd", "--px", "7:55", "--py", "1:1", "--n", "1",
             "--max-len", "16", "--out-dir", str(tmp_path),
         )
         assert rc == 2
+
+    def test_subadd_runs_at_the_shared_width_and_names_it(self, capsys, tmp_path):
+        # one out dir: each width writes its own files, and each record
+        # echoes the width that ran
+        files = {}
+        for n in (1, 2):
+            rc, out = run_cli(
+                capsys,
+                "subadd", "--px", "1:1", "--py", "1:1", "--max-len", "12",
+                "--n", str(n), "--out-dir", str(tmp_path),
+            )
+            assert rc == 0
+            files[n] = json.loads(out)["files"]
+            report, manifest = (json.loads(Path(f).read_text()) for f in files[n][::2])
+            assert report["config"]["n"] == manifest["n"] == manifest["config"]["n"] == n
+            validate(manifest)
+        assert not set(files[1]) & set(files[2])
+        assert len(list(tmp_path.iterdir())) == 6
 
 
 class TestConfig:
@@ -387,8 +405,7 @@ class TestExitCodes:
             ["census", "--c", "-1", "--n", "1", "--max-len", "6"],
             ["decode", "--bits", "2", "--n", "1"],
             ["decode", "--n", "1"],
-            ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "0", "--ny", "0"],
-            ["subadd", "--px", "1:1", "--py", "1:1", "--nx", "2", "--ny", "1"],
+            ["subadd", "--px", "1:1", "--py", "1:1", "--n", "0"],
             ["estimate", "--classical", "0", "--n", "1", "--max-len", "4", "--alpha", "1.5"],
             ["estimate", "--classical", "0", "--n", "1", "--max-len", "4", "--epsilon", "0.5"],
             ["estimate", "--classical", "0", "--n", "1", "--max-len", "0"],
@@ -399,7 +416,7 @@ class TestExitCodes:
         ids=[
             "classical-not-bits", "sampled-alpha", "census-negative-c",
             "decode-not-bits", "decode-no-input", "subadd-zero-qubits",
-            "subadd-unequal-widths", "exact-alpha", "exact-epsilon",
+            "exact-alpha", "exact-epsilon",
             "estimate-zero-max-len", "census-negative-max-len", "decode-inner-space",
             *K_NOT_FINITE,
         ],

@@ -16,7 +16,7 @@ from qkclab.cli import main
 TOKEN = "<root>"
 
 CENSUS = ("census", "--n", "2", "--c", "1", "--max-len", "12")
-SUBADD = ("subadd", "--max-len", "16")
+SUBADD = ("subadd", "--n", "1", "--max-len", "16")
 
 CASES = {
     "census-standard": CENSUS,
@@ -27,7 +27,7 @@ CASES = {
     "subadd-rot-empty": (*SUBADD, "--px", "7:24", "--py", "1:1"),
     "subadd-x-rot": (*SUBADD, "--px", "7:20", "--py", "7:24"),
     "subadd-empty-n2": ("subadd", "--px", "1:1", "--py", "1:1", "--max-len", "12",
-                        "--nx", "2", "--ny", "2"),
+                        "--n", "2"),
     "estimate-exact": ("estimate", "--classical", "00", "--n", "2", "--max-len", "12"),
     "estimate-exact-out": ("estimate", "--classical", "01", "--n", "2", "--max-len", "12",
                            "--out", "{root}/estimate.json"),
@@ -45,8 +45,7 @@ CASES = {
     "enumerate": ("enumerate", "--max-len", "12", "--n", "2", "--limit", "20"),
     "kplan": ("kplan", "--n", "4", "--alpha", "0.01", "--epsilon", "0.25"),
     "usage-census-negative-c": ("census", "--c", "-1", "--n", "1", "--max-len", "6"),
-    "usage-subadd-unequal-widths": ("subadd", "--px", "1:1", "--py", "1:1",
-                                    "--nx", "2", "--ny", "1"),
+    "usage-subadd-undecodable": ("subadd", "--px", "1:0", "--py", "1:1"),
     "usage-decode-not-bits": ("decode", "--bits", "2", "--n", "1"),
 }
 
@@ -113,38 +112,38 @@ PINNED = {
     },
     "subadd-rot-empty": {
         "rc": 0,
-        "stdout": "94e0c499bf8ae1336b14f76c4d86887f446408db4db017bef13c7a6d2b365009",
+        "stdout": "0bc897622d73342593603f492a306a87a5f8754e85332bbacdac5c99a009e519",
         "files": {
-            "out/subadd-pf1-len16-7x24-1x1.csv":
+            "out/subadd-pf1-n1-len16-7x24-1x1.csv":
                 "c9d1090f6d6963f1dc5ec82e564ff0f536a2be1603dd265647a609ee5c8ece5b",
-            "out/subadd-pf1-len16-7x24-1x1.json":
-                "75158c9c6265101179870455ff29a5271134f420f60ea259204208a650f117cd",
-            "out/subadd-pf1-len16-7x24-1x1.manifest.json":
-                "901379974c72eaa64a90e99b4b4e856e77553b6de99440001226706d6faf106c",
+            "out/subadd-pf1-n1-len16-7x24-1x1.json":
+                "00549c12d106ff40030b256df416614437a31030107204ea4283db68f53717aa",
+            "out/subadd-pf1-n1-len16-7x24-1x1.manifest.json":
+                "52a3f9d0fdf5b86eeee1718edf2ebc2e37db1f4058e9373dacf03f3fc026ba45",
         },
     },
     "subadd-x-rot": {
         "rc": 0,
-        "stdout": "7ff12db0cefaa5ed9ef48560c423c5da8ffd04c1270ad96293b76db228171739",
+        "stdout": "349b3a47eb10461f51bfce949395313224ae7e3aa95c8bfca8b21b0c5bd8ea9f",
         "files": {
-            "out/subadd-pf1-len16-7x20-7x24.csv":
+            "out/subadd-pf1-n1-len16-7x20-7x24.csv":
                 "47b964d4aee5a19ab852053e9f2790e7b690ce5e23f20a95a703317db7beeca0",
-            "out/subadd-pf1-len16-7x20-7x24.json":
-                "f0c719281fde95a69a24cceac543a03dcf49972d1c91d9ef865c9ee694511858",
-            "out/subadd-pf1-len16-7x20-7x24.manifest.json":
-                "8931b0828d4eaa6ce6a5b6f3022771cb39d70e0b7933c96a19a695c5df70e377",
+            "out/subadd-pf1-n1-len16-7x20-7x24.json":
+                "d75e1a81e674251449bb564aa663113b4cdd7c7b837313d5258817d50335d29f",
+            "out/subadd-pf1-n1-len16-7x20-7x24.manifest.json":
+                "032ae429469e46f79722abab83124a02b08348645d5c07c7494ec0c4c0281c82",
         },
     },
     "subadd-empty-n2": {
         "rc": 0,
-        "stdout": "0f83339ca6f4af4150998a6a8890affdca0e832dc865790cb243d3c155d692de",
+        "stdout": "2b534986c93b5315aea3a8903a760f11c17400b4940238973663743e4e33c8e4",
         "files": {
-            "out/subadd-pf1-len12-1x1-1x1.csv":
+            "out/subadd-pf1-n2-len12-1x1-1x1.csv":
                 "7ebe60abc432bc01d7a3a59870d7898106a9cb79586e97f978935ad2b76d39ff",
-            "out/subadd-pf1-len12-1x1-1x1.json":
+            "out/subadd-pf1-n2-len12-1x1-1x1.json":
                 "551367bafaba06fb98d877ec6b93b5e1a2aa4a2c938a030c0db6f0934afd527c",
-            "out/subadd-pf1-len12-1x1-1x1.manifest.json":
-                "426148fb0024db8044bef01e75290a9578e76263b811c64658dc9c4d7bc2e9e9",
+            "out/subadd-pf1-n2-len12-1x1-1x1.manifest.json":
+                "9ead946069dfdf639f436b3a896e205a6ccc8504b288f049d8d8acd3470632f0",
         },
     },
     "estimate-exact": {
@@ -213,7 +212,7 @@ PINNED = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},
     },
-    "usage-subadd-unequal-widths": {
+    "usage-subadd-undecodable": {
         "rc": 2,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},

@@ -12,7 +12,6 @@ from qkclab import (
     X,
     CandidateTable,
     Program,
-    SamplingPlan,
     StateVector,
     TrialResult,
     apply_gate,
@@ -195,20 +194,20 @@ class TestConditionalReuse:
 
 class TestUpperBoundWitness:
     def test_classical_target(self):
-        prog, record = upper_bound_witness(classical_state("11"), 2)
+        prog, record = upper_bound_witness(classical_state("11"))
         assert prog == encode([X(0), X(1)], 2)
         assert record.penalty == 0
 
     def test_rot_tensor_target(self):
         target = tensor(apply_gate(zero_state(1), ROT(0)), zero_state(1))
-        prog, record = upper_bound_witness(target, 2)
+        prog, record = upper_bound_witness(target)
         assert record.fidelity == F(16, 25)  # |10> wins over |00>
         assert prog == encode([X(0)], 2)
         assert record.penalty == 1
 
     def test_equal_fidelity_target_hits_penalty_n(self):
         uniform = StateVector(2, (gr(F(1, 2)),) * 4)
-        prog, record = upper_bound_witness(uniform, 2)
+        prog, record = upper_bound_witness(uniform)
         assert record.penalty == 2
         assert prog.bits == "1"  # ties resolve to index 0: the empty program
 
@@ -217,7 +216,7 @@ class TestUpperBoundWitness:
         for _ in range(50):
             n = rng.randrange(1, 4)
             target = random_state(n, rng)
-            prog, record = upper_bound_witness(target, n)
+            prog, record = upper_bound_witness(target)
             assert record.fidelity >= F(1, 1 << n)
             assert record.penalty <= n
             assert record.total <= prog.length + n
@@ -274,17 +273,16 @@ class TestProjectionOracle:
         # each trial draws on the bound kernel's ints: cold sampled estimates
         # at the sampled command's default plan run every trial without one
         # Fraction construction in statevec or estimator
-        plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
         targets = [classical_state(bits) for bits in ("00", "01", "10", "11")]
         targets += rotated_basis(2).vectors
         built = Counted(Fraction)
         monkeypatch.setattr(statevec, "Fraction", built)
         monkeypatch.setattr(estimator, "Fraction", built)
         trials = Counted(projection_oracle(targets[0]))
-        sampled_estimate(trials, 2, plan, 12, seed=0)
+        sampled_estimate(trials, 2, 12, 0.05, 0.25, seed=0)
         for target in targets[1:]:
-            sampled_estimate(projection_oracle(target), 2, plan, 12, seed=0)
-        assert trials.calls >= plan.k and built.calls == 0
+            sampled_estimate(projection_oracle(target), 2, 12, 0.05, 0.25, seed=0)
+        assert trials.calls >= k_from_bound(2, 0.05, 0.25) and built.calls == 0
         fidelity(targets[0], targets[-1])  # the count does see a construction
         assert built.calls == 1
 
@@ -377,46 +375,39 @@ class TestRunTrials:
 
             return measure
 
-        expected = (TrialResult(rows[0][1], 13, k, epsilon, est[5]), [(0, est[5])])
+        expected = (TrialResult(rows[0][1], 13, k, est[5]), [(0, est[5])])
         assert _run_trials(rows, first_hits(), k, epsilon, seed=0) == expected
         assert reference_run_trials(rows, first_hits(), k, epsilon, 0) == expected
 
 
 class TestSampledEstimate:
-    def test_plan_must_cover_n(self):
-        plan = SamplingPlan(alpha=0.05, epsilon=0.25, k=10)
-        with pytest.raises(ValueError):
-            sampled_estimate(projection_oracle(zero_state(2)), 2, plan, 8, seed=0)
-
     def test_plan_validation(self):
+        measure = projection_oracle(zero_state(2))
         with pytest.raises(ValueError):
-            SamplingPlan(alpha=1.5, epsilon=0.25, k=100)
+            sampled_estimate(measure, 2, 8, 1.5, 0.25, seed=0)
         with pytest.raises(ValueError):
-            SamplingPlan(alpha=0.05, epsilon=0.6, k=100)
-        plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
-        assert plan.covers(2)
+            sampled_estimate(measure, 2, 8, 0.05, 0.6, seed=0)
+        result = sampled_estimate(measure, 2, 8, 0.05, 0.25, seed=0)
+        assert result.k == k_from_bound(2, 0.05, 0.25)
 
     def test_deterministic_given_seed(self):
-        plan = SamplingPlan.for_dimension(1, 0.05, 0.25)
         target = apply_gate(zero_state(1), ROT(0))
-        a = sampled_estimate(projection_oracle(target), 1, plan, 8, seed=42)
-        b = sampled_estimate(projection_oracle(target), 1, plan, 8, seed=42)
+        a = sampled_estimate(projection_oracle(target), 1, 8, 0.05, 0.25, seed=42)
+        b = sampled_estimate(projection_oracle(target), 1, 8, 0.05, 0.25, seed=42)
         assert a.best == b.best and a.trace == b.trace
 
     def test_trace_is_nonincreasing(self):
-        plan = SamplingPlan.for_dimension(1, 0.05, 0.25)
         target = apply_gate(zero_state(1), ROT(0))
-        result = sampled_estimate(projection_oracle(target), 1, plan, 10, seed=3)
+        result = sampled_estimate(projection_oracle(target), 1, 10, 0.05, 0.25, seed=3)
         ests = [e for _, e in result.trace]
         assert all(a > b for a, b in zip(ests, ests[1:]))
 
     def test_within_one_bit_of_ideal_for_zero_target(self):
-        plan = SamplingPlan.for_dimension(2, 0.05, 0.25)
         target = classical_state("00")
         ideal = ideal_value(target, 2, 10, candidate_table(2, 10))
         assert ideal == pytest.approx(1.0)
         for seed in range(5):
-            result = sampled_estimate(projection_oracle(target), 2, plan, 10, seed=seed)
+            result = sampled_estimate(projection_oracle(target), 2, 10, 0.05, 0.25, seed=seed)
             assert result.best is not None
             assert ideal <= result.best.estimate <= ideal + 1.0
 
@@ -474,13 +465,12 @@ def test_each_scan_binds_its_target_once(monkeypatch):
     # trials score against it
     n, max_len = 2, 12
     table = candidate_table(n, max_len)
-    plan = SamplingPlan.for_dimension(n, 0.05, 0.25)
     target = classical_state("11")  # orthogonal to row 0, so rows go on
     scans = {
         "exact_estimate": lambda: exact_estimate(target, table),
         "ideal_value": lambda: ideal_value(target, n, max_len, table),
         "projection_oracle": lambda: sampled_estimate(
-            projection_oracle(target), n, plan, max_len, seed=0
+            projection_oracle(target), n, max_len, 0.05, 0.25, seed=0
         ),
     }
     for name, scan in scans.items():

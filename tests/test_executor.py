@@ -573,7 +573,7 @@ class TestCache:
 
         def work_done(px, py, *extra):
             gates, runs = work.gates.calls, work.runs.calls
-            argv = ["subadd", "--px", px, "--py", py, "--max-len", str(max_len)]
+            argv = ["subadd", "--px", px, "--py", py, "--n", "1", "--max-len", str(max_len)]
             assert main(argv + ["--out-dir", str(tmp_path), *extra]) == 0
             return work.gates.calls - gates, work.runs.calls - runs
 
