@@ -42,7 +42,7 @@ def main():
         print(f"  |{i:02b}>  length {length}  codeword {word!r}")
     finite = [l for l in lengths if l != float("inf")]
     print("sum of 2^-length over finite entries:",
-          sum(Fraction(1, 1 << l) for l in finite), "(always <= 2)")
+          sum(Fraction(1, 1 << l) for l in finite), "(always in (1/2, 1])")
 
 
 if __name__ == "__main__":

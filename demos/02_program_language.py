@@ -28,7 +28,7 @@ def main():
 
     print()
     print("== decoding is all-or-nothing ==")
-    print("  decode('1') ->", decode("1", 2).gates)
+    print("  decode('1') ->", decode("1", 2))
     print("  decode('0101010') ->", decode("0101010", 2), " (opcode 101 is invalid)")
     print("  decode('0100000' + '1') ->", decode("01000001", 2), " (trailing bit)")
 

@@ -31,8 +31,7 @@ def main():
     output = run(encode([X(0), X(1)], 2), 2)
     print("X0 X1 on |00>:", [str(a) for a in output.amps])
 
-    conditional = decode(encode([X(0)], 1).bits, 1, allow_callc=False)
-    called = run(encode([CALLC()], 1), 1, conditional=conditional)
+    called = run(encode([CALLC()], 1), 1, conditional=encode([X(0)], 1))
     print("CALLC with conditional X0:", [str(a) for a in called.amps])
     print("CALLC without a conditional halts:", run(encode([CALLC()], 1), 1) is not None)
 
@@ -50,7 +49,7 @@ def main():
     print()
     print("== candidate rows, the candidate table and its persistent cache ==")
     rows = candidate_rows(2, 12)
-    outputs = {decode(p.bits, 2).gates: out for _i, p, out in rows}
+    outputs = {decode(p.bits, 2): out for _i, p, out in rows}
     steps = {(id(outputs[gates[:-1]]), gates[-1]) for gates in outputs if gates}
     print(f"{len(rows)} halting programs; each row is its parent row (the program "
           f"minus its last op) plus one gate, and equal outputs are one object, "

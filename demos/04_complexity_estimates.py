@@ -16,7 +16,6 @@ from qkclab import (
     apply_gate,
     candidate_table,
     classical_state,
-    decode,
     encode,
     exact_estimate,
     random_state,
@@ -66,13 +65,12 @@ def main():
     print("== conditional reuse ==")
     # a deliberately long-winded program that still outputs exactly |1>
     generator = encode([X(0), PHASE(0), PHASE(0), PHASE(0), PHASE(0)], 1)
-    conditional = decode(generator.bits, 1, allow_callc=False)
     target = run(generator, 1)
     show(f"without conditional ({generator.length}-bit generator)",
          exact_estimate(target, candidate_table(1, 12)))
     # the conditional rides on the table: its CALLC programs run the generator
     show("with the generator as conditional",
-         exact_estimate(target, candidate_table(1, 12, conditional)))
+         exact_estimate(target, candidate_table(1, 12, generator)))
     print(f"  the CALLC program costs {encode([CALLC()], 1).length} bits no matter how long the generator is")
 
 

@@ -50,8 +50,8 @@ from .proglang import (
     CALLC,
     ENCODING_VERSION,
     OPS,
-    DecodedProgram,
     Program,
+    callc_free_gates,
     decode,
     encode,
     enumerate_decoded,

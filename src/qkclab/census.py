@@ -22,13 +22,7 @@ from .estimator import (
     shortest_exact_program,
 )
 from .executor import CandidateTable, candidate_table, run
-from .proglang import (
-    DecodedProgram,
-    Program,
-    decode,
-    encode,
-    program_to_json,
-)
+from .proglang import Program, callc_free_gates, encode, program_to_json
 from .statevec import (
     CNOT,
     ROT,
@@ -274,28 +268,19 @@ def consistency_sweep(n: int, max_len: int, cache_dir=None) -> ConsistencySweep:
 # Sub-additivity and the joint-state bound
 # ---------------------------------------------------------------------------
 
-def _decode_generator(p: Program, n: int, who: str) -> DecodedProgram:
-    decoded = decode(p.bits, n, allow_callc=False)
-    if decoded is None:
-        raise ValueError(
-            f"{who} must be a decodable CALLC-free program for n={n}: {p.bits!r}"
-        )
-    return decoded
-
-
 def shift_gates(gates, offset: int):
     """Re-index a gate list onto a higher block of qubits."""
     return [type(g)(*(q + offset for q in operands(g))) for g in gates]
 
 
-def product_witness(px: DecodedProgram, py: DecodedProgram) -> Program:
-    """A joint-register program preparing (output of px) tensor (output of py):
-    py's gates on the low block, px's on the high block.  Its length is the
-    yardstick for whether an enumeration bound can see the joint description.
-    """
-    n = px.n + py.n
-    gates = shift_gates(py.gates, px.n) + list(px.gates)
-    return encode(gates, n)
+def product_witness(p_x: Program, p_y: Program, n: int) -> Program:
+    """A 2n-qubit program preparing (output of p_x) tensor (output of p_y),
+    each generator n qubits wide: p_y's gates on the low block, p_x's on the
+    high block.  Its length is the yardstick for whether an enumeration bound
+    can see the joint description.  Each generator must pass
+    `callc_free_gates` at n, or ValueError is raised."""
+    gates_x, gates_y = callc_free_gates(p_x, n), callc_free_gates(p_y, n)
+    return encode(shift_gates(gates_y, n) + list(gates_x), 2 * n)
 
 
 @dataclass
@@ -387,18 +372,17 @@ def subadditivity_report(
     The run is conclusive only when the product-style joint description fits
     inside max_len; a too-small bound is reported as inconclusive, never as a
     failed inequality.  The conditional p_y runs on x's register, so both
-    generators run at the one width n.
+    generators run at the one width n.  The witness is built first, so a
+    generator that `product_witness` refuses fails before any table is built.
     """
-    dx = _decode_generator(p_x, n, "p_x")
-    dy = _decode_generator(p_y, n, "p_y")
+    witness = product_witness(p_x, p_y, n)
     y_table = candidate_table(n, max_len, cache_dir=cache_dir)
     x, y = run(p_x, n), run(p_y, n)
-    x_table = candidate_table(n, max_len, dy)
+    x_table = candidate_table(n, max_len, p_y)
     joint_table = candidate_table(2 * n, max_len, cache_dir=cache_dir)
     joint = exact_estimate(tensor(x, y), joint_table)
     cond = exact_estimate(x, x_table)
     uncond_y = exact_estimate(y, y_table)
-    witness = product_witness(dx, dy)
     totals = (joint.total, cond.total, uncond_y.total)
     slack = None if None in totals else totals[1] + totals[2] - totals[0]
     reason = "ok"

@@ -35,9 +35,11 @@ from .estimator import (
 )
 from .executor import candidate_table, run
 from .proglang import (
+    CALLC,
     ENCODING_VERSION,
     OPS,
     Program,
+    callc_free_gates,
     decode,
     encode,
     enumerate_programs,
@@ -183,6 +185,17 @@ def parse_program_arg(text: str) -> Program:
         raise UsageError(f"bad program argument {text!r}: {exc}") from exc
 
 
+def _callc_free(flag: str, text: str, n: int) -> Program:
+    """The LEN:HEX program of a flag that names a conditional or a generator:
+    it must pass `callc_free_gates` at the width n that runs it."""
+    program = parse_program_arg(text)
+    try:
+        callc_free_gates(program, n)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+    return program
+
+
 def parse_gate_list(text: str):
     """Comma-separated ops, each an `OPS` name and its operands joined by
     colons: X:t, CNOT:c:t, ROT:t, PHASE:t, CALLC; qubit indices are validated
@@ -243,15 +256,9 @@ def _load_target(args, config: Config):
 
 def cmd_estimate(args, config: Config) -> int:
     target, desc = _load_target(args, config)
-    conditional = conditional_prog = None
+    conditional = None
     if args.conditional:
-        conditional_prog = parse_program_arg(args.conditional)
-        conditional = decode(conditional_prog.bits, config.n, allow_callc=False)
-        if conditional is None:
-            raise UsageError(
-                "conditional is not a decodable CALLC-free program: "
-                f"{conditional_prog.bits}"
-            )
+        conditional = _callc_free("--conditional", args.conditional, config.n)
     if args.sampled:
         if conditional is not None:
             raise UsageError("--sampled does not take a conditional program")
@@ -264,7 +271,7 @@ def cmd_estimate(args, config: Config) -> int:
         n=config.n,
         max_len=config.max_len,
         target=desc,
-        conditional=None if conditional_prog is None else program_to_json(conditional_prog),
+        conditional=None if conditional is None else program_to_json(conditional),
     )
     if args.sampled:
         result = sampled_estimate(
@@ -340,13 +347,8 @@ def cmd_consistency(args, config: Config) -> int:
 
 
 def cmd_subadd(args, config: Config) -> int:
-    p_x = parse_program_arg(args.px)
-    p_y = parse_program_arg(args.py)
-    for flag, p in (("--px", p_x), ("--py", p_y)):
-        if decode(p.bits, config.n, allow_callc=False) is None:
-            raise UsageError(
-                f"{flag} is not a decodable CALLC-free program for n={config.n}: {p.bits!r}"
-            )
+    p_x = _callc_free("--px", args.px, config.n)
+    p_y = _callc_free("--py", args.py, config.n)
     report = subadditivity_report(
         p_x, p_y, config.max_len, n=config.n, cache_dir=config.cache_dir
     )
@@ -392,14 +394,14 @@ def cmd_decode(args, config: Config) -> int:
         bits = parse_program_arg(args.program).bits
     else:
         raise UsageError("one of --bits, --program is required")
-    decoded = decode(bits, config.n)
+    gates = decode(bits, config.n)  # the header-only program decodes to ()
     record = _record(
         "decoded", config,
         n=config.n,
         bits=bits,
-        decodable=decoded is not None,
-        gates=[_gate_str(g) for g in decoded.gates] if decoded else None,
-        call_sites=list(decoded.call_sites) if decoded else None,
+        decodable=gates is not None,
+        gates=None if gates is None else [_gate_str(g) for g in gates],
+        call_sites=None if gates is None else [i for i, g in enumerate(gates) if g == CALLC()],
     )
     _emit(_dumps(record), args.out)
     return EXIT_OK

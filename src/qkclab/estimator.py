@@ -40,8 +40,6 @@ class ExactEstimate:
     best: Optional[EstimateRecord]
     trace: list[tuple[int, int]]  # (enumeration index, running-min total)
     scanned: int
-    n: int
-    max_len: int
 
     @property
     def total(self) -> Optional[int]:
@@ -88,9 +86,9 @@ def exact_estimate(target: StateVector, table: CandidateTable) -> ExactEstimate:
     Candidates with zero fidelity contribute nothing (their penalty is
     infinite).  Ties go to the shorter program, then to the numerically
     smaller one.  If nothing has positive fidelity the result carries
-    best=None: no finite estimate at this bound.  `n`, `max_len` and
-    `scanned` come from the table; `scanned` counts the whole table, though
-    the scan stops early as `_running_min` says.
+    best=None: no finite estimate at this bound.  `scanned` comes from the
+    table and counts all of it, though the scan stops early as
+    `_running_min` says.
     """
     _check_target(target, table.n)
     fid = fidelity_to(target)
@@ -105,7 +103,7 @@ def exact_estimate(target: StateVector, table: CandidateTable) -> ExactEstimate:
         return (1 << total, 1), total, EstimateRecord(prog, prog.length, q, pen, total)
 
     best, trace = _running_min(table.firsts, score)
-    return ExactEstimate(best, trace, table.scanned, table.n, table.max_len)
+    return ExactEstimate(best, trace, table.scanned)
 
 
 def ideal_value(
@@ -278,9 +276,6 @@ class SampledEstimate:
     best: Optional[TrialResult]
     trace: list[tuple[int, float]]
     k: int
-    seed: int
-    n: int
-    max_len: int
 
     @property
     def estimate(self) -> Optional[float]:
@@ -306,4 +301,4 @@ def sampled_estimate(
     k = k_from_bound(n, alpha, epsilon)
     rows = (row for row, _first in _build(n, max_len))
     best, trace = _run_trials(rows, measure, k, epsilon, seed)
-    return SampledEstimate(best, trace, k, seed, n, max_len)
+    return SampledEstimate(best, trace, k)

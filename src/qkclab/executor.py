@@ -26,8 +26,8 @@ from typing import Iterator, Optional
 from .proglang import (
     CALLC,
     ENCODING_VERSION,
-    DecodedProgram,
     Program,
+    callc_free_gates,
     decode,
     enumerate_decoded,
     program_from_json,
@@ -36,34 +36,24 @@ from .proglang import (
 from .statevec import StateVector, apply_gate, state_from_json, state_to_json, zero_state
 
 
-def _check_conditional(conditional: Optional[DecodedProgram], n: int) -> None:
-    if conditional is None:
-        return
-    if conditional.has_call:
-        raise ValueError("a conditional program may not contain CALLC")
-    if conditional.n != n:
-        raise ValueError(
-            f"conditional was decoded for n={conditional.n}, run uses n={n}"
-        )
-
-
 def run(
-    program: Program, n: int, conditional: Optional[DecodedProgram] = None
+    program: Program, n: int, conditional: Optional[Program] = None
 ) -> Optional[StateVector]:
     """The output of one program on the |0^n> register, with each CALLC
-    replaced by the conditional's gates.
+    replaced by the conditional's gates, decoded at n by `callc_free_gates`
+    (a conditional it refuses raises ValueError).
 
     Decode failures -- including a CALLC with no conditional supplied -- yield
     None, the role a non-halting computation plays here; they contribute
     nothing to any minimum downstream.
     """
-    _check_conditional(conditional, n)
-    decoded = decode(program.bits, n)
-    if decoded is None or (decoded.has_call and conditional is None):
+    called = None if conditional is None else callc_free_gates(conditional, n)
+    gates = decode(program.bits, n)
+    if gates is None or (called is None and CALLC in map(type, gates)):
         return None
     state = zero_state(n)
-    for op in decoded.gates:
-        for g in conditional.gates if isinstance(op, CALLC) else (op,):
+    for op in gates:
+        for g in called if isinstance(op, CALLC) else (op,):
             state = apply_gate(state, g)
     return state
 
@@ -87,7 +77,7 @@ class CandidateTable:
 
     n: int
     max_len: int
-    conditional: Optional[DecodedProgram]
+    conditional: Optional[Program]
     firsts: tuple[Row, ...]
     scanned: int
 
@@ -101,7 +91,9 @@ class CandidateTable:
         return self
 
 
-def _build(n: int, max_len: int, conditional=None) -> Iterator[tuple[Row, bool]]:
+def _build(
+    n: int, max_len: int, conditional: Optional[Program] = None
+) -> Iterator[tuple[Row, bool]]:
     """The (index, program, output) row of every halting program up to
     max_len, in enumeration order, one step per distinct (parent output, last
     op) pair, each with whether it is the first row of its output.  A lazy
@@ -122,12 +114,12 @@ def _build(n: int, max_len: int, conditional=None) -> Iterator[tuple[Row, bool]]
     states, so most rows reuse a step (969 rows take 348 steps at n=3,
     max_len=20).
     """
-    _check_conditional(conditional, n)
+    called = None if conditional is None else callc_free_gates(conditional, n)
     interned: dict = {}  # state -> its one object
     outputs: dict = {(): zero_state(n)}  # gate tuple -> output
     steps: dict = {}  # (id(parent output), last op or None) -> output
     for idx, (prog, gates) in enumerate(enumerate_decoded(max_len, n)):
-        if conditional is None and CALLC in map(type, gates):
+        if called is None and CALLC in map(type, gates):
             continue
         parent = outputs.get(gates[:-1])  # the empty program is its own parent
         if parent is None:
@@ -138,7 +130,7 @@ def _build(n: int, max_len: int, conditional=None) -> Iterator[tuple[Row, bool]]
         if out is None:
             out = parent
             if last is not None:
-                for g in conditional.gates if isinstance(last, CALLC) else (last,):
+                for g in called if isinstance(last, CALLC) else (last,):
                     out = apply_gate(out, g)
             first = out not in interned
             out = steps[key] = interned.setdefault(out, out)
@@ -146,13 +138,13 @@ def _build(n: int, max_len: int, conditional=None) -> Iterator[tuple[Row, bool]]
         yield (idx, prog, out), first
 
 
-def candidate_rows(n: int, max_len: int, conditional=None) -> list[Row]:
+def candidate_rows(n: int, max_len: int, conditional: Optional[Program] = None) -> list[Row]:
     """Every row of `_build`, repeated outputs included, as a list: the rows
     the sampled mode reads from the stream, up to where its scan stops."""
     return [row for row, _first in _build(n, max_len, conditional)]
 
 
-def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
+def _build_table(n: int, max_len: int, conditional: Optional[Program] = None) -> CandidateTable:
     """The table of `_build`'s first rows."""
     firsts, scanned = [], 0
     for row, first in _build(n, max_len, conditional):
@@ -162,7 +154,9 @@ def _build_table(n: int, max_len: int, conditional=None) -> CandidateTable:
     return CandidateTable(n, max_len, conditional, tuple(firsts), scanned)
 
 
-def candidate_table(n: int, max_len: int, conditional=None, cache_dir=None) -> CandidateTable:
+def candidate_table(
+    n: int, max_len: int, conditional: Optional[Program] = None, cache_dir=None
+) -> CandidateTable:
     """The table a command builds once and scores every target against.  With
     a cache_dir, the table with no conditional is read from or written to the
     cache; a table with a conditional is always built fresh and never cached."""

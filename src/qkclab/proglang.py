@@ -66,22 +66,6 @@ class Program:
         return self.bits
 
 
-@dataclass(frozen=True)
-class DecodedProgram:
-    """Parsed gate sequence for a fixed register width n."""
-
-    n: int
-    gates: tuple[Op, ...]
-
-    @property
-    def call_sites(self) -> tuple[int, ...]:
-        return tuple(i for i, g in enumerate(self.gates) if isinstance(g, CALLC))
-
-    @property
-    def has_call(self) -> bool:
-        return any(isinstance(g, CALLC) for g in self.gates)
-
-
 def index_width(n: int) -> int:
     """Bits per qubit operand: ceil(log2 n), but never zero."""
     if n < 1:
@@ -132,15 +116,16 @@ def encode(gates, n: int) -> Program:
     return Program(gamma_encode(len(gates) + 1) + "".join(_op_bits(g, n) for g in gates))
 
 
-def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgram]:
-    """Parse a whole program; None means "non-halting" for the executor.
+def decode(bits: str, n: int) -> Optional[tuple[Op, ...]]:
+    """Parse a whole program into its gate tuple; None means "non-halting"
+    for the executor.
 
     The gamma header gives the gate count.  Each gate field is a 3-bit
     opcode, then its op's operands in `index_width(n)` bits each.  An invalid
-    opcode, a field cut short, operands that `_valid` refuses, a CALLC when
-    `allow_callc` is false, or bits left over after the last field make the
-    string undecodable: the last keeps the decodable set prefix-free.  The
-    time is linear in len(bits) at every width.
+    opcode, a field cut short, operands that `_valid` refuses, or bits left
+    over after the last field make the string undecodable: the last keeps
+    the decodable set prefix-free.  The time is linear in len(bits) at every
+    width.
     """
     header = _gamma_decode(bits, 0)
     if header is None:
@@ -159,10 +144,17 @@ def decode(bits: str, n: int, allow_callc: bool = True) -> Optional[DecodedProgr
         if not _valid(args, n):
             return None
         gates.append(OPS[code](*args))
-    program = DecodedProgram(n, tuple(gates))
-    if pos != len(bits) or (program.has_call and not allow_callc):
-        return None
-    return program
+    return tuple(gates) if pos == len(bits) else None
+
+
+def callc_free_gates(program: Program, n: int) -> tuple[Op, ...]:
+    """The gates of a program that is to run in place of CALLC, or of a
+    generator: it must decode at the width n that runs it and hold no CALLC,
+    which keeps expansion finite.  Raises ValueError otherwise."""
+    gates = decode(program.bits, n)
+    if gates is None or CALLC in map(type, gates):
+        raise ValueError(f"not a decodable CALLC-free program for n={n}: {program.bits!r}")
+    return gates
 
 
 def _opcode_fields(code: int, n: int) -> Iterator[tuple[str, Op]]:

@@ -409,8 +409,10 @@ def shannon_fano_lengths(basis: Basis, z: StateVector) -> list[int | float]:
     """Per-basis-vector redescription code lengths ceil(-log2 |<e_i|z>|^2).
 
     Entries are INFINITE where the overlap is exactly zero.  The finite entries
-    always satisfy sum(2^-length) <= 2 because each length overshoots the ideal
-    -log2 q_i by less than one bit.
+    satisfy 1/2 < sum(2^-length) <= 1: each length reaches the ideal -log2 q_i,
+    so 2^-length <= q_i, and the q_i sum to 1, which is the Kraft inequality
+    that makes `shannon_fano_code` prefix-free; and each overshoots it by
+    less than one bit, so 2^-length > q_i / 2.
     """
     if basis.n_qubits != z.n_qubits:
         raise ValueError("dimension mismatch")

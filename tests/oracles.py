@@ -42,7 +42,6 @@ from random import Random
 from qkclab import (
     CALLC,
     CNOT,
-    DecodedProgram,
     PHASE,
     ROT,
     X,
@@ -330,10 +329,10 @@ def check_estimates(targets, estimates, table):
             "trace": totals == sorted(set(totals), reverse=True)
             and totals[-1:] == ([best.total] if best else []),
         }
-        decoded = best and decode(best.program.bits, n, allow_callc=False)
-        if decoded:
+        gates = best and decode(best.program.bits, n)
+        if gates is not None and CALLC() not in gates:  # () is the empty program
             out = zero_state(n)
-            for gate in decoded.gates:
+            for gate in gates:
                 out = reference_apply_gate(out, gate)
             q = reference_fidelity(target, out)
             pen = reference_penalty_bits(q.numerator, q.denominator)
@@ -432,7 +431,7 @@ def reference_sampled_estimate(measure, n, max_len, alpha, epsilon, seed, output
 
 def reference_decode_prefix(bits, n, allow_callc=True):
     """One program from the front of `bits`, one branch per opcode: X 000,
-    CNOT 001, ROT 010, PHASE 011, CALLC 100.  (program, bits consumed) or
+    CNOT 001, ROT 010, PHASE 011, CALLC 100.  (gate tuple, bits consumed) or
     None."""
     z = 0
     while z < len(bits) and bits[z] == "0":
@@ -483,7 +482,7 @@ def reference_decode_prefix(bits, n, allow_callc=True):
             gates.append(CALLC())
         else:
             return None
-    return DecodedProgram(n, tuple(gates)), pos
+    return tuple(gates), pos
 
 
 def reference_op_fields(n):

@@ -29,7 +29,6 @@ from qkclab import (
     candidate_table,
     classical_state,
     consistency_sweep,
-    decode,
     encode,
     exact_estimate,
     ideal_value,
@@ -202,11 +201,10 @@ def test_conditional_subadditivity_matches_reference(cached, tmp_path):
         p_x, p_y = encode(gx, 1), encode(gy, 1)
         report = subadditivity_report(p_x, p_y, max_len, cache_dir=cache_dir)
         x, y = run(p_x, 1), run(p_y, 1)
-        dy = decode(p_y.bits, 1, allow_callc=False)
         expected = {
             "joint": reference_exact_estimate(tensor(x, y), 2, max_len, outputs=outputs[2]),
             "conditional": reference_exact_estimate(
-                x, 1, max_len, conditional=dy, outputs=outputs[1]
+                x, 1, max_len, conditional=p_y, outputs=outputs[1]
             ),
             "unconditional_y": reference_exact_estimate(y, 1, max_len, outputs=outputs[1]),
         }
@@ -404,7 +402,7 @@ def test_scans_reject_a_table_built_for_other_arguments(scan):
     # ideal_value alone still takes (n, max_len) beside its table; the other
     # scans read both, and the conditional, off the table they are given
     target = classical_state("01")
-    conditional = decode(encode([X(0)], 2).bits, 2, allow_callc=False)
+    conditional = encode([X(0)], 2)
     assert ideal_value(target, 2, 10, candidate_table(2, 10)) is not None
     mismatched = (
         candidate_table(1, 10),  # another n
@@ -422,7 +420,7 @@ def test_scans_build_no_table(monkeypatch):
     # every scan reads the table it is given, its conditional included, and
     # builds none of its own
     target = classical_state("11")
-    conditional = decode(encode([X(0)], 2).bits, 2, allow_callc=False)
+    conditional = encode([X(0)], 2)
     table, with_conditional = candidate_table(2, 12), candidate_table(2, 12, conditional)
 
     def no_build(*args):
@@ -430,7 +428,7 @@ def test_scans_build_no_table(monkeypatch):
 
     monkeypatch.setattr(executor, "_build", no_build)
     est = exact_estimate(target, table)
-    assert (est.best.total, est.scanned, est.n, est.max_len) == (11, 87, 2, 12)
+    assert (est.best.total, est.scanned) == (11, 87)
     assert exact_estimate(target, with_conditional).best.total == 10  # X(1), then CALLC
     assert ideal_value(target, 2, 12, table) == 11
     assert shortest_exact_program(target, table) == encode([X(0), X(1)], 2)

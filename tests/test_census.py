@@ -27,7 +27,6 @@ from qkclab import (
     superposed_bit_example,
     uniform_sweep,
 )
-from qkclab.proglang import decode
 
 from oracles import Counted, CountedKernel
 
@@ -188,9 +187,7 @@ class TestSubadditivity:
     def test_inconclusive_when_witness_does_not_fit(self):
         three = encode([ROT(0), ROT(0), ROT(0)], 1)
         report = subadditivity_report(three, Program("1"), 16)
-        assert product_witness(
-            decode(three.bits, 1), decode(Program("1").bits, 1)
-        ).length == 17
+        assert product_witness(three, Program("1"), 1).length == 17
         assert not report.conclusive
         assert "witness" in report.reason
 
@@ -200,7 +197,7 @@ class TestSubadditivity:
 
     def test_witness_program_prepares_the_joint_state(self):
         p_x, p_y = encode([ROT(0)], 1), encode([X(0)], 1)
-        witness = product_witness(decode(p_x.bits, 1), decode(p_y.bits, 1))
+        witness = product_witness(p_x, p_y, 1)
         joint = run(witness, 2)
         from qkclab import tensor
 

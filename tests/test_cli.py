@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 from qkclab import encode, random_state, rotated_basis, state_to_json, zero_state
 from qkclab import cli
 from qkclab.cli import main
-from qkclab.proglang import OPS, _op_alphabet
+from qkclab.proglang import CALLC, OPS, _op_alphabet
 from qkclab.statevec import ROT, X, apply_gate
 
 from oracles import Counted, reference_projection_oracle
@@ -87,6 +87,19 @@ class TestEstimate:
         record = json.loads(out)
         assert record["best"]["total"] == 6
         validate(record)
+
+    @pytest.mark.parametrize("gates, width", [([CALLC()], 1), ([X(1)], 2)],
+                             ids=["holds-callc", "another-width"])
+    def test_conditional_the_run_cannot_use_is_a_usage_error(self, capsys, gates, width):
+        # X(1) decodes at n=2 but not at the --n 1 that runs it
+        cond = encode(gates, width)
+        rc = main([
+            "estimate", "--classical", "1", "--n", "1", "--max-len", "12",
+            "--conditional", f"{cond.length}:{cond.value:x}",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "--conditional" in captured.err
 
     def test_sampled_mode(self, capsys):
         rc, out = run_cli(
@@ -193,7 +206,7 @@ class TestProgramTools:
         assert rc == 0
         record = json.loads(out)
         assert record["decodable"] is True
-        assert record["gates"] == []
+        assert record["gates"] == [] and record["call_sites"] == []
         validate(record)
 
     def test_decode_reports_undecodable(self, capsys):

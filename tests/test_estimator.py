@@ -172,10 +172,9 @@ class TestConditionalReuse:
         for _ in range(10):
             gates = random_gate_list(rng, 1, 6)
             generator = encode(gates, 1)
-            cond = decode(generator.bits, 1, allow_callc=False)
             target = run(generator, 1)
             seen_lengths.add(generator.length)
-            with_cond = exact_estimate(target, candidate_table(1, 12, cond))
+            with_cond = exact_estimate(target, candidate_table(1, 12, generator))
             without = exact_estimate(target, candidate_table(1, 12))
             # CALLC candidates cost at least callc_len, and [CALLC] alone
             # reproduces the target exactly, so the minimum is capped there
@@ -185,7 +184,7 @@ class TestConditionalReuse:
 
     def test_exact_equality_when_no_cheap_description_exists(self):
         target = classical_state("1")
-        cond = decode(encode([X(0)], 1).bits, 1, allow_callc=False)
+        cond = encode([X(0)], 1)
         assert exact_estimate(target, candidate_table(1, 12)).best.total == 7
         with_cond = exact_estimate(target, candidate_table(1, 12, cond))
         assert with_cond.best.total == 6
@@ -521,7 +520,7 @@ def test_check_estimates_finds_each_planted_fault(monkeypatch):
             check_estimates(targets, estimates, table)
 
     def without(drop):
-        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n).gates))
+        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n)))
         return dataclasses.replace(table, firsts=firsts)
 
     with monkeypatch.context() as m:
@@ -547,7 +546,7 @@ def test_the_bound_checks_find_each_planted_fault():
     targets = past_the_reference_targets(n, Random(2400 + n))
 
     def without(table, drop):
-        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n).gates))
+        firsts = tuple(row for row in table.firsts if not drop(decode(row[1].bits, n)))
         return dataclasses.replace(table, firsts=firsts)
 
     # the larger bound loses the programs of more than one gate, so |011>

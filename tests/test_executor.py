@@ -38,15 +38,11 @@ from qkclab.executor import _build_table, _canonical, cache_path
 from oracles import Counted, reference_candidates, reference_firsts, reference_op_fields
 
 
-def conditional_of(gates, n):
-    return decode(encode(gates, n).bits, n, allow_callc=False)
-
-
 def short_conditionals(n, depth=2):
     """Every CALLC-free conditional of up to `depth` gates on n qubits."""
     alphabet = [op for _bits, op in reference_op_fields(n) if op != CALLC()]
     return [
-        conditional_of(gates, n)
+        encode(gates, n)
         for k in range(depth + 1)
         for gates in product(alphabet, repeat=k)
     ]
@@ -64,14 +60,15 @@ def run_rows(n, max_len, conditional=None):
 def build_steps(n, max_len, conditional=None):
     """Gate applications of a table build, derived from running each program
     alone: one step per distinct (parent output, last op) pair, the parent
-    being the program minus its last op, and len(conditional.gates) for a
-    pair whose op is CALLC.  Call it before counting: it runs every program
-    through the counted gate."""
+    being the program minus its last op, and the conditional's gate count
+    for a pair whose op is CALLC.  Call it before counting: it runs every
+    program through the counted gate."""
     outputs = {
-        decode(prog.bits, n).gates: out for _idx, prog, out in run_rows(n, max_len, conditional)
+        decode(prog.bits, n): out for _idx, prog, out in run_rows(n, max_len, conditional)
     }
     pairs = {(outputs[gates[:-1]], gates[-1]) for gates in outputs if gates}
-    return sum(len(conditional.gates) if op == CALLC() else 1 for _parent, op in pairs)
+    called = 0 if conditional is None else len(decode(conditional.bits, n))
+    return sum(called if op == CALLC() else 1 for _parent, op in pairs)
 
 
 def write_with_hash(path, data):
@@ -195,7 +192,7 @@ class TestRun:
         assert work.gates.calls == 1
 
     def test_callc_inlines_the_conditional(self, work):
-        output = run(encode([CALLC()], 1), 1, conditional=conditional_of([X(0)], 1))
+        output = run(encode([CALLC()], 1), 1, conditional=encode([X(0)], 1))
         assert output == basis_state(1, 1)
         assert work.gates.calls == 1
 
@@ -206,16 +203,17 @@ class TestRun:
         assert run(Program("0101010"), 2) is None
 
     def test_conditional_with_callc_is_a_usage_error(self):
-        bad = decode(encode([CALLC()], 1).bits, 1)
         with pytest.raises(ValueError):
-            run(Program("1"), 1, conditional=bad)
+            run(Program("1"), 1, conditional=encode([CALLC()], 1))
 
-    def test_conditional_dimension_must_match(self):
-        with pytest.raises(ValueError):
-            run(Program("1"), 2, conditional=conditional_of([X(0)], 1))
+    def test_conditional_must_decode_at_the_run_width(self):
+        # X(1) is an op at n=2 but not at n=1, so the conditional is refused
+        # at the width that runs it
+        with pytest.raises(ValueError, match="n=1"):
+            run(Program("1"), 1, conditional=encode([X(1)], 2))
 
     def test_steps_count_inlined_gates(self, work):
-        cond = conditional_of([X(0), ROT(0)], 1)
+        cond = encode([X(0), ROT(0)], 1)
         run(encode([CALLC(), CALLC()], 1), 1, conditional=cond)
         assert work.gates.calls == 4
 
@@ -268,7 +266,7 @@ class TestBuildTable:
         assert repeats
 
     def test_gate_applications_are_one_step_per_distinct_parent_output_and_op(self, work):
-        conditional = conditional_of([X(0), ROT(1)], 2)
+        conditional = encode([X(0), ROT(1)], 2)
         expected = build_steps(2, 14), build_steps(2, 14, conditional)
         before = work.gates.calls
         rows = candidate_rows(2, 14)
@@ -569,7 +567,7 @@ class TestCache:
         assert rot3.length > max_len
 
         def gates_of(*programs):
-            return sum(len(decode(parse_program_arg(p).bits, 1).gates) for p in programs)
+            return sum(len(decode(parse_program_arg(p).bits, 1)) for p in programs)
 
         def work_done(px, py, *extra):
             gates, runs = work.gates.calls, work.runs.calls
@@ -578,10 +576,7 @@ class TestCache:
             return work.gates.calls - gates, work.runs.calls - runs
 
         unconditional = build_steps(2, max_len) + build_steps(1, max_len)
-        conditional = {
-            py: build_steps(1, max_len, conditional_of(gates, 1))
-            for py, gates in (("1:1", []), ("7:20", [X(0)]))
-        }
+        conditional = {py: build_steps(1, max_len, parse_program_arg(py)) for py in ("1:1", "7:20")}
         cache = str(tmp_path / "cache")
         for py in conditional:
             generators = gates_of("7:24", py)

@@ -10,6 +10,7 @@ from qkclab import (
     ROT,
     X,
     Program,
+    callc_free_gates,
     decode,
     encode,
     enumerate_decoded,
@@ -66,15 +67,14 @@ class TestEncode:
 
 class TestDecode:
     def test_header_only(self):
-        assert decode("1", 2).gates == ()
+        assert decode("1", 2) == ()
 
     def test_invalid_opcode(self):
         assert decode("0101010", 2) is None  # opcode 101
 
     def test_round_trip_cnot(self):
         p = encode([CNOT(0, 1)], 2)
-        decoded = decode(p.bits, 2)
-        assert decoded.gates == (CNOT(0, 1),)
+        assert decode(p.bits, 2) == (CNOT(0, 1),)
 
     def test_a_wide_register_decodes_at_once(self):
         # decode reads each field's opcode and operands, with no per-width
@@ -83,7 +83,7 @@ class TestDecode:
         gates = (X(0), CNOT(n - 1, 3), CALLC())
         bits = encode(gates, n).bits
         start = time.perf_counter()
-        assert decode(bits, n).gates == gates
+        assert decode(bits, n) == gates
         assert decode(bits[:-1], n) is None and decode(bits + "0", n) is None
         assert time.perf_counter() - start < 1
 
@@ -108,8 +108,10 @@ class TestDecode:
 
     def test_callc_forbidden_in_conditionals(self):
         p = encode([CALLC()], 2)
-        assert decode(p.bits, 2) is not None
-        assert decode(p.bits, 2, allow_callc=False) is None
+        assert decode(p.bits, 2) == (CALLC(),)
+        with pytest.raises(ValueError, match="CALLC-free"):
+            callc_free_gates(p, 2)
+        assert callc_free_gates(encode([X(1)], 2), 2) == (X(1),)
 
     def test_round_trip_random_programs(self):
         rng = Random(21)
@@ -117,7 +119,7 @@ class TestDecode:
             n = rng.randrange(1, 4)
             gates = tuple(random_gate_list(rng, n, 6, allow_callc=True))
             p = encode(gates, n)
-            assert decode(p.bits, n).gates == gates
+            assert decode(p.bits, n) == gates
 
 
 class TestAgainstLadderDecoder:
@@ -126,14 +128,23 @@ class TestAgainstLadderDecoder:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decode_matches_on_every_short_string(self, n):
-        # a whole string decodes exactly when the ladder parses all of it
+        # a whole string decodes exactly when the ladder parses all of it,
+        # and passes callc_free_gates exactly when the ladder that refuses
+        # CALLC does
+        def callc_free_or_none(bits):
+            try:
+                return callc_free_gates(Program(bits), n)
+            except ValueError:
+                return None
+
         for length in range(13):
             for v in range(1 << length):
                 bits = format(v, f"0{length}b") if length else ""
-                for allow_callc in (True, False):
+                for allow_callc, decoder in ((True, lambda b: decode(b, n)),
+                                             (False, callc_free_or_none)):
                     parsed = reference_decode_prefix(bits, n, allow_callc)
                     whole = parsed[0] if parsed and parsed[1] == length else None
-                    assert decode(bits, n, allow_callc) == whole, (bits, allow_callc)
+                    assert decoder(bits) == whole, (bits, allow_callc)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_alphabet_matches(self, n):
@@ -167,7 +178,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 16)])
     def test_decoded_enumeration_carries_each_programs_gates(self, n, max_len):
         pairs = list(enumerate_decoded(max_len, n))
-        assert all(decode(prog.bits, n).gates == gates for prog, gates in pairs)
+        assert all(decode(prog.bits, n) == gates for prog, gates in pairs)
         assert [prog for prog, _gates in pairs] == list(enumerate_programs(max_len, n))
 
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 24)])

@@ -443,7 +443,7 @@ class TestShannonFano:
             basis = standard_basis(n)
             lengths = shannon_fano_lengths(basis, z)
             finite = [l for l in lengths if l != INFINITE]
-            assert sum(F(1, 1 << l) for l in finite) <= 2
+            assert F(1, 2) < sum(F(1, 1 << l) for l in finite) <= 1
             for e, l in zip(basis.vectors, lengths):
                 if l != INFINITE:
                     assert F(1, 1 << l) <= fidelity(e, z)
