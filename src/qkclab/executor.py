@@ -99,8 +99,10 @@ def _build(
     op) pair, each with whether it is the first row of its output.  A lazy
     generator: a reader that stops early stops the build there.
 
-    Each program's gates come with it from `enumerate_decoded`, so the build
-    decodes nothing.  Dropping a program's last op leaves a shorter decodable
+    Each program's index and gates come with it from `enumerate_decoded`, so
+    the build decodes nothing.  With no conditional, no program that holds a
+    CALLC can halt, and the enumeration builds none: it counts them into the
+    index instead.  Dropping a program's last op leaves a shorter decodable
     program, which comes earlier in the enumeration and halts whenever the
     program does; so each row is its parent row's output with that op applied
     (the conditional's gates for a CALLC), and the empty program is |0^n>.
@@ -118,9 +120,7 @@ def _build(
     interned: dict = {}  # state -> its one object
     outputs: dict = {(): zero_state(n)}  # gate tuple -> output
     steps: dict = {}  # (id(parent output), last op or None) -> output
-    for idx, (prog, gates) in enumerate(enumerate_decoded(max_len, n)):
-        if called is None and CALLC in map(type, gates):
-            continue
+    for idx, prog, gates in enumerate_decoded(max_len, n, callc=called is not None):
         parent = outputs.get(gates[:-1])  # the empty program is its own parent
         if parent is None:
             raise AssertionError(f"program {prog} has no earlier parent row")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from fractions import Fraction
 from itertools import product, tee
+from math import perm
 from typing import Iterator, Optional, Union
 
 from .statevec import CNOT, PHASE, ROT, X, Gate, json_int, operands
@@ -172,68 +173,125 @@ def _op_alphabet(n: int) -> list[tuple[str, Op]]:
     return [field for code in range(len(OPS)) for field in _opcode_fields(code, n)]
 
 
-def _sequences(codes, fields_of, k: int, size: int, sizes) -> Iterator[tuple[str, tuple[Op, ...]]]:
-    """Every sequence of k fields whose bits total exactly `size`, in the
-    order of its bits.  `codes` holds (opcode, field width) for each opcode
-    in order, and `fields_of(code)` is a pass over that opcode's fields.
-    sizes[j] is the set of totals that j fields reach, so no branch is
-    entered that yields nothing, and no field is built before one fits."""
+def _field_count(code: int, n: int) -> int:
+    """How many fields opcode `code` has at width n: the ordered choices of
+    `_ARITY[code]` distinct qubits below n that `_valid` accepts, the falling
+    factorial n (n - 1) ... (n - arity + 1).  Counted, not listed, so a wide
+    register builds no field to know it."""
+    return perm(n, _ARITY[code])
+
+
+class _BodyCounts:
+    """N(k, B): how many bodies of k valid fields at width n total exactly B
+    bits.  N(0, B) is 1 for B = 0 and 0 otherwise, and N(k, B) is the sum over
+    opcodes of c_op * N(k - 1, B - w_op), with c_op the opcode's field count
+    and w_op its field width.  The decodable programs are a regular language
+    (a gamma header for k, then k fields), and this is its standard count
+    (Goldberg and Sipser, "Compression and ranking", STOC 1985).
+
+    `codes` holds (opcode, field width, field count) for each opcode with a
+    field, in opcode order.  `rows[k][B]` is N(k, B), and `cover` grows the
+    rows only as far as a reader asks."""
+
+    def __init__(self, n: int):
+        w = index_width(n)
+        self.codes = [(code, OPCODE_WIDTH + arity * w, count)
+                      for code, arity in enumerate(_ARITY) if (count := _field_count(code, n))]
+        self.rows = [[1]]
+
+    def cover(self, size: int) -> list[list[int]]:
+        """The rows, grown to every body of at most `size` bits: N(k, B) for
+        every B <= size and every k that so many bits can hold."""
+        rows = self.rows
+        while len(rows) <= size // OPCODE_WIDTH:  # no field is shorter
+            rows.append([])
+        for k, row in enumerate(rows):
+            for total in range(len(row), size + 1):
+                row.append(sum(count * rows[k - 1][total - width]
+                               for _code, width, count in self.codes if total >= width)
+                           if k else 0)
+        return rows
+
+
+def _sequences(
+    codes, fields_of, rows, k: int, size: int, start: int
+) -> Iterator[tuple[int, str, tuple[Op, ...]]]:
+    """(index, bits, ops) of every sequence of k fields whose bits total
+    exactly `size`, in the order of its bits, its index `start` plus the
+    number of such sequences before it.  `codes` holds (opcode, field width,
+    field count, entered) for each opcode in order, `fields_of(code)` is a
+    pass over that opcode's fields, and `rows` is the count table.  A branch
+    that holds no sequence is not entered, and no field is built before one
+    fits; a branch whose opcode is not entered is skipped whole, its count
+    added to the index."""
     if k == 0:
-        yield "", ()
+        yield start, "", ()
         return
-    for code, width in codes:
+    below = rows[k - 1]
+    for code, width, count, entered in codes:
         rest = size - width
-        if rest in sizes[k - 1]:
-            for bits, op in fields_of(code):
-                for tail, ops in _sequences(codes, fields_of, k - 1, rest, sizes):
-                    yield bits + tail, (op,) + ops
+        if rest < 0 or not (tails := below[rest]):
+            continue
+        if not entered:
+            start += count * tails
+            continue
+        for bits, op in fields_of(code):
+            for index, tail, ops in _sequences(codes, fields_of, rows, k - 1, rest, start):
+                yield index, bits + tail, (op,) + ops
+            start += tails
 
 
-def enumerate_decoded(max_len: int, n: int) -> Iterator[tuple[Program, tuple[Op, ...]]]:
-    """All decodable programs of length <= max_len, ordered by (length, then
-    numeric value of the bits), each with its gate tuple: the gates
-    `decode(program.bits, n)` would return, kept from building the bits, so
-    nothing is decoded.  Deterministic and platform-independent.
+def enumerate_decoded(
+    max_len: int, n: int, callc: bool = True
+) -> Iterator[tuple[int, Program, tuple[Op, ...]]]:
+    """(index, program, gates) of every decodable program of length <=
+    max_len, ordered by (length, then numeric value of the bits): its index
+    in that order, and the gates `decode(program.bits, n)` would return, kept
+    from building the bits, so nothing is decoded.  Deterministic and
+    platform-independent.
+
+    With callc=False, no program that holds a CALLC is built: each CALLC
+    branch is skipped whole and its count, from `_BodyCounts`, added to the
+    index, so every index stays that of the full enumeration.
 
     A lazy generator, one length at a time.  Within a length the order is
     that of the bits: headers are prefix-free, so programs order by header
     bits first, and bodies by their fields' bits in turn.  The field widths
-    come from the arities alone: an opcode has a valid op exactly when
-    `_valid` accepts its first operands, 0 .. arity - 1.  Its fields are
-    built in operand order only as far as some program reads them, and every
-    pass over them shares what is built, so a wide register builds no field
-    past the last one a yielded program holds.
+    and counts come from the arities alone.  An opcode's fields are built in
+    operand order only as far as some program reads them, and every pass
+    over them shares what is built, so a wide register builds no field past
+    the last one a yielded program holds.
     """
-    w = index_width(n)
-    codes = [(code, OPCODE_WIDTH + k * w) for code, k in enumerate(_ARITY)
-             if _valid(tuple(range(k)), n)]
-    widths = sorted({width for _code, width in codes})
+    counts = _BodyCounts(n)
+    codes = [(code, width, count, callc or OPS[code] is not CALLC)
+             for code, width, count in counts.codes]
     # one unread tee per opcode holds the fields built so far, and each copy
     # of it is a fresh pass that builds more only as it reads past them
     starts = cache(lambda code: tee(_opcode_fields(code, n), 1)[0])
     fields_of = lambda code: starts(code).__copy__()
-    sizes = [{0}]  # sizes[k]: the body sizes that k fields reach
+    index = 0
     for length in range(1, max_len + 1):
+        rows = counts.cover(length)
         headers = []
         k = 0
         while True:
             header = gamma_encode(k + 1)
             if len(header) + OPCODE_WIDTH * k > length:
                 break  # header length and minimum body both grow with k
-            if k == len(sizes):
-                sizes.append({s + width for s in sizes[-1] for width in widths})
-            if length - len(header) in sizes[k]:
+            if rows[k][length - len(header)]:
                 headers.append((header, k))
             k += 1
         for header, k in sorted(headers):
-            for body, gates in _sequences(codes, fields_of, k, length - len(header), sizes):
-                yield Program(header + body), gates
+            size = length - len(header)
+            for i, body, gates in _sequences(codes, fields_of, rows, k, size, index):
+                yield i, Program(header + body), gates
+            index += rows[k][size]
 
 
 def enumerate_programs(max_len: int, n: int) -> Iterator[Program]:
     """The programs of `enumerate_decoded`, in its order, without their
-    gates."""
-    for program, _gates in enumerate_decoded(max_len, n):
+    indices or gates."""
+    for _index, program, _gates in enumerate_decoded(max_len, n):
         yield program
 
 
@@ -262,11 +320,14 @@ def verify_prefix_free(max_len: int, n: int, decodes=None) -> bool:
 
 def kraft_sum(max_len: int, n: int) -> Fraction:
     """Exact sum of 2^-length over the decodable programs up to max_len; at
-    most 1 for any prefix-free set."""
-    total = Fraction(0)
-    for p in enumerate_programs(max_len, n):
-        total += Fraction(1, 1 << p.length)
-    return total
+    most 1 for any prefix-free set.  A program of length L is a header for k
+    gates and a body of L - len(header) bits, so the sum is over the counts
+    of `_BodyCounts`, and no program is read."""
+    total = 0
+    for k, row in enumerate(_BodyCounts(n).cover(max_len)):
+        spare = max_len - len(gamma_encode(k + 1))
+        total += sum(row[size] << (spare - size) for size in range(spare + 1))
+    return Fraction(total, 1 << max_len)
 
 
 def program_to_json(p: Program) -> dict:

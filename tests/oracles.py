@@ -9,8 +9,9 @@ They read every row to the end, with no early exit, so they also check that
 the scans' stopping rule is exact.  reference_decode_prefix keeps the
 per-opcode decoder that the alphabet lookup in `decode` replaced,
 reference_enumerate the build-then-sort enumerator that the streaming one
-replaced, reference_firsts the value-keyed scan that `CandidateTable.firsts`
-replaced, reference_norm_sq the Fraction sum that the integer unit-norm
+replaced, reference_kraft_sum the enumeration sum that the count sum in
+`kraft_sum` replaced, reference_firsts the value-keyed scan that
+`CandidateTable.firsts` replaced, reference_norm_sq the Fraction sum that the integer unit-norm
 check replaced,
 reference_apply_gate the Fraction simulator that the integer gate kernel
 replaced, reference_inner_product the Fraction overlap that the integer
@@ -197,6 +198,15 @@ def reference_enumerate(max_len, n):
         k += 1
     programs.sort(key=lambda pg: (pg[0].length, pg[0].value))
     return programs
+
+
+def reference_kraft_sum(max_len, n):
+    """Exact sum of 2^-length over every program `enumerate_programs` lists:
+    the enumeration sum that the count sum in `kraft_sum` replaced."""
+    total = Fraction(0)
+    for p in enumerate_programs(max_len, n):
+        total += Fraction(1, 1 << p.length)
+    return total
 
 
 def brute_force_best(target, n, max_len, conditional=None):

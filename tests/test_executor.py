@@ -304,11 +304,33 @@ class TestBuildTable:
         # an enumeration that lost the empty program's child X(0): its own
         # children have no parent row, and the build must not run them instead
         lost = encode([X(0)], 1)
-        programs = [(p, gates) for p, gates in enumerate_decoded(11, 1) if p != lost]
-        assert (encode([X(0), X(0)], 1), (X(0), X(0))) in programs
-        monkeypatch.setattr(executor, "enumerate_decoded", lambda max_len, n: iter(programs))
+        stream = [row for row in enumerate_decoded(11, 1, callc=False) if row[1] != lost]
+        assert len(stream) == len(candidate_rows(1, 11)) - 1
+        assert (12, encode([X(0), X(0)], 1), (X(0), X(0))) in stream
+        monkeypatch.setattr(
+            executor, "enumerate_decoded", lambda max_len, n, callc: iter(stream)
+        )
         with pytest.raises(AssertionError, match="parent"):
             _build_table(1, 11)
+
+    def test_only_a_build_with_a_conditional_reads_callc_programs(self, monkeypatch):
+        # with no conditional a CALLC program cannot halt, so none is built,
+        # and the index of every row is still its full enumeration index
+        read = []
+
+        def recorded(max_len, n, callc):
+            for row in enumerate_decoded(max_len, n, callc):
+                read.append(row)
+                yield row
+
+        monkeypatch.setattr(executor, "enumerate_decoded", recorded)
+        rows = candidate_rows(3, 20)
+        assert len(read) == len(rows) == 970
+        assert not any(CALLC in map(type, gates) for _idx, _prog, gates in read)
+        assert [row[:2] for row in read] == [row[:2] for row in run_rows(3, 20)]
+        read.clear()
+        candidate_rows(3, 20, encode([X(0)], 3))
+        assert len(read) == 1653 and any(CALLC in map(type, gates) for *_row, gates in read)
 
 
 class TestCache:
@@ -406,18 +428,19 @@ class TestCache:
         assert cached_outputs(1, 7, tmp_path) == table  # rewritten valid: no warning
 
     def test_warm_read_parses_each_distinct_output_once(self, tmp_path, monkeypatch, work):
+        enumerations = Counted(executor.enumerate_decoded)
+        monkeypatch.setattr(executor, "enumerate_decoded", enumerations)
         cold = cached_outputs(3, 20, tmp_path)
+        assert enumerations.calls == 1  # the name a build enumerates through
         before = work.gates.calls
         parses = Counted(executor.state_from_json)
         monkeypatch.setattr(executor, "state_from_json", parses)
         programs = Counted(executor.program_from_json)
         monkeypatch.setattr(executor, "program_from_json", programs)
-        enumerations = Counted(executor.enumerate_decoded)
-        monkeypatch.setattr(executor, "enumerate_decoded", enumerations)
         warm = cached_outputs(3, 20, tmp_path)
         # one program and one state per first; the 834 later rows are not stored
         assert parses.calls == programs.calls == len(cold.firsts) == 136
-        assert enumerations.calls == 0  # the indices are read, not enumerated
+        assert enumerations.calls == 1  # the indices are read, not enumerated
         assert (warm.scanned, warm.firsts) == (cold.scanned, cold.firsts)
         assert warm == cold
         assert work.gates.calls == before and work.runs.calls == 0

@@ -1,4 +1,6 @@
 import time
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +9,7 @@ import pytest
 from qkclab import (
     CALLC,
     CNOT,
+    PHASE,
     ROT,
     X,
     Program,
@@ -21,7 +24,15 @@ from qkclab import (
     verify_prefix_free,
 )
 import qkclab.proglang as proglang
-from qkclab.proglang import _op_alphabet, gamma_encode, index_width
+from qkclab.proglang import (
+    OPS,
+    _BodyCounts,
+    _field_count,
+    _op_alphabet,
+    _opcode_fields,
+    gamma_encode,
+    index_width,
+)
 
 from oracles import (
     Counted,
@@ -29,6 +40,7 @@ from oracles import (
     random_gate_list,
     reference_decode_prefix,
     reference_enumerate,
+    reference_kraft_sum,
     reference_op_fields,
 )
 
@@ -177,20 +189,52 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 16)])
     def test_decoded_enumeration_carries_each_programs_gates(self, n, max_len):
-        pairs = list(enumerate_decoded(max_len, n))
-        assert all(decode(prog.bits, n) == gates for prog, gates in pairs)
-        assert [prog for prog, _gates in pairs] == list(enumerate_programs(max_len, n))
+        stream = list(enumerate_decoded(max_len, n))
+        assert all(decode(prog.bits, n) == gates for _index, prog, gates in stream)
+        assert [prog for _index, prog, _gates in stream] == list(enumerate_programs(max_len, n))
+        assert [index for index, _prog, _gates in stream] == list(range(len(stream)))
 
     @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 24)])
     def test_stream_matches_the_sorted_build(self, n, max_len):
-        assert list(enumerate_decoded(max_len, n)) == reference_enumerate(max_len, n)
+        expected = [(index, *pair) for index, pair in enumerate(reference_enumerate(max_len, n))]
+        assert list(enumerate_decoded(max_len, n)) == expected
+
+    @pytest.mark.parametrize("n, max_len", [(1, 18), (2, 16), (3, 20), (4, 24), (5, 26)])
+    def test_the_stream_without_callc_is_the_full_stream_filtered(self, n, max_len):
+        # the skipped CALLC branches are counted, so every index is the one
+        # the program has in the full enumeration
+        full = enumerate_decoded(max_len, n, callc=True)
+        filtered = [row for row in full if CALLC not in map(type, row[2])]
+        assert list(enumerate_decoded(max_len, n, callc=False)) == filtered
+
+    def test_a_skipped_opcode_before_others_is_counted(self, monkeypatch):
+        # CALLC is the last opcode, so nothing follows its skipped branch;
+        # moved before ROT and PHASE, the rows after it must still take
+        # their index in the full enumeration
+        ops = (X, CNOT, CALLC, ROT, PHASE)
+        monkeypatch.setattr(proglang, "OPS", ops)
+        monkeypatch.setattr(proglang, "_ARITY", tuple(len(fields(op)) for op in ops))
+        full = list(enumerate_decoded(16, 2))
+        keys = [(prog.length, prog.value) for _index, prog, _gates in full]
+        assert keys == sorted(keys) and [row[0] for row in full] == list(range(len(full)))
+        assert all(decode(prog.bits, 2) == gates for _index, prog, gates in full)
+        assert encode([CALLC(), ROT(0)], 2).bits == "011" + "010" + "0110"  # CALLC is 010
+        filtered = [row for row in full if CALLC not in map(type, row[2])]
+        assert list(enumerate_decoded(16, 2, callc=False)) == filtered
+
+    @pytest.mark.parametrize("n, max_len, built, of", [(3, 20, 970, 1653), (4, 24, 12697, 25711)])
+    def test_the_stream_without_callc_builds_no_callc_program(self, n, max_len, built, of):
+        stream = list(enumerate_decoded(max_len, n, callc=False))
+        assert len(stream) == built
+        assert not any(CALLC in map(type, gates) for _index, _prog, gates in stream)
+        assert stream[-1][0] < of == sum(1 for _row in enumerate_decoded(max_len, n))
 
     def test_stream_is_lazy(self):
         # the first program comes before any longer one is built
-        start = time.perf_counter()
-        program, gates = next(enumerate_decoded(10**4, 5))
-        assert (program, gates) == (Program("1"), ())
-        assert time.perf_counter() - start < 1
+        for callc in (True, False):
+            start = time.perf_counter()
+            assert next(enumerate_decoded(10**4, 5, callc)) == (0, Program("1"), ())
+            assert time.perf_counter() - start < 1
 
     def test_a_wide_register_builds_its_fields_as_they_are_read(self, monkeypatch):
         # at n = 1000 the first CNOT program is the 18,008th, after programs
@@ -198,7 +242,7 @@ class TestEnumerate:
         # field; of the 999,000 CNOT fields only the first, (0, 1), is built
         built = Counted(proglang._op_bits)
         monkeypatch.setattr(proglang, "_op_bits", built)
-        for index, (_program, gates) in enumerate(enumerate_decoded(26, 1000)):
+        for index, _program, gates in enumerate_decoded(26, 1000):
             if any(isinstance(gate, CNOT) for gate in gates):
                 break
         assert (index, gates) == (18007, (CNOT(0, 1),))
@@ -228,6 +272,36 @@ class TestPrefixFreedom:
         assert not verify_prefix_free(8, 2, decodes=lenient)
 
 
+class TestCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_field_count_is_the_number_of_fields_listed(self, n):
+        for code in range(len(OPS)):
+            assert _field_count(code, n) == sum(1 for _field in _opcode_fields(code, n))
+
+    @pytest.mark.parametrize("n, max_len", [(1, 20), (2, 20), (3, 20), (4, 24), (5, 26)])
+    def test_counts_equal_the_enumeration(self, n, max_len):
+        # per length and gate count: a header for k gates, then a body of
+        # k fields that fills the rest
+        listed = Counter((prog.length, len(gates))
+                         for _index, prog, gates in enumerate_decoded(max_len, n))
+        rows = _BodyCounts(n).cover(max_len)
+        counted = Counter({
+            (len(gamma_encode(k + 1)) + size, k): rows[k][size]
+            for k in range(len(rows))
+            for size in range(max_len - len(gamma_encode(k + 1)) + 1)
+            if rows[k][size]
+        })
+        assert counted == listed
+
+    def test_a_wide_register_counts_its_fields_without_building_them(self, monkeypatch):
+        built = Counted(proglang._op_bits)
+        monkeypatch.setattr(proglang, "_op_bits", built)
+        assert [count for _code, _width, count in _BodyCounts(1000).codes] == [
+            1000, 999000, 1000, 1000, 1
+        ]
+        assert built.calls == 0
+
+
 class TestKraft:
     def test_kraft_inequality_exact(self):
         assert kraft_sum(20, 1) <= 1
@@ -239,6 +313,19 @@ class TestKraft:
             Fraction(1, 1 << len(bits)) for bits in brute_force_decodables(12, 2)
         )
         assert kraft_sum(12, 2) == total
+
+    @pytest.mark.parametrize("n, max_len", [(1, 20), (2, 20), (3, 16), (4, 16)])
+    def test_kraft_sum_by_count_matches_the_enumeration_sum(self, n, max_len):
+        assert kraft_sum(max_len, n) == reference_kraft_sum(max_len, n)
+
+    def test_kraft_sum_reads_no_program(self, monkeypatch):
+        def no_program(*args):
+            raise AssertionError("kraft_sum enumerated a program")
+
+        monkeypatch.setattr(proglang, "_sequences", no_program)
+        start = time.perf_counter()
+        assert kraft_sum(200, 8) <= 1
+        assert time.perf_counter() - start < 0.5
 
 
 class TestProgram:
